@@ -153,8 +153,11 @@ Round CampaignWorkload::run_round(const std::string& dir, Tracer* tracer,
   if (tracer != nullptr) tracer->close(run_span);
 
   Round round;
-  round.digest = digest(read_file(config.journal_path),
-                        digest(read_file(config.results_path)));
+  {
+    const ExcludedScope check(round);
+    round.digest = digest(read_file(config.journal_path),
+                          digest(read_file(config.results_path)));
+  }
   round.attempted = trials.size();
   round.failed = trials.size() - report.completed;
   if (report.aborted) {
@@ -227,9 +230,12 @@ class HcCampaign : public CampaignWorkload {
   void setup() override {
     constexpr int kChip = 1;  // the paper's workhorse chip
     // Every channel at the start, middle and end of a bank (a 256-row
-    // region at each); the seed picks pseudo channel, bank and row.
+    // region at each), one victim in each half of a region; the seed picks
+    // pseudo channel, bank and row. A search's cost depends on its row's
+    // HC, so 48 victims keep every seed's work comparable.
     constexpr int kRegionStart[] = {4, dram::kRowsPerBank / 2 - 128,
                                     dram::kRowsPerBank - 4 - 256};
+    constexpr int kSlots = 6;  // 3 regions x 2 halves
     chip_ = std::make_unique<bender::HbmChip>(
         dram::chip_profiles(dram::kDefaultPlatformSeed)[kChip]);
     map_ = study::AddressMap::from_scheme(chip_->profile().mapping);
@@ -238,12 +244,13 @@ class HcCampaign : public CampaignWorkload {
       columns_.push_back(k == 1 ? "hc_first" : "hc_" + std::to_string(k));
     }
     trials_.clear();
-    for (int v = 0; v < dram::kChannels * 3; ++v) {
+    for (int v = 0; v < dram::kChannels * kSlots; ++v) {
+      const int slot = v / dram::kChannels;
       const dram::BankAddress bank{
           v % dram::kChannels, draw(seed_, 2, v, dram::kPseudoChannels),
           draw(seed_, 3, v, dram::kBanksPerPseudoChannel)};
-      const int row =
-          kRegionStart[v / dram::kChannels] + draw(seed_, 4, v, 256);
+      const int row = kRegionStart[slot / 2] + 128 * (slot % 2) +
+                      draw(seed_, 4, v, 128);
       for (const auto pattern : study::kAllPatterns) {
         study::HcSearchConfig config;
         config.pattern = pattern;
@@ -277,11 +284,13 @@ class HcCampaign : public CampaignWorkload {
 
 /// Serial defense-arena matches on chip 2: the four catalogued attack
 /// patterns and the fuzzer's first four, each against the five catalogued
-/// defenses, interleaved with zipf / uniform / streaming tenants. The seed
-/// moves the victim row, the tenants' traces and the interleave; the
-/// pattern roster (fuzz seed 0xF022, arena_eval's default) stays fixed so
-/// every seed does comparable work. The protect threshold is fixed, so no
-/// HC search runs.
+/// defenses, interleaved with zipf / uniform / streaming tenants, around
+/// one victim in each quarter of the bank. The seed moves the victims
+/// within their quarters, the tenants' traces and the interleave; the
+/// pattern roster (fuzz seed 0xF022, arena_eval's default) stays fixed.
+/// A match's cost depends on its victim's neighbourhood, so every seed
+/// spreads its matches over the whole bank and does comparable work. The
+/// protect threshold is fixed, so no HC search runs.
 class ArenaMix : public CampaignWorkload {
  public:
   explicit ArenaMix(std::uint64_t seed) : CampaignWorkload(seed) {
@@ -292,24 +301,33 @@ class ArenaMix : public CampaignWorkload {
   void setup() override {
     constexpr int kChip = 2;
     constexpr std::uint64_t kThreshold = 1024;
-    constexpr std::uint64_t kWindows = 48;
-    constexpr std::size_t kBenignActs = 750;
+    constexpr int kVictims = 4;
+    constexpr std::uint64_t kWindows = 12;
+    constexpr std::size_t kBenignActs = 188;
     constexpr int kFuzzed = 4;
     chip_ = std::make_unique<bender::HbmChip>(
         dram::chip_profiles(dram::kDefaultPlatformSeed)[kChip]);
     map_ = study::AddressMap::from_scheme(chip_->profile().mapping);
     columns_ = arena::leaderboard_columns();
 
-    arena::PatternConfig pattern_config;
-    pattern_config.windows = kWindows;
-    pattern_config.seed = 0xF022;
-    pattern_config.victim = 64 + draw(seed_, 11, 0, dram::kRowsPerBank - 128);
     const auto& timing = chip_->stack().timing();
-    auto patterns = arena::catalogued_patterns(map_, timing, pattern_config);
-    arena::PatternFuzzer fuzzer(map_, timing, pattern_config);
-    for (int i = 0; i < kFuzzed; ++i) {
-      patterns.push_back(fuzzer.materialize(
-          fuzzer.pattern(static_cast<std::uint64_t>(i))));
+    std::vector<arena::AttackPattern> patterns;
+    for (int v = 0; v < kVictims; ++v) {
+      constexpr int kQuarter = dram::kRowsPerBank / kVictims;
+      arena::PatternConfig pattern_config;
+      pattern_config.windows = kWindows;
+      pattern_config.seed = 0xF022;
+      pattern_config.victim =
+          v * kQuarter + 64 + draw(seed_, 11, v, kQuarter - 128);
+      for (auto& pattern :
+           arena::catalogued_patterns(map_, timing, pattern_config)) {
+        patterns.push_back(std::move(pattern));
+      }
+      arena::PatternFuzzer fuzzer(map_, timing, pattern_config);
+      for (int i = 0; i < kFuzzed; ++i) {
+        patterns.push_back(fuzzer.materialize(
+            fuzzer.pattern(static_cast<std::uint64_t>(i))));
+      }
     }
 
     const double t0 = now_s();
@@ -325,10 +343,13 @@ class ArenaMix : public CampaignWorkload {
 
     defenses_ = arena::defense_catalogue(kThreshold);
     trials_.clear();
-    for (const auto& scenario : scenarios_) {
+    const auto per_victim = scenarios_.size() / kVictims;
+    for (std::size_t s = 0; s < scenarios_.size(); ++s) {
+      const auto& scenario = scenarios_[s];
       for (const auto& spec : defenses_) {
         trials_.push_back(
-            {scenario.attack_name + "|" + spec.name,
+            {"v" + std::to_string(s / per_victim) + "|" +
+                 scenario.attack_name + "|" + spec.name,
              [this, &scenario, &spec](bender::ChipSession& session) {
                return arena::to_cells(
                    arena::run_match(session, map_, scenario, spec));
@@ -354,7 +375,10 @@ class ArenaMix : public CampaignWorkload {
 // -- bypass_sweep -----------------------------------------------------------
 
 /// The Fig. 14 grid on chip 0 (dummy rows x aggressor activations) against
-/// four seeded victims, periodic refresh obeyed so the TRR is in play.
+/// sixteen seeded victims, one in each sixteenth of the bank, periodic
+/// refresh obeyed so the TRR is in play. An attack's cost depends on its
+/// victim, so many short attacks over the whole bank keep every seed's work
+/// comparable.
 class BypassSweep : public CampaignWorkload {
  public:
   explicit BypassSweep(std::uint64_t seed) : CampaignWorkload(seed) {
@@ -364,8 +388,9 @@ class BypassSweep : public CampaignWorkload {
 
   void setup() override {
     constexpr int kChip = 0;
-    constexpr std::uint64_t kWindows = 2048;
-    constexpr int kVictims = 4;
+    constexpr std::uint64_t kWindows = 512;
+    constexpr int kVictims = 16;
+    constexpr int kSlice = dram::kRowsPerBank / kVictims;
     chip_ = std::make_unique<bender::HbmChip>(
         dram::chip_profiles(dram::kDefaultPlatformSeed)[kChip]);
     map_ = study::AddressMap::from_scheme(chip_->profile().mapping);
@@ -373,9 +398,8 @@ class BypassSweep : public CampaignWorkload {
                 "flips"};
     trials_.clear();
     for (int v = 0; v < kVictims; ++v) {
-      // One victim in each quarter of the bank.
-      const int row = v * (dram::kRowsPerBank / kVictims) + 64 +
-                      16 * draw(seed_, 20, v, 240) + 1;
+      const int row =
+          v * kSlice + 64 + 16 * draw(seed_, 20, v, (kSlice - 128) / 16) + 1;
       for (const int dummies : {2, 4, 6, 8}) {
         for (const int acts : {18, 24, 30, 34}) {
           study::BypassConfig config;

@@ -1,6 +1,7 @@
 #include "common.h"
 
 #include <sys/resource.h>
+#include <time.h>
 
 #include <algorithm>
 #include <chrono>
@@ -25,6 +26,12 @@ double process_cpu_s() {
            static_cast<double>(tv.tv_usec) * 1e-6;
   };
   return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
+double thread_cpu_s() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
 double max_rss_mb() {

@@ -20,6 +20,9 @@ class Tracer;
 /// user+sys CPU seconds of the whole process (all threads).
 [[nodiscard]] double process_cpu_s();
 
+/// CPU seconds of the calling thread.
+[[nodiscard]] double thread_cpu_s();
+
 /// Peak resident set size of the process, MiB.
 [[nodiscard]] double max_rss_mb();
 
@@ -91,10 +94,33 @@ struct Round {
   /// Work a traced round does only for the trace (excluded from
   /// trace.overhead_ratio).
   double trace_only_s = 0.0;
+  /// Time the benchmark itself spent in the round (output checks, its
+  /// busy-polling client's CPU), left out of wall_s and cpu_s.
+  double excluded_wall_s = 0.0;
+  double excluded_cpu_s = 0.0;
 
   /// Per-layer values of a traced round (see METRICS.md); summed over the
   /// traced rounds and divided by their count.
   std::map<std::string, double> layers;
+};
+
+/// Adds the wall and calling-thread CPU time of its scope to a round's
+/// excluded time.
+class ExcludedScope {
+ public:
+  explicit ExcludedScope(Round& round)
+      : round_(round), wall0_(now_s()), cpu0_(thread_cpu_s()) {}
+  ~ExcludedScope() {
+    round_.excluded_wall_s += now_s() - wall0_;
+    round_.excluded_cpu_s += thread_cpu_s() - cpu0_;
+  }
+  ExcludedScope(const ExcludedScope&) = delete;
+  ExcludedScope& operator=(const ExcludedScope&) = delete;
+
+ private:
+  Round& round_;
+  double wall0_;
+  double cpu0_;
 };
 
 /// The workload interface main.cpp drives.

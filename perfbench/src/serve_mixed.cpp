@@ -8,9 +8,9 @@
 //            index hits, a fixed number of fresh misses (each a fallback
 //            simulation plus an overlay write) and repeats of earlier
 //            misses that hit the overlay: op_p50_ms / op_tail_ms
-//   replay   phase B's misses and repeats plus seeded hits, re-answered in
-//            process with QueryEngine::set_bypass_index(true); every line
-//            must equal the server's: sim_acts_per_s
+//   replay   phase B's misses and repeats plus one of each distinct hit,
+//            re-answered in process with QueryEngine::set_bypass_index(true);
+//            every line must equal the server's: sim_acts_per_s
 //
 // The server, its fallback chips and the replay chip are built fresh every
 // round, so caches and the overlay start empty.
@@ -27,7 +27,7 @@
 #include <cstring>
 #include <deque>
 #include <optional>
-#include <set>
+#include <map>
 #include <stdexcept>
 #include <thread>
 
@@ -47,25 +47,31 @@ namespace {
 
 constexpr int kChip = 1;
 /// The index covers kIndexRows rows of kIndexBanks banks, one per channel
-/// pair, so every seed mixes weak and strong channels alike.
+/// pair, under all four data patterns, so every seed mixes weak and strong
+/// channels and cheap and costly patterns alike.
 constexpr int kIndexBanks = 4;
-constexpr int kIndexRows = 16;
-constexpr std::size_t kBatchesA = 2000;
-constexpr std::size_t kQueriesA = 128;
+constexpr int kIndexRows = 8;
+constexpr int kPatterns = static_cast<int>(study::kAllPatterns.size());
+/// Phase A batches are large, so a batch's round trip is mostly lookup work
+/// rather than the socket wake-ups of client and server threads.
+constexpr std::size_t kBatchesA = 600;
+constexpr std::size_t kQueriesA = 1024;
+constexpr std::size_t kDepthA = 2;  // phase A batches in flight per connection
 constexpr std::size_t kBatchesB = 600;
-constexpr std::size_t kQueriesB = 16;
-constexpr double kRateB = 400.0;        // offered batches per second
-constexpr std::size_t kFreshMisses = 60;    // batches carrying a fresh miss
+/// Phase B batches are large enough that a hit batch's latency is mostly
+/// lookup work rather than the server thread's wake-up.
+constexpr std::size_t kQueriesB = 1024;
+constexpr double kRateB = 800.0;        // offered batches per second
+constexpr std::size_t kFreshMisses = 120;   // batches carrying a fresh miss
 constexpr std::size_t kOverlayRepeats = 60; // batches repeating an old miss
 /// A repeat names a miss at least this many batches older, so the miss has
 /// been answered (and recorded in the overlay) long before: the serve.*
 /// counters stay a pure function of the stream.
 constexpr std::size_t kRepeatGap = 100;
-/// Replayed queries: every fresh miss and overlay repeat, plus sampled hits.
-constexpr std::size_t kReplayQueries = 256;
 constexpr int kConnections = 2;
 
-/// One client connection: blocking frame writes, buffered frame reads.
+/// One client connection: queued non-blocking frame writes, buffered frame
+/// reads.
 class Connection {
  public:
   explicit Connection(const std::string& socket_path) {
@@ -100,10 +106,35 @@ class Connection {
 
   [[nodiscard]] int fd() const { return fd_; }
 
-  /// False when the server went away.
+  /// Queues a frame and writes what the socket takes now; false when the
+  /// server went away. The client never blocks on a write: a server thread
+  /// blocked writing a response to it would never read the rest.
   [[nodiscard]] bool send(std::string_view payload) {
-    return serve::write_frame(fd_, payload);
+    char header[4];
+    for (int i = 0; i < 4; ++i) {
+      header[i] = static_cast<char>((payload.size() >> (8 * i)) & 0xFF);
+    }
+    out_.append(header, sizeof(header));
+    out_.append(payload);
+    return flush();
   }
+
+  /// Writes queued bytes until the socket would block; false when the
+  /// server went away.
+  [[nodiscard]] bool flush() {
+    while (out_sent_ < out_.size()) {
+      const auto sent = ::send(fd_, out_.data() + out_sent_,
+                               out_.size() - out_sent_,
+                               MSG_DONTWAIT | MSG_NOSIGNAL);
+      if (sent < 0) return errno == EAGAIN || errno == EINTR;
+      out_sent_ += static_cast<std::size_t>(sent);
+    }
+    out_.clear();
+    out_sent_ = 0;
+    return true;
+  }
+
+  [[nodiscard]] bool writing() const { return out_sent_ < out_.size(); }
 
   /// Reads what is available and appends complete frames; false on EOF or
   /// error.
@@ -133,23 +164,30 @@ class Connection {
  private:
   int fd_ = -1;
   std::string buffer_;
+  std::string out_;
+  std::size_t out_sent_ = 0;
 };
 
-/// Waits until one connection is readable or `timeout_s` passes; returns
-/// the readable connections' indices.
+/// Waits until one connection is readable or `timeout_ms` passes, writing
+/// queued frames as the sockets take them; returns the readable connections'
+/// indices, or -1 for a connection whose write failed. Phase B busy-polls
+/// (timeout 0), so the client's own wake-ups add nothing to the latencies it
+/// measures.
 std::vector<int> wait_readable(std::vector<std::unique_ptr<Connection>>& conns,
-                               double timeout_s) {
+                               int timeout_ms) {
   pollfd fds[kConnections];
   for (int c = 0; c < kConnections; ++c) {
-    fds[c] = {conns[static_cast<std::size_t>(c)]->fd(), POLLIN, 0};
+    const auto& conn = *conns[static_cast<std::size_t>(c)];
+    fds[c] = {conn.fd(),
+              static_cast<short>(POLLIN | (conn.writing() ? POLLOUT : 0)), 0};
   }
-  timespec timeout{};
-  timeout.tv_sec = static_cast<time_t>(timeout_s);
-  timeout.tv_nsec =
-      static_cast<long>((timeout_s - std::floor(timeout_s)) * 1e9);
   std::vector<int> ready;
-  if (::ppoll(fds, kConnections, &timeout, nullptr) <= 0) return ready;
+  if (::poll(fds, kConnections, timeout_ms) <= 0) return ready;
   for (int c = 0; c < kConnections; ++c) {
+    if ((fds[c].revents & POLLOUT) != 0 &&
+        !conns[static_cast<std::size_t>(c)]->flush()) {
+      ready.push_back(-1);
+    }
     if ((fds[c].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
       ready.push_back(c);
     }
@@ -166,18 +204,17 @@ std::size_t count_error_lines(const std::string& response) {
   return errors;
 }
 
-/// Line `n` (0-based) of a response.
-std::string_view line_of(std::string_view response, std::size_t n) {
+/// The lines of a response, without their '\n'.
+std::vector<std::string_view> split_lines(std::string_view response) {
+  std::vector<std::string_view> lines;
   std::size_t start = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    start = response.find('\n', start);
-    if (start == std::string_view::npos) return {};
-    ++start;
+  while (start < response.size()) {
+    auto end = response.find('\n', start);
+    if (end == std::string_view::npos) end = response.size();
+    lines.push_back(response.substr(start, end - start));
+    start = end + 1;
   }
-  const auto end = response.find('\n', start);
-  return response.substr(start, end == std::string_view::npos
-                                    ? std::string_view::npos
-                                    : end - start);
+  return lines;
 }
 
 class ServeMixed : public Workload {
@@ -195,10 +232,11 @@ class ServeMixed : public Workload {
                      std::map<std::string, double>& layers) override;
 
  private:
+  /// A distinct phase B request and where the stream sent it.
   struct Query {
     std::string line;  // request line, '\n'-terminated
-    std::size_t batch = 0;
-    std::size_t position = 0;  // line within the batch
+    /// (batch, line within the batch) of every occurrence.
+    std::vector<std::pair<std::size_t, std::size_t>> at;
   };
 
   [[nodiscard]] std::string where(int bank, int row, int pattern) const;
@@ -217,8 +255,7 @@ class ServeMixed : public Workload {
   std::string work_dir_;
   std::optional<serve::Index> index_;
   std::array<dram::BankAddress, kIndexBanks> banks_{};
-  int row_lo_ = 0;
-  std::array<study::DataPattern, 2> patterns_{};
+  std::array<int, kIndexRows> rows_{};
   std::vector<std::string> batches_a_;
   std::vector<std::string> batches_b_;
   std::vector<double> due_b_;  // offsets from phase B start, seconds
@@ -230,7 +267,8 @@ std::string ServeMixed::where(int bank, int row, int pattern) const {
   const auto& b = banks_[static_cast<std::size_t>(bank)];
   return std::to_string(b.channel) + " " + std::to_string(b.pseudo_channel) +
          " " + std::to_string(b.bank) + " " + std::to_string(row) + " " +
-         study::to_string(patterns_[static_cast<std::size_t>(pattern)]) +
+         study::to_string(
+             study::kAllPatterns[static_cast<std::size_t>(pattern)]) +
          "\n";
 }
 
@@ -239,8 +277,8 @@ std::string ServeMixed::hit_query(std::uint64_t stream,
   const auto h = util::hash_key(seed_, stream, i);
   const auto point =
       where(static_cast<int>(h % kIndexBanks),
-            row_lo_ + static_cast<int>((h >> 8) % kIndexRows),
-            static_cast<int>((h >> 20) & 1));
+            rows_[static_cast<std::size_t>((h >> 8) % kIndexRows)],
+            static_cast<int>((h >> 20) % kPatterns));
   return ((h >> 24) & 1) != 0 ? "hc_first " + point : "hc_nth 2 " + point;
 }
 
@@ -253,12 +291,20 @@ void ServeMixed::setup() {
         static_cast<int>(util::hash_key(seed_, 32, i) %
                          dram::kBanksPerPseudoChannel)};
   }
-  row_lo_ = 64 + static_cast<int>(util::hash_key(seed_, 33) %
-                                  (dram::kRowsPerBank - 128 - kIndexRows));
-  const auto first = util::hash_key(seed_, 34) % 4;
-  patterns_ = {study::kAllPatterns[first],
-               study::kAllPatterns[(first + 1 + util::hash_key(seed_, 35) % 3) %
-                                   4]};
+  // Rows cost the fallback more or less by where they sit in the bank, so
+  // indexed rows and fresh misses are drawn one per equal slice of it.
+  // Rows stay 64 away from the bank's edges.
+  const auto row_in_slice = [this](int slice, int slices, std::uint64_t stream,
+                                   std::uint64_t draw) {
+    const int size = dram::kRowsPerBank / slices;
+    const int lo = std::max(64, slice * size);
+    const int hi = std::min(dram::kRowsPerBank - 64, (slice + 1) * size);
+    return lo + static_cast<int>(util::hash_key(seed_, stream, slice, draw) %
+                                 static_cast<std::uint64_t>(hi - lo));
+  };
+  for (int r = 0; r < kIndexRows; ++r) {
+    rows_[static_cast<std::size_t>(r)] = row_in_slice(r, kIndexRows, 33, 0);
+  }
 
   // Export and load the index, as a user would before serving.
   serve::ExportSpec spec;
@@ -271,8 +317,9 @@ void ServeMixed::setup() {
     serve::FallbackSession session(chip, map);
     serve::MeasureSpec measure;
     measure.banks.assign(banks_.begin(), banks_.end());
-    for (int r = 0; r < kIndexRows; ++r) measure.rows.push_back(row_lo_ + r);
-    measure.patterns.assign(patterns_.begin(), patterns_.end());
+    measure.rows.assign(rows_.begin(), rows_.end());
+    measure.patterns.assign(study::kAllPatterns.begin(),
+                            study::kAllPatterns.end());
     serve::export_measured(builder, session, measure);
   }
   const auto path = work_dir_ + "/index.hbmidx";
@@ -288,9 +335,9 @@ void ServeMixed::setup() {
   }
 
   // Phase B: one batch every 1 / kRateB seconds. Hits, plus exactly
-  // kFreshMisses fresh misses (distinct rows outside the indexed range) and
-  // kOverlayRepeats repeats of misses at least kRepeatGap batches older, in
-  // seeded batches.
+  // kFreshMisses fresh misses (unindexed rows, one per slice of the bank,
+  // cycling through the banks and patterns) and kOverlayRepeats repeats of
+  // misses at least kRepeatGap batches older, in seeded batches.
   batches_b_.assign(kBatchesB, {});
   due_b_.assign(kBatchesB, 0.0);
   std::vector<int> role(kBatchesB, 0);  // 1 fresh miss, 2 overlay repeat
@@ -309,10 +356,13 @@ void ServeMixed::setup() {
     while (role[2 * kRepeatGap + b] != 0) b = (b + 1) % span;
     role[2 * kRepeatGap + b] = 2;
   }
-  std::vector<Query> queries;
+  // The replay answers every distinct phase B request once (each fresh
+  // miss, and the whole index), and its answer must equal the server's at
+  // every occurrence: fallback, overlay and index answers alike.
+  replay_.clear();
+  std::map<std::string, std::size_t> replay_slot;
   std::vector<std::string> misses;
   std::vector<std::size_t> miss_batch;
-  std::set<int> miss_rows;
   for (std::size_t b = 0; b < kBatchesB; ++b) {
     due_b_[b] = static_cast<double>(b) / kRateB;
     std::vector<std::string> lines;
@@ -321,18 +371,14 @@ void ServeMixed::setup() {
     }
     const auto slot = util::hash_key(seed_, 46, b) % kQueriesB;
     if (role[b] == 1) {
-      const auto h = util::hash_key(seed_, 45, b);
-      const auto bank = static_cast<int>(h % kIndexBanks);
+      const auto k = static_cast<int>(misses.size());
       int row = 0;
-      for (std::uint64_t k = 0;; ++k) {
-        row = 64 + static_cast<int>(util::hash_key(seed_, 44, b, k) %
-                                    (dram::kRowsPerBank - 128));
-        const bool indexed = row >= row_lo_ && row < row_lo_ + kIndexRows;
-        const int key = bank * dram::kRowsPerBank + row;
-        if (!indexed && miss_rows.insert(key).second) break;
+      for (std::uint64_t draw = 0;; ++draw) {
+        row = row_in_slice(k, static_cast<int>(kFreshMisses), 44, draw);
+        if (std::find(rows_.begin(), rows_.end(), row) == rows_.end()) break;
       }
-      lines[slot] =
-          "hc_first " + where(bank, row, static_cast<int>((h >> 8) & 1));
+      lines[slot] = "hc_first " + where(k % kIndexBanks, row,
+                                        (k / kIndexBanks) % kPatterns);
       misses.push_back(lines[slot]);
       miss_batch.push_back(b);
     } else if (role[b] == 2) {
@@ -348,24 +394,10 @@ void ServeMixed::setup() {
     }
     for (std::size_t q = 0; q < lines.size(); ++q) {
       batches_b_[b] += lines[q];
-      queries.push_back({lines[q], b, q});
+      const auto [it, fresh] = replay_slot.emplace(lines[q], replay_.size());
+      if (fresh) replay_.push_back({lines[q], {}});
+      replay_[it->second].at.emplace_back(b, q);
     }
-  }
-
-  // Replay: every fresh miss and overlay repeat (their server answers came
-  // from the fallback and the overlay), then seeded index hits.
-  replay_.clear();
-  std::set<std::size_t> picked;
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const auto& line = queries[i].line;
-    if (std::find(misses.begin(), misses.end(), line) != misses.end()) {
-      replay_.push_back(queries[i]);
-      picked.insert(i);
-    }
-  }
-  for (std::uint64_t k = 0; replay_.size() < kReplayQueries; ++k) {
-    const auto i = util::hash_key(seed_, 50, k) % queries.size();
-    if (picked.insert(i).second) replay_.push_back(queries[i]);
   }
 }
 
@@ -410,26 +442,30 @@ Round ServeMixed::run_round(const std::string& dir, Tracer* tracer,
   std::uint64_t dropped = 0;
   std::vector<std::string> frames;
 
-  // -- Phase A: closed loop, one batch in flight per connection.
+  // -- Phase A: closed loop, kDepthA batches in flight per connection, so a
+  // server thread finds its next batch waiting when it sends a response.
   std::vector<std::string> responses_a(kBatchesA);
-  std::vector<double> sent_a(kBatchesA, 0.0);
-  std::vector<double> rtt_us;
-  rtt_us.reserve(kBatchesA);
   const auto span_a = tracer != nullptr
                           ? tracer->open("serve.phase_a", round_span, 0)
                           : -1;
+  const double client_cpu0 = thread_cpu_s();
   const double a0 = now_s();
   std::size_t next = 0;
   std::size_t done = 0;
-  for (auto& conn : conns) {
-    if (next < kBatchesA) {
-      sent_a[next] = now_s();
-      if (!conn->send(batches_a_[next])) ++dropped;
-      conn->in_flight.push_back(next++);
+  for (std::size_t d = 0; d < kDepthA; ++d) {
+    for (auto& conn : conns) {
+      if (next < kBatchesA) {
+        if (!conn->send(batches_a_[next])) ++dropped;
+        conn->in_flight.push_back(next++);
+      }
     }
   }
   while (done < kBatchesA && dropped == 0) {
-    for (const int c : wait_readable(conns, 1.0)) {
+    for (const int c : wait_readable(conns, 1000)) {
+      if (c < 0) {
+        ++dropped;
+        break;
+      }
       auto& conn = *conns[static_cast<std::size_t>(c)];
       frames.clear();
       if (!conn.pump(frames)) {
@@ -439,11 +475,9 @@ Round ServeMixed::run_round(const std::string& dir, Tracer* tracer,
       for (auto& frame : frames) {
         const auto b = conn.in_flight.front();
         conn.in_flight.pop_front();
-        rtt_us.push_back((now_s() - sent_a[b]) * 1e6);
         responses_a[b] = std::move(frame);
         ++done;
         if (next < kBatchesA) {
-          sent_a[next] = now_s();
           if (!conn.send(batches_a_[next])) ++dropped;
           conn.in_flight.push_back(next++);
         }
@@ -451,6 +485,7 @@ Round ServeMixed::run_round(const std::string& dir, Tracer* tracer,
     }
   }
   const double phase_a_s = now_s() - a0;
+  const auto done_a = done;
   if (tracer != nullptr) tracer->close(span_a);
   round.ops = static_cast<double>(done * kQueriesA);
   round.ops_s = phase_a_s;
@@ -476,9 +511,11 @@ Round ServeMixed::run_round(const std::string& dir, Tracer* tracer,
       if (!conn->send(batches_b_[next])) ++dropped;
       conn->in_flight.push_back(next++);
     }
-    const double wait =
-        next < kBatchesB ? std::max(0.0, b0 + due_b_[next] - now_s()) : 1.0;
-    for (const int c : wait_readable(conns, wait)) {
+    for (const int c : wait_readable(conns, 0)) {
+      if (c < 0) {
+        ++dropped;
+        break;
+      }
       auto& conn = *conns[static_cast<std::size_t>(c)];
       frames.clear();
       if (!conn.pump(frames)) {
@@ -500,6 +537,7 @@ Round ServeMixed::run_round(const std::string& dir, Tracer* tracer,
     }
   }
   const double phase_b_s = now_s() - b0;
+  round.excluded_cpu_s += thread_cpu_s() - client_cpu0;
   if (tracer != nullptr) tracer->close(span_b);
   conns.clear();
   stop = true;
@@ -507,17 +545,20 @@ Round ServeMixed::run_round(const std::string& dir, Tracer* tracer,
   if (server_error) std::rethrow_exception(server_error);
 
   // -- Digest and error lines of the whole response stream.
-  std::uint64_t h = digest("");
   std::uint64_t error_lines = 0;
-  for (const auto* responses : {&responses_a, &responses_b}) {
-    for (const auto& response : *responses) {
-      h = digest(response, digest("\x1e", h));
-      error_lines += count_error_lines(response);
+  {
+    const ExcludedScope check(round);
+    std::uint64_t h = digest("");
+    for (const auto* responses : {&responses_a, &responses_b}) {
+      for (const auto& response : *responses) {
+        h = digest(response, digest("\x1e", h));
+        error_lines += count_error_lines(response);
+      }
     }
+    round.digest = h;
   }
-  round.digest = h;
 
-  // -- Replay: the sampled queries again, every one simulated.
+  // -- Replay: every distinct phase B request again, every one simulated.
   const auto span_r =
       tracer != nullptr ? tracer->open("serve.replay", round_span, 0) : -1;
   bender::HbmChip chip(profile());
@@ -527,25 +568,38 @@ Round ServeMixed::run_round(const std::string& dir, Tracer* tracer,
   bypass.set_bypass_index(true);
   serve::QueryScratch query_scratch;
   serve::ServeCounters replay_counters;
-  std::uint64_t mismatches = 0;
-  std::string response;
+  std::vector<std::string> replayed(replay_.size());
   const double r0 = now_s();
-  for (const auto& query : replay_) {
-    response.clear();
+  for (std::size_t i = 0; i < replay_.size(); ++i) {
     const double t0 = now_s();
-    bypass.run_batch(query.line, response, query_scratch, &session,
+    bypass.run_batch(replay_[i].line, replayed[i], query_scratch, &session,
                      replay_counters);
     round.sim_ms.push_back((now_s() - t0) * 1e3);
     // One simulation per query: the counters since its power cycle.
     round.acts +=
         static_cast<double>(chip.stack().total_counters().activations);
-    if (!response.empty() && response.back() == '\n') response.pop_back();
-    if (response != line_of(responses_b[query.batch], query.position)) {
-      ++mismatches;
-    }
   }
   round.acts_s = now_s() - r0;
   if (tracer != nullptr) tracer->close(span_r);
+  std::uint64_t mismatches = 0;
+  {
+    const ExcludedScope check(round);
+    std::vector<std::vector<std::string_view>> lines_b;
+    lines_b.reserve(responses_b.size());
+    for (const auto& response : responses_b) {
+      lines_b.push_back(split_lines(response));
+    }
+    for (std::size_t i = 0; i < replay_.size(); ++i) {
+      auto& response = replayed[i];
+      if (!response.empty() && response.back() == '\n') response.pop_back();
+      for (const auto& [batch, position] : replay_[i].at) {
+        const auto& lines = lines_b[batch];
+        if (position >= lines.size() || response != lines[position]) {
+          ++mismatches;
+        }
+      }
+    }
+  }
 
   round.attempted = kBatchesA + kBatchesB + replay_.size();
   round.failed = dropped + error_lines + mismatches;
@@ -572,8 +626,11 @@ Round ServeMixed::run_round(const std::string& dir, Tracer* tracer,
     round.fingerprint = registry.deterministic_fingerprint();
   }
 
-  // Untraced rounds keep what the traced run's transport estimate needs.
-  round.layers["serve.hit_rtt_us"] = median(rtt_us);
+  // Untraced rounds keep what the traced run's transport estimate needs: the
+  // time a connection took per phase A batch.
+  round.layers["serve.hit_batch_interval_us"] =
+      done_a > 0 ? phase_a_s * kConnections / static_cast<double>(done_a) * 1e6
+                 : 0.0;
   // Backlog growth: in flight over the last quarter of sends against the
   // first quarter.
   const auto quarter = backlog.size() / 4;
@@ -695,11 +752,12 @@ void ServeMixed::run_in_process(const std::vector<std::string>& responses_a,
 
 void ServeMixed::finish_layers(const std::vector<Round>& untraced,
                                std::map<std::string, double>& layers) {
-  std::vector<double> rtt;
+  std::vector<double> interval;
   for (const auto& round : untraced) {
-    rtt.push_back(round.layers.at("serve.hit_rtt_us"));
+    interval.push_back(round.layers.at("serve.hit_batch_interval_us"));
   }
-  layers["serve.transport_us"] = median(rtt) - layers["serve.hit_batch_us"];
+  layers["serve.transport_us"] =
+      median(interval) - layers["serve.hit_batch_us"];
 }
 
 }  // namespace
