@@ -89,7 +89,6 @@ int main(int argc, char** argv) {
 
   std::vector<runner::CampaignRunner::Trial> trials;
   study::HcSearchConfig hc_config;
-  hc_config.incremental = !ctx.cli().has("--hc-scratch");
   for (int row : study::spread_rows(n_rows)) {
     trials.push_back(
         {"hcfirst:row" + std::to_string(row),

@@ -44,7 +44,6 @@ int main(int argc, char** argv) {
                                         variant.sigma_lo, variant.sigma_hi));
     const auto map = study::AddressMap::from_scheme(chip.profile().mapping);
     study::HcSearchConfig config;
-    config.incremental = !ctx.cli().has("--hc-scratch");
     std::vector<double> hc_firsts, additional, norm10;
     // Homogeneous sampling (consecutive rows of one regular subarray),
     // isolating the statistical effect from spatial stratification.

@@ -69,7 +69,6 @@ int main(int argc, char** argv) {
       std::uint64_t sampled_min = ~0ull;
       for (int row : study::spread_rows(4)) {
         study::HcSearchConfig hc_config;
-        hc_config.incremental = !ctx.cli().has("--hc-scratch");
         const auto hc = study::find_hc_first(chip, map, {{0, 0, 0}, row},
                                              hc_config);
         if (hc) sampled_min = std::min(sampled_min, *hc);

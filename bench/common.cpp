@@ -23,8 +23,6 @@ constexpr const char* kHelpText = R"(Shared flags (every harness):
   --channels N       limit the sweep width
   --seed N           platform seed (silicon lottery)
   --trust-map        trust the profile's address map (skip probing)
-  --scalar-sense     per-cell reference sense path (differential testing;
-                     output is byte-identical to the bitplane default)
   --csv DIR          stream raw data series to DIR/<name>.csv
 
 Campaign flags (harnesses built on the resilient runner):
@@ -80,11 +78,8 @@ BenchContext::BenchContext(int argc, char** argv, const std::string& title)
     : cli_(argc, argv),
       argv_(argv, argv + argc),
       title_(title),
-      platform_(static_cast<std::uint64_t>(
-                    cli_.get_int("--seed",
-                                 static_cast<std::int64_t>(
-                                     dram::kDefaultPlatformSeed))),
-                cli_.has("--scalar-sense")) {
+      platform_(static_cast<std::uint64_t>(cli_.get_int(
+          "--seed", static_cast<std::int64_t>(dram::kDefaultPlatformSeed)))) {
   if (cli_.has("--help")) {
     std::cout << title_ << "\n\n" << kHelpText;
     std::exit(0);

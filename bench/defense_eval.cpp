@@ -55,7 +55,6 @@ int main(int argc, char** argv) {
   std::uint64_t sampled_min = ~0ull;
   for (int row : study::spread_rows(8)) {
     study::HcSearchConfig config;
-    config.incremental = !ctx.cli().has("--hc-scratch");
     const auto hc = study::find_hc_first(chip, map, {bank, row}, config);
     if (hc) sampled_min = std::min(sampled_min, *hc);
   }
@@ -112,7 +111,6 @@ int main(int argc, char** argv) {
     std::uint64_t lowest = ~0ull;
     for (int row : study::spread_rows(6)) {
       study::HcSearchConfig config;
-      config.incremental = !ctx.cli().has("--hc-scratch");
       const auto hc =
           study::find_hc_first(chip, map, {{ch, 0, 0}, row}, config);
       if (hc) lowest = std::min(lowest, *hc);

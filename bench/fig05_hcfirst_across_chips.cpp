@@ -20,7 +20,6 @@ int main(int argc, char** argv) {
     for (auto pattern : study::kAllPatterns) {
       study::HcSearchConfig config;
       config.pattern = pattern;
-      config.incremental = !ctx.cli().has("--hc-scratch");
       std::vector<double> hcs;
       int misses = 0;
       for (int row : study::spread_rows(n_rows)) {

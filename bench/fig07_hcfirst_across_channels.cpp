@@ -31,7 +31,6 @@ int main(int argc, char** argv) {
       for (int row : study::spread_rows(n_rows)) {
         study::HcSearchConfig config;
         config.pattern = pattern;
-        config.incremental = !ctx.cli().has("--hc-scratch");
         const std::string pattern_name = study::to_string(pattern);
         trials.push_back(
             {"ch" + std::to_string(ch) + ":" + pattern_name + ":row" +

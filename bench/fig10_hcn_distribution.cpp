@@ -27,7 +27,6 @@ int main(int argc, char** argv) {
     const auto& map = ctx.map_of(chip_index);
     study::HcSearchConfig config;
     config.pattern = pattern;
-    config.incremental = !ctx.cli().has("--hc-scratch");
     for (int ch : ctx.channels(2)) {
       for (int row : study::begin_middle_end_rows(rows_per_region)) {
         const auto result =

@@ -20,7 +20,6 @@ int main(int argc, char** argv) {
     const auto& map = ctx.map_of(chip_index);
     study::HcSearchConfig config;
     config.pattern = study::DataPattern::kCheckered0;
-    config.incremental = !ctx.cli().has("--hc-scratch");
 
     auto measure = [&](const std::vector<int>& rows, int channels) {
       std::vector<double> hc_firsts, additional;

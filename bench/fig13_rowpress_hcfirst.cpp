@@ -34,7 +34,6 @@ int main(int argc, char** argv) {
       for (const auto on_cycles : taggon_values) {
         study::HcSearchConfig config;
         config.on_cycles = on_cycles;
-        config.incremental = !ctx.cli().has("--hc-scratch");
         config.max_hammer_count =
             study::max_hammers_in(timing, 2, on_cycles, timing.t_refw);
         const auto hc =

@@ -78,13 +78,11 @@ void BM_SenseDisturbedRow(benchmark::State& state) {
   // dose. state.range(0) selects the scan mode: 0 = uncached (a whole-row
   // threshold scan per sense), 1 = threshold cache attached (the first
   // sense builds the row summary, every later sense is a warm hit driving
-  // the candidate-prefix scan). state.range(1) = 1 forces the per-cell
-  // scalar reference path instead of the word-parallel bitplane scan.
+  // the candidate-prefix scan).
   auto c = config();
   if (state.range(0) != 0) {
     c.threshold_cache = std::make_shared<disturb::ThresholdCache>();
   }
-  c.scalar_sense = state.range(1) != 0;
   dram::Stack stack(std::move(c));
   bender::Executor executor(&stack);
   const std::array<int, 2> rows = {4299, 4301};
@@ -100,11 +98,7 @@ void BM_SenseDisturbedRow(benchmark::State& state) {
     benchmark::DoNotOptimize(executor.run(std::move(read).build()));
   }
 }
-BENCHMARK(BM_SenseDisturbedRow)
-    ->Args({0, 0})
-    ->Args({1, 0})
-    ->Args({0, 1})
-    ->ArgNames({"cached", "scalar"});
+BENCHMARK(BM_SenseDisturbedRow)->Arg(0)->Arg(1)->ArgName("cached");
 
 void BM_RowSummaryBuild(benchmark::State& state) {
   // Cold-miss cost of the threshold cache: one full per-cell scan plus the
@@ -146,13 +140,11 @@ void BM_ArenaScenario(benchmark::State& state) {
 BENCHMARK(BM_ArenaScenario)->Unit(benchmark::kMillisecond);
 
 void BM_HcFirstSearch(benchmark::State& state) {
-  // Arg 0 = from-scratch reference path, arg 1 = checkpointed incremental
-  // engine; both produce identical HC values (study_hc_incremental_test).
+  // One HC_first search on the checkpointed incremental engine.
   bender::Platform platform;
   auto& chip = platform.chip(2);
   const auto map = study::AddressMap::from_scheme(chip.profile().mapping);
-  study::HcSearchConfig hc_config;
-  hc_config.incremental = state.range(0) != 0;
+  const study::HcSearchConfig hc_config;
   int row = 4000;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -160,7 +152,7 @@ void BM_HcFirstSearch(benchmark::State& state) {
     row += 7;  // fresh rows so caching cannot flatter the number
   }
 }
-BENCHMARK(BM_HcFirstSearch)->Arg(0)->Arg(1)->ArgName("incremental");
+BENCHMARK(BM_HcFirstSearch);
 
 void BM_ParallelCampaign(benchmark::State& state) {
   // End-to-end campaign through the sharded runner at a given --jobs

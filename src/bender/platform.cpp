@@ -37,7 +37,6 @@ dram::StackConfig HbmChip::stack_config() const {
     };
   }
   config.threshold_cache = threshold_cache_;
-  config.scalar_sense = profile_.scalar_sense;
   return config;
 }
 
@@ -147,9 +146,8 @@ double HbmChip::temperature_c() {
   return stack_->temperature();
 }
 
-Platform::Platform(std::uint64_t seed, bool scalar_sense) {
+Platform::Platform(std::uint64_t seed) {
   for (auto profile : dram::chip_profiles(seed)) {
-    profile.scalar_sense = scalar_sense;
     chips_.push_back(std::make_unique<HbmChip>(std::move(profile)));
   }
 }

@@ -115,10 +115,7 @@ class HbmChip : public ChipSession {
 /// All six boards of the testbed (Table 3).
 class Platform {
  public:
-  /// `scalar_sense` forces every chip onto the per-cell reference sense
-  /// path (--scalar-sense at the CLI); device behavior is identical.
-  explicit Platform(std::uint64_t seed = dram::kDefaultPlatformSeed,
-                    bool scalar_sense = false);
+  explicit Platform(std::uint64_t seed = dram::kDefaultPlatformSeed);
 
   [[nodiscard]] int chip_count() const {
     return static_cast<int>(chips_.size());

@@ -26,15 +26,10 @@ constexpr double kRetentionFloorSeconds = 0.033;
 constexpr double kThresholdScanSigma = 6.0;
 
 /// Candidate-prefix scans that would visit more than this many cells
-/// switch to the word-parallel bitplane scan instead (bitplane mode only;
-/// the flip set is identical either way). The crossover is observable via
-/// the device.sense_cells_visited / device.sense_word_ops counters.
+/// switch to the word-parallel bitplane scan instead (the flip set is
+/// identical either way). The crossover is observable via the
+/// device.sense_cells_visited / device.sense_word_ops counters.
 constexpr std::size_t kCandidateScanLimit = 512;
-
-/// Dose ledgers with this many epochs or more fall back to the per-cell
-/// scan: the bitplane path encodes one class bit per epoch (plus intra) in
-/// a 32-bit key. Real hammer workloads merge into a handful of epochs.
-constexpr std::size_t kMaxBitplaneEpochs = 31;
 
 /// Memoized per-dose flip probabilities (one normal_cdf per population).
 struct DoseProb {
@@ -49,14 +44,17 @@ struct DoseProb {
 /// Per-bank scratch for the sense/hammer hot paths; lazily allocated so
 /// only banks that actually sense disturbed rows pay for it.
 struct Bank::SenseArena {
-  /// One mask/class-key group of the per-word dose-class split.
+  /// One group of the per-word dose-class split: the cells it covers,
+  /// whether they see intra-row coupling, and the dose folded so far.
   struct Group {
     std::uint64_t mask;
-    std::uint32_t key;
+    bool intra;
+    double dose;
   };
-  /// One materialized dose class: its key and memoized probabilities.
+  /// One materialized dose class: its coupled dose (before the temperature
+  /// factor) and memoized probabilities.
   struct ClassEntry {
-    std::uint32_t key;
+    double dose;
     DoseProb p;
   };
 
@@ -71,6 +69,8 @@ struct Bank::SenseArena {
   std::array<Group, 64> group_a{};
   std::array<Group, 64> group_b{};
   std::vector<ClassEntry> classes;
+  /// Per-epoch dose terms, indexed [same * 2 + intra].
+  std::vector<std::array<double, 4>> epoch_terms;
 
   // Per-sense DoseProb ring memo: proper round-robin eviction once full
   // (the old fixed-slot scheme silently thrashed slot 15 forever).
@@ -86,14 +86,13 @@ struct Bank::SenseArena {
 
 Bank::Bank(BankAddress address, const disturb::FaultModel* fault_model,
            const Environment* env, TimingParams timing,
-           disturb::BankThresholdCache* threshold_cache, bool scalar_sense)
+           disturb::BankThresholdCache* threshold_cache)
     : address_(address),
       fault_(fault_model),
       env_(env),
       timing_(timing),
       checker_(timing),
-      threshold_cache_(threshold_cache),
-      scalar_sense_(scalar_sense) {
+      threshold_cache_(threshold_cache) {
   validate(address_);
   if (fault_ == nullptr || env_ == nullptr) {
     throw std::invalid_argument("Bank: fault model and environment required");
@@ -156,6 +155,12 @@ Bank::RowState* Bank::find_state(int physical_row) {
 const disturb::DoseLedger* Bank::ledger(int physical_row) const {
   const auto it = rows_.find(physical_row);
   return it == rows_.end() ? nullptr : &it->second.ledger;
+}
+
+std::optional<Bank::StoredRow> Bank::stored_row(int physical_row) const {
+  const auto it = rows_.find(physical_row);
+  if (it == rows_.end()) return std::nullopt;
+  return StoredRow{it->second.bits, it->second.last_restore};
 }
 
 std::size_t Bank::push_checkpoint() {
@@ -350,40 +355,36 @@ void Bank::sense_and_restore(int physical_row, RowState& row, Cycle now) {
 
     const auto& epochs = row.ledger.epochs();
     const std::size_t n_epochs = epochs.size();
-    // Bitplane scan needs one class-key bit per epoch (plus intra) in a
-    // 32-bit key; oversized ledgers take the per-cell path instead. The
-    // choice is a pure function of device state, so flips AND counters
-    // stay deterministic per mode.
-    const bool bitplane_ok = !scalar_sense_ && n_epochs < kMaxBitplaneEpochs;
 
     // Word-parallel scan over the whole row: per-cell predicates become
     // 64-wide mask operations, per-cell dose folds collapse into a handful
     // of dose classes per word, and flips apply as one XOR per word. The
     // accessors abstract where per-cell uniforms/memberships come from (a
     // cached summary, or lazy hashes off hoisted row prefixes); either way
-    // the values are bit-identical to the per-cell paths.
+    // the values are bit-identical to the per-cell fault-model predicates.
     auto bitplane_scan = [&](const std::uint64_t* true_plane,
                              const std::uint64_t* leaky_plane,
                              auto&& cell_u_at, auto&& retention_u_at,
                              auto&& outlier_at, auto&& weak_at) {
       const std::uint64_t* sw = snapshot.words().data();
-      auto class_probs = [&](std::uint32_t key) -> DoseProb {
+      // Term-by-term the same products as the per-cell fold; coupling
+      // depends only on victim/aggressor equality, so coupling(true, same,
+      // intra) yields the identical double.
+      a.epoch_terms.resize(n_epochs);
+      for (std::size_t ei = 0; ei < n_epochs; ++ei) {
+        const auto& e = epochs[ei];
+        for (int k = 0; k < 4; ++k) {
+          a.epoch_terms[ei][static_cast<std::size_t>(k)] =
+              e.dose() * fault_->distance_factor(e.distance) *
+              fault_->coupling(true, (k & 2) != 0, (k & 1) != 0);
+        }
+      }
+      auto class_probs = [&](double dose) -> DoseProb {
         for (const auto& c : a.classes) {
-          if (c.key == key) return c.p;
+          if (c.dose == dose) return c.p;
         }
-        // Term-by-term the same fold as the per-cell loop; coupling
-        // depends only on victim/aggressor equality, so coupling(true,
-        // same, intra) yields the identical double.
-        const bool intra = ((key >> n_epochs) & 1u) != 0;
-        double dose = 0.0;
-        for (std::size_t ei = 0; ei < n_epochs; ++ei) {
-          const auto& e = epochs[ei];
-          dose += e.dose() * fault_->distance_factor(e.distance) *
-                  fault_->coupling(true, ((key >> ei) & 1u) != 0, intra);
-        }
-        dose *= temp_vuln;
-        const DoseProb p = flip_probabilities(dose);
-        a.classes.push_back({key, p});
+        const DoseProb p = flip_probabilities(dose * temp_vuln);
+        a.classes.push_back({dose, p});
         return p;
       };
 
@@ -424,38 +425,35 @@ void Bank::sense_and_restore(int physical_row, RowState& row, Cycle now) {
                      << 63;
             const std::uint64_t intra = (v ^ left) | (v ^ right);
 
-            // Split the word's cells into dose classes: key bit ei =
-            // "victim bit equals epoch ei's aggressor bit", top bit =
-            // intra-row coupling. Non-empty groups partition 64 bits, so
-            // at most 64 exist at any stage.
+            // Split the word's cells into dose classes: first on intra-row
+            // coupling, then on each epoch in ledger order, adding that
+            // epoch's term — the per-cell fold's summation order, so each
+            // group's dose is bit-identical to its cells' folded doses.
+            // Non-empty groups partition 64 bits, so at most 64 exist at
+            // any stage.
             SenseArena::Group* cur = a.group_a.data();
             SenseArena::Group* nxt = a.group_b.data();
-            cur[0] = {cand, 0};
-            int n_cur = 1;
+            int n_cur = 0;
+            if ((cand & intra) != 0) cur[n_cur++] = {cand & intra, true, 0.0};
+            if ((cand & ~intra) != 0) {
+              cur[n_cur++] = {cand & ~intra, false, 0.0};
+            }
             for (std::size_t ei = 0; ei < n_epochs; ++ei) {
               const std::uint64_t same =
                   ~(v ^ epochs[ei].aggressor_bits.words()[wi]);
+              const auto& terms = a.epoch_terms[ei];
               int n_nxt = 0;
               for (int g = 0; g < n_cur; ++g) {
-                const std::uint64_t m1 = cur[g].mask & same;
-                const std::uint64_t m0 = cur[g].mask & ~same;
+                const SenseArena::Group& grp = cur[g];
+                const std::uint64_t m1 = grp.mask & same;
+                const std::uint64_t m0 = grp.mask & ~same;
+                const std::size_t k = grp.intra ? 1 : 0;
                 if (m1 != 0) {
-                  nxt[n_nxt++] = {m1, cur[g].key | (1u << ei)};
+                  nxt[n_nxt++] = {m1, grp.intra, grp.dose + terms[2 + k]};
                 }
-                if (m0 != 0) nxt[n_nxt++] = {m0, cur[g].key};
-              }
-              std::swap(cur, nxt);
-              n_cur = n_nxt;
-            }
-            {
-              const std::uint32_t intra_key =
-                  1u << static_cast<std::uint32_t>(n_epochs);
-              int n_nxt = 0;
-              for (int g = 0; g < n_cur; ++g) {
-                const std::uint64_t m1 = cur[g].mask & intra;
-                const std::uint64_t m0 = cur[g].mask & ~intra;
-                if (m1 != 0) nxt[n_nxt++] = {m1, cur[g].key | intra_key};
-                if (m0 != 0) nxt[n_nxt++] = {m0, cur[g].key};
+                if (m0 != 0) {
+                  nxt[n_nxt++] = {m0, grp.intra, grp.dose + terms[k]};
+                }
               }
               std::swap(cur, nxt);
               n_cur = n_nxt;
@@ -463,7 +461,7 @@ void Bank::sense_and_restore(int physical_row, RowState& row, Cycle now) {
             counters_.sense_word_ops += n_epochs + 1;
 
             for (int g = 0; g < n_cur; ++g) {
-              const DoseProb p = class_probs(cur[g].key);
+              const DoseProb p = class_probs(cur[g].dose);
               const double p_max =
                   std::max({p.outlier_probability, p.weak_probability,
                             p.bulk_probability});
@@ -514,8 +512,8 @@ void Bank::sense_and_restore(int physical_row, RowState& row, Cycle now) {
       // Candidate-driven scan: per population, only the sorted-by-uniform
       // prefix that the conservative bounds cannot rule out is visited;
       // every visited cell is then decided by the exact per-cell
-      // expressions of the full scan below, with the cached uniforms and
-      // flags standing in (verbatim) for the fault-model hashes.
+      // fault-model expressions, with the cached uniforms and flags
+      // standing in (verbatim) for the fault-model hashes.
       auto& candidates = a.candidates;
       candidates.clear();
       const auto take_prefix = [&candidates](const std::vector<int>& order,
@@ -543,7 +541,7 @@ void Bank::sense_and_restore(int physical_row, RowState& row, Cycle now) {
         // probability is bounded by its population's CDF at max_dose. The
         // bound dose is inflated by 1e-9 to absorb the ulp-level
         // difference between per-term and post-sum coupling rounding,
-        // keeping the prefix a strict superset of the full scan's flips.
+        // keeping the prefix a strict superset of the row's flips.
         const double dose_bound = max_dose * (1.0 + 1e-9);
         const auto prob_bound = [&](double median, double sigma) {
           return disturb::FaultModel::normal_cdf(
@@ -564,12 +562,9 @@ void Bank::sense_and_restore(int physical_row, RowState& row, Cycle now) {
         }
       }
       // A huge candidate prefix means the bounds ruled little out: the
-      // word-parallel scan beats visiting cells one by one. The crossover
-      // only exists in bitplane mode; flips are identical either way.
-      const std::size_t scan_limit =
-          bitplane_ok ? kCandidateScanLimit
-                      : std::numeric_limits<std::size_t>::max();
-      if (candidates.size() <= scan_limit) {
+      // word-parallel scan beats visiting cells one by one. Flips are
+      // identical either way.
+      if (candidates.size() <= kCandidateScanLimit) {
         scanned = true;
         std::sort(candidates.begin(), candidates.end());
         candidates.erase(std::unique(candidates.begin(), candidates.end()),
@@ -626,7 +621,7 @@ void Bank::sense_and_restore(int physical_row, RowState& row, Cycle now) {
         }
       }
     }
-    if (!scanned && bitplane_ok && summary != nullptr) {
+    if (!scanned && summary != nullptr) {
       // Bitplane scan off the cached summary's planes and uniform arrays.
       bitplane_scan(
           summary->true_plane.data(), summary->leaky_plane.data(),
@@ -647,10 +642,10 @@ void Bank::sense_and_restore(int physical_row, RowState& row, Cycle now) {
                      (bit & 63)) &
                     1u) != 0;
           });
-    } else if (!scanned && bitplane_ok) {
+    } else if (!scanned) {
       // No cached summary: hoist the row's hash prefixes once, fill only
       // the planes the masks need, and hash uniforms lazily per visited
-      // cell — identical values to the full scan's per-cell hash calls.
+      // cell — identical values to the per-cell hash calls.
       const auto& params = fault_->params();
       const auto prefixes = fault_->row_hash_prefixes(address_, physical_row);
       disturb::FaultModel::fill_membership_plane(
@@ -684,59 +679,6 @@ void Bank::sense_and_restore(int physical_row, RowState& row, Cycle now) {
             return disturb::FaultModel::below_threshold(prefixes.weak, bit,
                                                         weak_threshold);
           });
-    } else if (!scanned) {
-      counters_.sense_cells_visited += static_cast<std::uint64_t>(kRowBits);
-      for (int bit = 0; bit < kRowBits; ++bit) {
-        const bool value = snapshot.get(bit);
-
-        bool flip = false;
-        if (check_retention) {
-          const bool leaky =
-              fault_->is_leaky_cell(address_, physical_row, bit);
-          const double u_max = leaky ? leaky_u_max : normal_u_max;
-          if (u_max > 0.0 &&
-              fault_->retention_uniform(address_, physical_row, bit, leaky) <=
-                  u_max &&
-              fault_->is_charged(address_, physical_row, bit, value)) {
-            flip = true;
-          }
-        }
-        if (!flip && check_disturb &&
-            fault_->is_charged(address_, physical_row, bit, value)) {
-          const bool left = bit > 0 ? snapshot.get(bit - 1) : value;
-          const bool right =
-              bit + 1 < kRowBits ? snapshot.get(bit + 1) : value;
-          const bool intra_differs = (left != value) || (right != value);
-          double dose = 0.0;
-          for (const auto& e : epochs) {
-            dose += e.dose() * fault_->distance_factor(e.distance) *
-                    fault_->coupling(value, e.aggressor_bits.get(bit),
-                                     intra_differs);
-          }
-          dose *= temp_vuln;
-          const DoseProb& p = flip_probabilities(dose);
-          if (p.outlier_probability > 0.0 || p.weak_probability > 0.0 ||
-              p.bulk_probability > 0.0) {
-            double probability = p.bulk_probability;
-            if (fault_->is_outlier_cell(address_, physical_row, bit)) {
-              probability = p.outlier_probability;
-            } else if (fault_->is_weak_cell(address_, physical_row, bit,
-                                            ctx.weak_density)) {
-              probability = p.weak_probability;
-            }
-            if (probability > 0.0 &&
-                fault_->cell_threshold_uniform(address_, physical_row, bit) <=
-                    probability) {
-              flip = true;
-            }
-          }
-        }
-        if (flip) {
-          row.bits.set(bit, !value);
-          ++counters_.bitflips_materialized;
-          changed = true;
-        }
-      }
     }
     if (changed) ++row.version;
   }

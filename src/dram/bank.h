@@ -43,15 +43,14 @@ struct BankCounters {
   std::uint64_t hammer_dedup_hits = 0;
   /// DoseProb memo entries overwritten after the per-sense ring filled up
   /// (each eviction re-pays three normal_cdf calls on the next lookup of
-  /// the evicted dose). Telemetry: depends on the scan mode.
+  /// the evicted dose). Telemetry: depends on the dose-class visit order.
   std::uint64_t dose_memo_evictions = 0;
   /// 64-bit words processed by the word-parallel stages of bitplane senses
   /// (plane/uniform fills and the per-word class-split scan).
   std::uint64_t sense_word_ops = 0;
-  /// Cells examined individually by a sense: candidate-prefix entries,
-  /// scalar full-scan cells, and per-bit work inside bitplane scans. The
-  /// ratio to sense_word_ops makes the candidate-scan-vs-bitplane
-  /// crossover observable per campaign.
+  /// Cells examined individually by a sense: candidate-prefix entries and
+  /// per-bit work inside bitplane scans. The ratio to sense_word_ops makes
+  /// the candidate-scan-vs-bitplane crossover observable per campaign.
   std::uint64_t sense_cells_visited = 0;
 };
 
@@ -69,13 +68,9 @@ class Bank {
   /// of cached rows skip the per-cell hash scan; results are bit-identical
   /// with and without it. The cache outlives the bank (it is shared across
   /// power cycles) and must only be used from the bank's thread.
-  /// `scalar_sense` selects the per-cell reference sense path instead of
-  /// the word-parallel bitplane path; flips are bit-identical either way
-  /// (tests/device_bitplane_test.cpp).
   Bank(BankAddress address, const disturb::FaultModel* fault_model,
        const Environment* env, TimingParams timing,
-       disturb::BankThresholdCache* threshold_cache = nullptr,
-       bool scalar_sense = false);
+       disturb::BankThresholdCache* threshold_cache = nullptr);
 
   Bank(const Bank&) = delete;
   Bank& operator=(const Bank&) = delete;
@@ -173,6 +168,17 @@ class Bank {
   /// Dose ledger of a row, if it has state (tests/diagnostics only).
   [[nodiscard]] const disturb::DoseLedger* ledger(int physical_row) const;
 
+  /// Stored contents and last restore time of a row.
+  struct StoredRow {
+    const RowBits& bits;
+    Cycle last_restore;
+  };
+
+  /// A row's stored state, if it has any (tests/diagnostics only: the
+  /// per-cell sense oracle starts from it). `bits` refers into the bank and
+  /// is valid until the next command or checkpoint operation.
+  [[nodiscard]] std::optional<StoredRow> stored_row(int physical_row) const;
+
  private:
   struct RowState {
     RowBits bits;
@@ -248,7 +254,6 @@ class Bank {
   std::unique_ptr<ReadDisturbDefense> defense_;
   BankCounters counters_;
   disturb::BankThresholdCache* threshold_cache_ = nullptr;
-  bool scalar_sense_ = false;
   std::unique_ptr<SenseArena> arena_;
 };
 

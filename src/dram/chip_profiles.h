@@ -30,9 +30,6 @@ struct ChipProfile {
   double target_temperature_c = 82.0;   // if controlled
   double ambient_temperature_c = 55.0;  // if not controlled
   disturb::DisturbParams disturb;
-  /// Force the per-cell reference sense path on this chip's banks (see
-  /// dram::StackConfig::scalar_sense); device behavior is identical.
-  bool scalar_sense = false;
 };
 
 /// The six chip profiles, derived deterministically from the platform seed.

@@ -22,8 +22,7 @@ Stack::Stack(StackConfig config)
         banks_.emplace_back(addr, &fault_, &env_, timing_,
                             threshold_cache_
                                 ? &threshold_cache_->bank(addr, flat_index++)
-                                : nullptr,
-                            config.scalar_sense);
+                                : nullptr);
         if (config.defense_factory) {
           banks_.back().set_defense(config.defense_factory(addr));
         }

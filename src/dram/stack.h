@@ -34,10 +34,6 @@ struct StackConfig {
   /// state. Null = senses use the uncached full scan. Must only be shared
   /// between stacks driven from the same thread.
   std::shared_ptr<disturb::ThresholdCache> threshold_cache;
-  /// Force the per-cell reference sense path instead of the word-parallel
-  /// bitplane path (differential testing / perf comparison; flips and
-  /// campaign artifacts are byte-identical either way).
-  bool scalar_sense = false;
 };
 
 /// Counters exposed for the ECC analysis of Sec. 8 (Fig. 15).

@@ -535,13 +535,13 @@ CampaignReport CampaignRunner::run(const std::vector<Trial>& trials) {
     metrics->add("device.bitflips", out.device.bitflips_materialized);
     metrics->add("device.hammer_windows", out.device.bulk_hammer_windows);
     metrics->add("device.dedup_hits", out.device.hammer_dedup_hits);
-    // Deterministic per scan mode: path selection inside a sense is a pure
-    // function of device state, never of scheduling.
+    // Deterministic: path selection inside a sense is a pure function of
+    // device state, never of scheduling.
     metrics->add("device.sense_word_ops", out.device.sense_word_ops);
     metrics->add("device.sense_cells_visited",
                  out.device.sense_cells_visited);
-    // Ring evictions depend on dose-class visit order within the scan
-    // mode: telemetry, excluded from the fingerprint.
+    // Ring evictions depend on the order in which a scan meets its dose
+    // classes: telemetry, excluded from the fingerprint.
     metrics->add("device.dose_memo_evictions",
                  out.device.dose_memo_evictions,
                  obs::MetricKind::kTelemetry);

@@ -5,13 +5,12 @@
 namespace hbmrd::study {
 
 BerProbe::BerProbe(bender::ChipSession& chip, const AddressMap& map,
-                   const dram::RowAddress& victim, const BerConfig& config,
-                   bool incremental)
+                   const dram::RowAddress& victim, const BerConfig& config)
     : chip_(chip),
       map_(map),
       victim_(victim),
       config_(config),
-      incremental_(incremental && chip.supports_checkpoints()),
+      incremental_(chip.supports_checkpoints()),
       aggressors_(map.aggressors_of(victim.row)),
       t_rp_(chip.stack().timing().t_rp) {
   if (incremental_) {

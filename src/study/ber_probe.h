@@ -1,24 +1,24 @@
 // Resumable BER probing: the incremental-dose engine behind the HC_first /
 // HC_nth searches.
 //
-// A BerProbe owns one (victim, pattern, on-time) measurement series. The
-// from-scratch path re-initializes the rows and replays the entire hammer
-// for every probe, so a search for HC ~ 100k pays O(HC * log HC) simulated
-// activations across its exponential-bracket and bisection probes. The
-// incremental path initializes once, then reaches any probe count from the
-// nearest lower device checkpoint (ChipSession::checkpoint()/restore()) by
-// hammering only the delta — O(HC) activations for the whole search,
-// because bisection probes replay at most the bracket gap and the ladder
-// the bracketing phase leaves behind is reused.
+// A BerProbe owns one (victim, pattern, on-time) measurement series. On a
+// session with checkpoint support it initializes once, then reaches any
+// probe count from the nearest lower device checkpoint
+// (ChipSession::checkpoint()/restore()) by hammering only the delta —
+// O(HC) activations for the whole search, because bisection probes replay
+// at most the bracket gap and the ladder the bracketing phase leaves
+// behind is reused. Sessions without checkpoint support take the
+// from-scratch path: re-initialize the rows and replay the entire hammer
+// for every probe, O(HC * log HC) activations per search.
 //
 // Byte-identity contract (tests/study_hc_incremental_test.cpp): flip sets,
-// CSV checkpoints, and JSONL journals are identical to the from-scratch
-// path. The engine never senses a dose state the from-scratch path would
-// not have sensed (restore-then-delta reproduces the exact sensed dose
-// trajectory), and it replays the from-scratch probe durations into the
-// thermal rig through the session's probe accounting, so temperature and
-// journal timing draws match. See docs/PERFORMANCE.md ("Incremental HC
-// search") for the full argument.
+// CSV checkpoints, and JSONL journals are identical on both paths. The
+// engine never senses a dose state the from-scratch path would not have
+// sensed (restore-then-delta reproduces the exact sensed dose trajectory),
+// and it replays the from-scratch probe durations into the thermal rig
+// through the session's probe accounting, so temperature and journal
+// timing draws match. See docs/PERFORMANCE.md ("Incremental HC search")
+// for the full argument.
 #pragma once
 
 #include <cstdint>
@@ -34,13 +34,12 @@ namespace hbmrd::study {
 
 class BerProbe {
  public:
-  /// `incremental` requests the checkpointed engine; it silently falls back
-  /// to from-scratch probing when the session has no checkpoint support
-  /// (e.g. a defense that cannot be cloned). One BerProbe must be the only
-  /// checkpoint user of its session while alive.
+  /// Uses the checkpointed engine when `chip.supports_checkpoints()`, and
+  /// from-scratch probing otherwise (e.g. a defense that cannot be
+  /// cloned). One BerProbe must be the only checkpoint user of its session
+  /// while alive.
   BerProbe(bender::ChipSession& chip, const AddressMap& map,
-           const dram::RowAddress& victim, const BerConfig& config,
-           bool incremental = true);
+           const dram::RowAddress& victim, const BerConfig& config);
   ~BerProbe();
 
   BerProbe(const BerProbe&) = delete;

@@ -34,8 +34,7 @@ std::optional<std::uint64_t> find_hc_nth(bender::ChipSession& chip,
                                          int n,
                                          const HcSearchConfig& config) {
   if (n < 1) throw std::invalid_argument("find_hc_nth: n must be >= 1");
-  BerProbe probe(chip, map, victim, ber_config_of(config, 0),
-                 config.incremental);
+  BerProbe probe(chip, map, victim, ber_config_of(config, 0));
   return find_nth_flip(probe, n, 1, config.max_hammer_count);
 }
 

@@ -18,12 +18,6 @@ struct HcSearchConfig {
   /// Upper search bound; rows with HC_first above it report "no bitflip".
   std::uint64_t max_hammer_count = 1u << 20;  // 1M activations per aggressor
   int init_ring = 8;
-  /// Use the checkpointed incremental-dose engine (study/ber_probe.h):
-  /// O(HC) instead of O(HC log HC) simulated activations per search, with
-  /// bit-identical results. False forces the from-scratch reference path
-  /// (benches expose it as --hc-scratch); sessions without checkpoint
-  /// support fall back to it automatically.
-  bool incremental = true;
 };
 
 /// Number of bitflips a given hammer count induces in the victim row.
@@ -34,8 +28,10 @@ struct HcSearchConfig {
 
 /// Smallest hammer count that induces at least `n` bitflips, found by
 /// exponential bracketing + binary search (the device model is monotone in
-/// hammer count, which tests/ verifies as an invariant). std::nullopt when
-/// even max_hammer_count does not induce n bitflips.
+/// hammer count, which tests/ verifies as an invariant). Probes run on the
+/// checkpointed incremental-dose engine (study/ber_probe.h) when the
+/// session supports checkpoints. std::nullopt when even max_hammer_count
+/// does not induce n bitflips.
 [[nodiscard]] std::optional<std::uint64_t> find_hc_nth(
     bender::ChipSession& chip, const AddressMap& map,
     const dram::RowAddress& victim, int n, const HcSearchConfig& config);

@@ -18,7 +18,7 @@ HcnResult measure_hcn(bender::ChipSession& chip, const AddressMap& map,
   ber_config.pattern = config.pattern;
   ber_config.on_cycles = config.on_cycles;
   ber_config.init_ring = config.init_ring;
-  BerProbe probe(chip, map, victim, ber_config, config.incremental);
+  BerProbe probe(chip, map, victim, ber_config);
 
   std::uint64_t lower = 1;  // flips(lower - 1) is known to be < n
   for (int n = 1; n <= kHcnFlips; ++n) {

@@ -1,12 +1,12 @@
 // Bitplane device-model parity (dram/bank.cpp word-parallel sense path).
 //
-// Contract: the bitplane scan, the candidate-prefix scan, and the per-cell
-// scalar reference produce byte-identical RowBits, flip positions, and
-// campaign artifacts for every device state. These tests pin that down at
-// three levels: the plane-fill primitives against the per-cell fault-model
-// hashes, the cached summary's planes against its per-cell flags, and a
-// seeded differential fuzz driving scalar and bitplane banks through the
-// same randomized command sequences.
+// Contract: the bitplane scan and the candidate-prefix scan produce RowBits
+// byte-identical to the per-cell reference sense (tests/sense_oracle.h)
+// for every device state, and campaign artifacts stay byte-identical
+// across --jobs. These tests pin that down at three levels: the plane-fill
+// primitives against the per-cell fault-model hashes, the cached summary's
+// planes against its per-cell flags, and a seeded differential fuzz that
+// checks every read of cached and uncached banks against the oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,6 +26,7 @@
 #include "dram/row_data.h"
 #include "dram/timing.h"
 #include "runner/runner.h"
+#include "sense_oracle.h"
 #include "util/rng.h"
 
 namespace hbmrd::dram {
@@ -156,22 +157,24 @@ TEST(BitplaneSummary, PlanesMatchFlagsAndPowerOn) {
 }
 
 // ---------------------------------------------------------------------------
-// Bank-level differential fuzz: scalar vs bitplane, cached vs uncached.
+// Bank-level differential fuzz: cached and uncached banks vs the oracle.
 
-/// Four banks sharing one fault model and environment, driven through
-/// identical command sequences: {scalar, bitplane} x {cache, no cache}.
-struct BankQuartet {
+RowBits random_row(util::Stream& rng) {
+  RowBits bits;
+  for (auto& word : bits.words()) word = rng.next_u64();
+  return bits;
+}
+
+/// Two banks sharing one fault model and environment, driven through
+/// identical command sequences: one without and one with a threshold
+/// cache. Every read is checked against the per-cell oracle.
+struct BankPair {
   disturb::FaultModel fault{test_params()};
   Environment env{60.0};
   TimingParams timing{};
-  disturb::BankThresholdCache cache_scalar{kAddr, 16};
-  disturb::BankThresholdCache cache_bitplane{kAddr, 16};
-  std::array<Bank, 4> banks{
-      Bank{kAddr, &fault, &env, timing, nullptr, /*scalar_sense=*/true},
-      Bank{kAddr, &fault, &env, timing, nullptr, /*scalar_sense=*/false},
-      Bank{kAddr, &fault, &env, timing, &cache_scalar, /*scalar_sense=*/true},
-      Bank{kAddr, &fault, &env, timing, &cache_bitplane,
-           /*scalar_sense=*/false}};
+  disturb::BankThresholdCache cache{kAddr, 16};
+  std::array<Bank, 2> banks{Bank{kAddr, &fault, &env, timing, nullptr},
+                            Bank{kAddr, &fault, &env, timing, &cache}};
   Cycle now = 1000;
 
   void write_row(int row, const RowBits& bits) {
@@ -187,10 +190,26 @@ struct BankQuartet {
     now += timing.t_ras + 100 + timing.t_rp + 100;
   }
 
-  /// Reads all four banks and asserts the contents are byte-identical;
-  /// returns the (common) row bits.
+  /// What the per-cell oracle says a sense of `row` at `now` leaves behind,
+  /// computed from bank `k`'s stored state.
+  RowBits oracle_sense(std::size_t k, int row) const {
+    const auto stored = banks[k].stored_row(row);
+    const disturb::DoseLedger* ledger = banks[k].ledger(row);
+    EXPECT_TRUE(stored.has_value() && ledger != nullptr) << "row " << row;
+    if (!stored || ledger == nullptr) return {};
+    return oracle::per_cell_sense(
+        fault, kAddr, row, stored->bits, *ledger,
+        cycles_to_seconds(now - stored->last_restore), env.temperature_c);
+  }
+
+  /// Reads both banks and asserts each equals the oracle's sense of its
+  /// own pre-read state; returns the (common) row bits.
   RowBits read_row_checked(int row) {
-    std::array<RowBits, 4> all;
+    std::array<RowBits, 2> expected;
+    for (std::size_t k = 0; k < banks.size(); ++k) {
+      expected[k] = oracle_sense(k, row);
+    }
+    std::array<RowBits, 2> all;
     for (std::size_t k = 0; k < banks.size(); ++k) {
       banks[k].activate(row, now);
       std::array<std::uint64_t, kWordsPerColumn> column;
@@ -201,10 +220,10 @@ struct BankQuartet {
       banks[k].precharge(now + timing.t_ras + 100);
     }
     now += timing.t_ras + 100 + timing.t_rp + 100;
-    for (std::size_t k = 1; k < banks.size(); ++k) {
-      EXPECT_EQ(all[0].words()[0], all[k].words()[0]) << "bank " << k;
-      EXPECT_TRUE(all[0] == all[k])
-          << "row " << row << " differs between variant 0 and " << k;
+    for (std::size_t k = 0; k < banks.size(); ++k) {
+      EXPECT_TRUE(all[k] == expected[k])
+          << "row " << row << " differs from the oracle in bank " << k
+          << " (" << all[k].count_diff(expected[k]) << " bits)";
     }
     return all[0];
   }
@@ -220,7 +239,7 @@ struct BankQuartet {
 
 TEST(BitplaneDifferential, RandomizedSensesAreByteIdentical) {
   util::Stream rng(0xD1FFull);
-  BankQuartet q;
+  BankPair q;
   const std::array<std::uint8_t, 6> patterns = {0x00, 0xFF, 0x55,
                                                 0xAA, 0x33, 0x6D};
   for (int trial = 0; trial < 24; ++trial) {
@@ -266,21 +285,58 @@ TEST(BitplaneDifferential, RandomizedSensesAreByteIdentical) {
       (void)q.read_row_checked(victim + 2);
     }
   }
-  // The reference banks walked cells one by one; the bitplane banks did
+  // The cached bank walked candidate prefixes; the uncached bank did
   // word-parallel work. Both facts must show up in the counters.
-  EXPECT_GT(q.banks[0].counters().sense_cells_visited, 0u);
-  EXPECT_GT(q.banks[1].counters().sense_word_ops, 0u);
+  EXPECT_GT(q.banks[1].counters().sense_cells_visited, 0u);
+  EXPECT_GT(q.banks[0].counters().sense_word_ops, 0u);
+  EXPECT_GT(q.banks[0].counters().bitflips_materialized, 0u);
   EXPECT_EQ(q.banks[0].counters().bitflips_materialized,
             q.banks[1].counters().bitflips_materialized);
+}
+
+TEST(BitplaneDifferential, LongLedgerMatchesOracle) {
+  // RowPress-style traffic: every window rewrites the aggressors (a new
+  // content version) and hammers at a new on-time (a new unit dose), so
+  // neither the write nor the hammer merges into an earlier epoch and the
+  // victim's ledger reaches 40 epochs before it is sensed.
+  util::Stream rng(0x10E6ull);
+  BankPair q;
+  const int victim = 4300;
+  q.write_row(victim, random_row(rng));
+  for (int window = 0; window < 10; ++window) {
+    q.write_row(victim - 1, random_row(rng));
+    q.write_row(victim + 1, random_row(rng));
+    const Cycle on = q.timing.t_ras * static_cast<Cycle>(2 + window);
+    const std::array<HammerStep, 2> steps = {HammerStep{victim - 1, on},
+                                             HammerStep{victim + 1, on}};
+    q.hammer(steps, 60000);
+  }
+  std::array<BankCounters, 2> before;
+  std::size_t epochs = 0;
+  for (std::size_t k = 0; k < q.banks.size(); ++k) {
+    ASSERT_NE(q.banks[k].ledger(victim), nullptr);
+    epochs = q.banks[k].ledger(victim)->epochs().size();
+    EXPECT_GE(epochs, 31u) << "bank " << k;
+    before[k] = q.banks[k].counters();
+  }
+  (void)q.read_row_checked(victim);
+  for (std::size_t k = 0; k < q.banks.size(); ++k) {
+    const auto& after = q.banks[k].counters();
+    EXPECT_GT(after.bitflips_materialized, before[k].bitflips_materialized);
+    // The dose is high enough that the cached bank's candidate prefix is
+    // too long for the per-cell path: both banks split every word on
+    // every epoch.
+    EXPECT_GT(after.sense_word_ops - before[k].sense_word_ops,
+              epochs * RowBits::kWords)
+        << "bank " << k;
+  }
   EXPECT_EQ(q.banks[0].counters().bitflips_materialized,
-            q.banks[2].counters().bitflips_materialized);
-  EXPECT_EQ(q.banks[0].counters().bitflips_materialized,
-            q.banks[3].counters().bitflips_materialized);
+            q.banks[1].counters().bitflips_materialized);
 }
 
 TEST(BitplaneDifferential, CheckpointRestoreKeepsVariantsInLockstep) {
   util::Stream rng(0xC4EC4ull);
-  BankQuartet q;
+  BankPair q;
   const int victim = 4300;
   q.write_row(victim, RowBits::filled(0x55));
   q.write_row(victim - 1, RowBits::filled(0xAA));
@@ -307,18 +363,13 @@ TEST(BitplaneDifferential, DoseMemoRingEvictsInsteadOfThrashing) {
   // distance 2, times the intra bit; the 16-slot memo must rotate through
   // them (the old scheme overwrote the last slot forever).
   util::Stream rng(0xEB1C7ull);
-  auto random_row = [&rng] {
-    RowBits bits;
-    for (auto& word : bits.words()) word = rng.next_u64();
-    return bits;
-  };
-  BankQuartet q;
+  BankPair q;
   const int victim = 4300;
-  q.write_row(victim, random_row());
-  q.write_row(victim - 1, random_row());
-  q.write_row(victim + 1, random_row());
-  q.write_row(victim - 2, random_row());
-  q.write_row(victim + 2, random_row());
+  q.write_row(victim, random_row(rng));
+  q.write_row(victim - 1, random_row(rng));
+  q.write_row(victim + 1, random_row(rng));
+  q.write_row(victim - 2, random_row(rng));
+  q.write_row(victim + 2, random_row(rng));
   const std::array<HammerStep, 4> steps = {
       HammerStep{victim - 1, q.timing.t_ras},
       HammerStep{victim + 1, q.timing.t_ras},
@@ -327,11 +378,11 @@ TEST(BitplaneDifferential, DoseMemoRingEvictsInsteadOfThrashing) {
   q.hammer(steps, 150000);
   (void)q.read_row_checked(victim);
   EXPECT_GT(q.banks[0].counters().dose_memo_evictions, 0u)
-      << "scalar reference should cycle through > 16 dose classes";
+      << "bitplane scan should cycle through > 16 dose classes";
 }
 
 // ---------------------------------------------------------------------------
-// Campaign artifacts: CSV + journal byte-identity with the toggle flipped.
+// Campaign artifacts: CSV + journal byte-identity across --jobs.
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path);
@@ -371,11 +422,8 @@ struct CampaignArtifacts {
   std::string journal;
 };
 
-CampaignArtifacts run_campaign(bool scalar_sense, int jobs,
-                               const std::string& tag) {
-  auto profile = chip_profiles()[2];
-  profile.scalar_sense = scalar_sense;
-  bender::HbmChip chip(profile);
+CampaignArtifacts run_campaign(int jobs, const std::string& tag) {
+  bender::HbmChip chip(chip_profiles()[2]);
   runner::RunnerConfig config;
   config.result_columns = {"flips"};
   config.results_path = tmp_path(tag + ".csv");
@@ -386,18 +434,12 @@ CampaignArtifacts run_campaign(bool scalar_sense, int jobs,
   return {slurp(config.results_path), slurp(config.journal_path)};
 }
 
-TEST(BitplaneCampaign, ArtifactsAreByteIdenticalAcrossModeAndJobs) {
-  const auto bitplane = run_campaign(false, 1, "bp_j1");
-  ASSERT_FALSE(bitplane.csv.empty());
-  const auto scalar = run_campaign(true, 1, "sc_j1");
-  EXPECT_EQ(bitplane.csv, scalar.csv);
-  EXPECT_EQ(bitplane.journal, scalar.journal);
-  const auto scalar_j4 = run_campaign(true, 4, "sc_j4");
-  EXPECT_EQ(bitplane.csv, scalar_j4.csv);
-  EXPECT_EQ(bitplane.journal, scalar_j4.journal);
-  const auto bitplane_j4 = run_campaign(false, 4, "bp_j4");
-  EXPECT_EQ(bitplane.csv, bitplane_j4.csv);
-  EXPECT_EQ(bitplane.journal, bitplane_j4.journal);
+TEST(BitplaneCampaign, ArtifactsAreByteIdenticalAcrossJobs) {
+  const auto j1 = run_campaign(1, "j1");
+  ASSERT_FALSE(j1.csv.empty());
+  const auto j4 = run_campaign(4, "j4");
+  EXPECT_EQ(j1.csv, j4.csv);
+  EXPECT_EQ(j1.journal, j4.journal);
 }
 
 }  // namespace

@@ -2,9 +2,10 @@
 //
 // Contract under test: the incremental engine is an invisible perf
 // optimization. HC values, per-probe flip sets, campaign CSV checkpoints
-// and JSONL journals are byte-identical to the from-scratch reference path
-// — across chips (including chip 0's undocumented TRR), data patterns,
-// aggressor on-times, fault plans, --jobs counts, and kill + resume — while
+// and JSONL journals are byte-identical to the from-scratch oracle (the
+// same BerProbe on a session without checkpoint support) — across chips
+// (including chip 0's undocumented TRR), data patterns, aggressor
+// on-times, fault plans, --jobs counts, and kill + resume — while
 // executing several times fewer simulated activations (study.hammers_saved
 // / study.hammers_replayed).
 #include "study/ber_probe.h"
@@ -28,28 +29,50 @@ namespace {
 
 constexpr dram::BankAddress kBank{0, 0, 0};
 
-HcSearchConfig search_config(bool incremental) {
-  HcSearchConfig config;
-  config.incremental = incremental;
-  return config;
-}
+/// The from-scratch oracle's session: forwards every device operation to
+/// the wrapped session but reports no checkpoint support, so BerProbe
+/// re-initializes and replays the whole hammer for every probe. Probe
+/// counters land on the wrapper.
+class ScratchSession final : public bender::ChipSession {
+ public:
+  explicit ScratchSession(bender::ChipSession& inner) : inner_(inner) {}
+
+  [[nodiscard]] const dram::ChipProfile& profile() const override {
+    return inner_.profile();
+  }
+  bender::ExecutionResult run(const bender::Program& program) override {
+    return inner_.run(program);
+  }
+  void idle(double seconds) override { inner_.idle(seconds); }
+  [[nodiscard]] dram::Cycle now() const override { return inner_.now(); }
+  [[nodiscard]] double temperature_c() override {
+    return inner_.temperature_c();
+  }
+  [[nodiscard]] dram::Stack& stack() override { return inner_.stack(); }
+
+ private:
+  bender::ChipSession& inner_;
+};
 
 /// Runs one find_hc_nth against a fresh platform chip, returning the result
-/// plus the session's probe counters (fresh chip per call so both modes
-/// start from the identical canonical state).
+/// plus the session's probe counters (fresh chip per call so the engine
+/// and the oracle start from the identical canonical state).
 struct SearchRun {
   std::optional<std::uint64_t> hc;
   bender::ProbeCounters probes;
 };
 
 SearchRun run_search(int chip_index, const dram::RowAddress& victim, int n,
-                     HcSearchConfig config) {
+                     const HcSearchConfig& config, bool scratch) {
   bender::Platform platform;
   auto& chip = platform.chip(chip_index);
+  ScratchSession oracle(chip);
+  bender::ChipSession& session =
+      scratch ? static_cast<bender::ChipSession&>(oracle) : chip;
   const auto map = AddressMap::from_scheme(chip.profile().mapping);
   SearchRun run;
-  run.hc = find_hc_nth(chip, map, victim, n, config);
-  run.probes = chip.probe_counters();
+  run.hc = find_hc_nth(session, map, victim, n, config);
+  run.probes = session.probe_counters();
   return run;
 }
 
@@ -57,13 +80,11 @@ TEST(HcIncremental, MatchesScratchAcrossRowsAndPatterns) {
   for (const int row : {4300, 64, 8000}) {
     for (const auto pattern : {DataPattern::kCheckered0,
                                DataPattern::kRowstripe0}) {
-      auto scratch = search_config(false);
-      scratch.pattern = pattern;
-      auto incremental = search_config(true);
-      incremental.pattern = pattern;
+      HcSearchConfig config;
+      config.pattern = pattern;
       const dram::RowAddress victim{kBank, row};
-      const auto a = run_search(2, victim, 1, scratch);
-      const auto b = run_search(2, victim, 1, incremental);
+      const auto a = run_search(2, victim, 1, config, /*scratch=*/true);
+      const auto b = run_search(2, victim, 1, config, /*scratch=*/false);
       ASSERT_TRUE(a.hc.has_value()) << "row " << row;
       EXPECT_EQ(*a.hc, *b.hc) << "row " << row;
       EXPECT_EQ(a.probes.hammers_saved, 0u);
@@ -77,8 +98,8 @@ TEST(HcIncremental, MatchesScratchOnTrrChipAndHigherN) {
   // along in the checkpoints (ReadDisturbDefense::clone()).
   const dram::RowAddress victim{kBank, 4300};
   for (const int n : {1, 3}) {
-    const auto a = run_search(0, victim, n, search_config(false));
-    const auto b = run_search(0, victim, n, search_config(true));
+    const auto a = run_search(0, victim, n, {}, /*scratch=*/true);
+    const auto b = run_search(0, victim, n, {}, /*scratch=*/false);
     ASSERT_EQ(a.hc.has_value(), b.hc.has_value()) << "n " << n;
     if (a.hc) EXPECT_EQ(*a.hc, *b.hc) << "n " << n;
   }
@@ -86,22 +107,20 @@ TEST(HcIncremental, MatchesScratchOnTrrChipAndHigherN) {
 
 TEST(HcIncremental, MatchesScratchAtLongAggressorOnTime) {
   // RowPress-shaped search (fig13): longer tAggON, tighter search bound.
-  auto scratch = search_config(false);
-  scratch.on_cycles = 200;
-  scratch.max_hammer_count = 1u << 18;
-  auto incremental = scratch;
-  incremental.incremental = true;
+  HcSearchConfig config;
+  config.on_cycles = 200;
+  config.max_hammer_count = 1u << 18;
   const dram::RowAddress victim{kBank, 4300};
-  const auto a = run_search(2, victim, 1, scratch);
-  const auto b = run_search(2, victim, 1, incremental);
+  const auto a = run_search(2, victim, 1, config, /*scratch=*/true);
+  const auto b = run_search(2, victim, 1, config, /*scratch=*/false);
   ASSERT_TRUE(a.hc.has_value());
   EXPECT_EQ(*a.hc, *b.hc);
 }
 
 TEST(HcIncremental, RespectsSearchBoundLikeScratch) {
-  auto config = search_config(true);
+  HcSearchConfig config;
   config.max_hammer_count = 2000;  // far below any real HC_first here
-  const auto run = run_search(2, {kBank, 4300}, 1, config);
+  const auto run = run_search(2, {kBank, 4300}, 1, config, /*scratch=*/false);
   EXPECT_FALSE(run.hc.has_value());
 }
 
@@ -111,9 +130,12 @@ TEST(HcIncremental, HcnSequenceMatchesScratch) {
   for (const bool incremental : {false, true}) {
     bender::Platform platform;
     auto& chip = platform.chip(2);
+    ScratchSession oracle(chip);
     const auto map = AddressMap::from_scheme(chip.profile().mapping);
     results[incremental] =
-        measure_hcn(chip, map, victim, search_config(incremental));
+        measure_hcn(incremental ? static_cast<bender::ChipSession&>(chip)
+                                : oracle,
+                    map, victim, HcSearchConfig{});
   }
   for (int k = 0; k < kHcnFlips; ++k) {
     ASSERT_EQ(results[0].hc[k].has_value(), results[1].hc[k].has_value())
@@ -132,8 +154,11 @@ TEST(HcIncremental, ProbeFlipSetsMatchScratchProbeForProbe) {
   for (const bool incremental : {false, true}) {
     bender::Platform platform;
     auto& chip = platform.chip(2);
+    ScratchSession oracle(chip);
     const auto map = AddressMap::from_scheme(chip.profile().mapping);
-    BerProbe probe(chip, map, victim, BerConfig{}, incremental);
+    BerProbe probe(
+        incremental ? static_cast<bender::ChipSession&>(chip) : oracle, map,
+        victim, BerConfig{});
     EXPECT_EQ(probe.incremental(), incremental);
     for (const auto count : counts) {
       results[incremental].push_back(probe.measure(count));
@@ -151,7 +176,7 @@ TEST(HcIncremental, MemoNeverProbesTheSameCountTwice) {
   bender::Platform platform;
   auto& chip = platform.chip(2);
   const auto map = AddressMap::from_scheme(chip.profile().mapping);
-  BerProbe probe(chip, map, {kBank, 4300}, BerConfig{}, true);
+  BerProbe probe(chip, map, {kBank, 4300}, BerConfig{});
   probe.measure(4096);
   const auto probes_before = chip.probe_counters().hc_probes;
   const auto replayed_before = chip.probe_counters().hammers_replayed;
@@ -162,8 +187,8 @@ TEST(HcIncremental, MemoNeverProbesTheSameCountTwice) {
 
 TEST(HcIncremental, SavesAtLeastFiveXActivationsOnHcFirst) {
   const dram::RowAddress victim{kBank, 4300};
-  const auto scratch = run_search(2, victim, 1, search_config(false));
-  const auto incremental = run_search(2, victim, 1, search_config(true));
+  const auto scratch = run_search(2, victim, 1, {}, /*scratch=*/true);
+  const auto incremental = run_search(2, victim, 1, {}, /*scratch=*/false);
   ASSERT_TRUE(scratch.hc.has_value());
   EXPECT_EQ(scratch.probes.hc_probes, incremental.probes.hc_probes);
   EXPECT_EQ(scratch.probes.hammers_replayed,
@@ -293,16 +318,18 @@ std::string tmp_path(const std::string& name) {
 
 std::vector<runner::CampaignRunner::Trial> hc_trials(bool incremental) {
   std::vector<runner::CampaignRunner::Trial> trials;
-  const auto config = search_config(incremental);
   for (const int row : {4300, 64, 4308, 8000}) {
     trials.push_back(
         {"row" + std::to_string(row),
-         [row, config](bender::ChipSession& session)
+         [row, incremental](bender::ChipSession& session)
              -> std::vector<std::string> {
+           ScratchSession oracle(session);
+           bender::ChipSession& probed =
+               incremental ? session
+                           : static_cast<bender::ChipSession&>(oracle);
            const auto map =
                AddressMap::from_scheme(session.profile().mapping);
-           const auto hc =
-               find_hc_first(session, map, {kBank, row}, config);
+           const auto hc = find_hc_first(probed, map, {kBank, row}, {});
            return {hc ? std::to_string(*hc) : ""};
          }});
   }

@@ -178,8 +178,12 @@ TEST(SupervisorTest, CleanShardedRunMatchesSerial) {
   for (const auto shards : kShardCounts) {
     auto config = base_config("clean_s" + std::to_string(shards));
     clear_artifacts(config, shards);
+    // Stealing decides from wall-clock timing and would add spawns under
+    // load; WorkStealingSplitsTheStraggler covers it.
+    auto supervision = quick_supervision(shards);
+    supervision.work_stealing = false;
     auto chip = fresh_chip();
-    Supervisor supervisor(chip, config, quick_supervision(shards));
+    Supervisor supervisor(chip, config, supervision);
     const auto report = supervisor.run(trials);
     ASSERT_FALSE(report.campaign.aborted) << report.campaign.abort_reason;
     EXPECT_EQ(report.spawns, shards);

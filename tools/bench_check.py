@@ -26,14 +26,23 @@ import json
 import sys
 
 
+# google-benchmark reports real_time in each benchmark's own time_unit.
+NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+
 def load_times(path):
+    """Real time of every non-aggregate benchmark in `path`, in ns."""
     with open(path) as fh:
         doc = json.load(fh)
     times = {}
     for bench in doc.get("benchmarks", []):
         if bench.get("run_type") == "aggregate":
             continue
-        times[bench["name"]] = float(bench["real_time"])
+        unit = bench.get("time_unit", "ns")
+        if unit not in NS_PER_UNIT:
+            sys.exit(f"bench_check: unknown time_unit {unit!r} for "
+                     f"{bench['name']} in {path}")
+        times[bench["name"]] = float(bench["real_time"]) * NS_PER_UNIT[unit]
     if not times:
         sys.exit(f"bench_check: no benchmarks in {path}")
     return times
