@@ -75,22 +75,30 @@ BENCHMARK(BM_HammerFastPath)->Arg(1000)->Arg(100000);
 
 void BM_SenseDisturbedRow(benchmark::State& state) {
   // The dominant cost of every probe: reading a victim whose ledger holds
-  // dose. state.range(0) selects the scan mode: 0 = uncached (a whole-row
-  // threshold scan per sense), 1 = threshold cache attached (the first
-  // sense builds the row summary, every later sense is a warm hit driving
-  // the candidate-prefix scan).
+  // dose. A threshold cache is attached explicitly, so the first sense
+  // builds the row summary and every later sense is a warm hit.
+  // state.range(0) is the double-sided hammer count before each read: 100K
+  // leaves 1 candidate cell (an HC_first-like head), 1M leaves 379 and 3M
+  // leaves 539 (BER-sweep-like masks). Each iteration rewinds the device
+  // to the freshly written victim, as the HC search does, so every timed
+  // read senses the same state and no neighbour's ledger grows.
   auto c = config();
-  if (state.range(0) != 0) {
-    c.threshold_cache = std::make_shared<disturb::ThresholdCache>();
-  }
+  c.threshold_cache = std::make_shared<disturb::ThresholdCache>();
   dram::Stack stack(std::move(c));
   bender::Executor executor(&stack);
   const std::array<int, 2> rows = {4299, 4301};
+  const auto hammers = static_cast<std::uint64_t>(state.range(0));
+  bender::ProgramBuilder write;
+  write.write_row(kBank, 4300, dram::RowBits::filled(0x55));
+  executor.run(std::move(write).build());
+  const std::size_t written = stack.push_checkpoint();
+  const auto written_clock = executor.checkpoint_state();
   for (auto _ : state) {
     state.PauseTiming();
+    stack.restore_checkpoint(written);
+    executor.restore_state(written_clock);
     bender::ProgramBuilder setup;
-    setup.write_row(kBank, 4300, dram::RowBits::filled(0x55));
-    setup.hammer(kBank, rows, 100000);
+    setup.hammer(kBank, rows, hammers);
     executor.run(std::move(setup).build());
     state.ResumeTiming();
     bender::ProgramBuilder read;
@@ -98,7 +106,11 @@ void BM_SenseDisturbedRow(benchmark::State& state) {
     benchmark::DoNotOptimize(executor.run(std::move(read).build()));
   }
 }
-BENCHMARK(BM_SenseDisturbedRow)->Arg(0)->Arg(1)->ArgName("cached");
+BENCHMARK(BM_SenseDisturbedRow)
+    ->Arg(100000)
+    ->Arg(1000000)
+    ->Arg(3000000)
+    ->ArgName("hammers");
 
 void BM_RowSummaryBuild(benchmark::State& state) {
   // Cold-miss cost of the threshold cache: one full per-cell scan plus the
@@ -159,6 +171,8 @@ void BM_ParallelCampaign(benchmark::State& state) {
   // setting. Output is byte-identical for every jobs value (asserted by
   // tests/parallel_runner_test.cpp); this measures the wall-clock effect.
   // On an N-core host expect ~min(jobs, cores)x; on one core, parity.
+  // Real time: the workers run on other threads, so the main thread's
+  // CPU time would not show the speedup.
   bender::HbmChip chip(dram::chip_profiles()[2]);
   runner::RunnerConfig rc;
   rc.result_columns = {"flips"};
@@ -190,8 +204,10 @@ void BM_ParallelCampaign(benchmark::State& state) {
 BENCHMARK(BM_ParallelCampaign)
     ->Arg(1)
     ->Arg(2)
+    ->Arg(4)
     ->Arg(8)
     ->ArgName("jobs")
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -56,6 +56,18 @@ constexpr std::array<std::pair<double, double>, 7> kTAggOnAnchors = {{
     {16.0e-3, 2.0e5},
 }};
 
+/// Integer membership threshold: (hash >> 11) < membership_threshold(f) is
+/// exactly equivalent to to_unit(hash) < f, keeping the plane fills
+/// branchless and free of int->double conversions.
+std::uint64_t membership_threshold(double fraction) noexcept {
+  // to_unit(h) = (h >> 11) * 2^-53, so to_unit(h) < f is equivalent to
+  // (h >> 11) < ceil(f * 2^53): the power-of-two scaling is exact, and for
+  // integer k and real t, k < t iff k < ceil(t).
+  if (!(fraction > 0.0)) return 0;
+  if (fraction >= 1.0) return std::uint64_t{1} << 53;
+  return static_cast<std::uint64_t>(std::ceil(fraction * 0x1p53));
+}
+
 }  // namespace
 
 FaultModel::FaultModel(const DisturbParams& params) : p_(params) {
@@ -266,26 +278,6 @@ FaultModel::RowHashPrefixes FaultModel::row_hash_prefixes(
   p.normal_retention =
       hash_key(p_.seed, kTagNormalRetention, bk, physical_row);
   return p;
-}
-
-double FaultModel::uniform_at(std::uint64_t prefix, int bit) noexcept {
-  return util::to_unit(
-      util::mix64(prefix ^ static_cast<std::uint64_t>(bit)));
-}
-
-std::uint64_t FaultModel::membership_threshold(double fraction) noexcept {
-  // to_unit(h) = (h >> 11) * 2^-53, so to_unit(h) < f is equivalent to
-  // (h >> 11) < ceil(f * 2^53): the power-of-two scaling is exact, and for
-  // integer k and real t, k < t iff k < ceil(t).
-  if (!(fraction > 0.0)) return 0;
-  if (fraction >= 1.0) return std::uint64_t{1} << 53;
-  return static_cast<std::uint64_t>(std::ceil(fraction * 0x1p53));
-}
-
-bool FaultModel::below_threshold(std::uint64_t prefix, int bit,
-                                 std::uint64_t threshold) noexcept {
-  return (util::mix64(prefix ^ static_cast<std::uint64_t>(bit)) >> 11) <
-         threshold;
 }
 
 void FaultModel::fill_membership_plane(std::uint64_t prefix, double fraction,

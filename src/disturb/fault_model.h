@@ -142,10 +142,10 @@ class FaultModel {
   // Every per-cell property above hashes (seed, tag, bank, row, bit); the
   // fold structure of util::hash_key means the (seed, tag, bank, row)
   // prefix can be hoisted once per row, leaving one mix64 round per cell.
-  // The helpers below exploit that seam: uniform_at(prefix, bit) is
-  // integer-identical to the corresponding per-cell call, so planes and
-  // uniform rows built from a RowHashPrefixes reproduce the scalar hashes
-  // bit for bit (asserted by tests/device_bitplane_test.cpp).
+  // The helpers below exploit that seam: mixing a hoisted prefix with a
+  // bit index is integer-identical to the corresponding per-cell call, so
+  // planes and uniform rows built from a RowHashPrefixes reproduce the
+  // scalar hashes bit for bit (asserted by tests/device_bitplane_test.cpp).
 
   /// Hoisted per-row hash prefixes, one per per-cell hash domain.
   struct RowHashPrefixes {
@@ -160,24 +160,9 @@ class FaultModel {
   [[nodiscard]] RowHashPrefixes row_hash_prefixes(
       const dram::BankAddress& bank, int physical_row) const;
 
-  /// The per-cell uniform under a hoisted prefix; equals the matching
-  /// uniform(seed, tag, bank, row, bit) call exactly.
-  [[nodiscard]] static double uniform_at(std::uint64_t prefix,
-                                         int bit) noexcept;
-
-  /// Integer membership threshold: (hash >> 11) < membership_threshold(f)
-  /// is exactly equivalent to to_unit(hash) < f, keeping the plane fills
-  /// branchless and free of int->double conversions.
-  [[nodiscard]] static std::uint64_t membership_threshold(
-      double fraction) noexcept;
-
-  /// True iff uniform_at(prefix, bit) < the fraction that produced
-  /// `threshold` (via membership_threshold).
-  [[nodiscard]] static bool below_threshold(std::uint64_t prefix, int bit,
-                                            std::uint64_t threshold) noexcept;
-
   /// Fills a 64-bit-per-word membership plane: bit b of word w is set iff
-  /// uniform_at(prefix, 64*w + b) < fraction. `out` spans kRowBits/64 words.
+  /// the uniform of cell 64*w + b under `prefix` is < fraction. `out`
+  /// spans kRowBits/64 words.
   static void fill_membership_plane(std::uint64_t prefix, double fraction,
                                     std::span<std::uint64_t> out) noexcept;
 

@@ -12,9 +12,10 @@
 // threshold is median * exp(sigma * Phi^-1(u)), the sorted order IS the
 // threshold order: the head of the weakest population is the row's HC_first
 // cell, and walking the sorted tail yields the HC_2nd..HC_nth thresholds
-// that BER-vs-hammer-count queries sweep across. The sense path uses the
-// sorted lists to visit only the prefix of cells a conservative dose (or
-// elapsed-time) bound cannot rule out, instead of hashing all 8192 cells.
+// that BER-vs-hammer-count queries sweep across. Every sense reads its
+// row's summary: the prefixes of the sorted lists that a conservative dose
+// (or elapsed-time) bound cannot rule out form the sense's candidate mask,
+// and the bit planes below decide those candidates a word at a time.
 //
 // Threading: a cache belongs to one dram::Stack owner and is accessed from
 // a single thread (the parallel campaign runner gives every worker its own

@@ -25,19 +25,29 @@ constexpr double kRetentionFloorSeconds = 0.033;
 /// for the per-cell threshold scan.
 constexpr double kThresholdScanSigma = 6.0;
 
-/// Candidate-prefix scans that would visit more than this many cells
-/// switch to the word-parallel bitplane scan instead (the flip set is
-/// identical either way). The crossover is observable via the
-/// device.sense_cells_visited / device.sense_word_ops counters.
-constexpr std::size_t kCandidateScanLimit = 512;
+/// Probability that a cell of a population with this threshold median and
+/// sigma flips at `dose` (> 0): a threshold <= dose is equivalent to the
+/// cell's raw uniform being <= Phi(ln(dose / median) / sigma).
+double flip_probability(double dose, double median, double sigma) {
+  return disturb::FaultModel::normal_cdf(std::log(dose / median) / sigma);
+}
 
-/// Memoized per-dose flip probabilities (one normal_cdf per population).
+/// Flip probabilities of one dose, per threshold population.
 struct DoseProb {
-  double dose;
   double outlier_probability;
   double weak_probability;
   double bulk_probability;
 };
+
+/// Sets the mask bit of every cell at the head of a population's
+/// sorted-by-uniform order whose uniform is <= `bound`.
+void mark_prefix(const std::vector<int>& order, const std::vector<double>& u,
+                 double bound, std::span<std::uint64_t> mask) {
+  for (int bit : order) {
+    if (u[static_cast<std::size_t>(bit)] > bound) break;
+    mask[static_cast<std::size_t>(bit >> 6)] |= 1ull << (bit & 63);
+  }
+}
 
 }  // namespace
 
@@ -52,16 +62,18 @@ struct Bank::SenseArena {
     double dose;
   };
   /// One materialized dose class: its coupled dose (before the temperature
-  /// factor) and memoized probabilities.
+  /// factor) and its flip probabilities.
   struct ClassEntry {
     double dose;
     DoseProb p;
   };
 
-  // Planes and uniform rows computed when no cached summary is available.
-  std::array<std::uint64_t, RowBits::kWords> true_plane{};
+  /// Candidate cells of the sense in progress, one bit per cell. All zero
+  /// between senses: the word loop clears each word it consumes.
+  std::array<std::uint64_t, RowBits::kWords> candidates{};
+
+  // Leaky plane and retention uniforms of min_retention_ref_seconds().
   std::array<std::uint64_t, RowBits::kWords> leaky_plane{};
-  std::vector<double> cell_u;
   std::vector<double> retention_u;
 
   // Ping-pong buffers for the per-word class split (<= 64 non-empty
@@ -72,27 +84,19 @@ struct Bank::SenseArena {
   /// Per-epoch dose terms, indexed [same * 2 + intra].
   std::vector<std::array<double, 4>> epoch_terms;
 
-  // Per-sense DoseProb ring memo: proper round-robin eviction once full
-  // (the old fixed-slot scheme silently thrashed slot 15 forever).
-  std::array<DoseProb, 16> memo{};
-  std::size_t memo_size = 0;
-  std::size_t memo_next = 0;
-
-  /// Scratch for the candidate-driven sense scan.
-  std::vector<int> candidates;
   /// Scratch for bulk_hammer's sorted hammered-row lookup.
   std::vector<int> hammered_rows;
 };
 
 Bank::Bank(BankAddress address, const disturb::FaultModel* fault_model,
            const Environment* env, TimingParams timing,
-           disturb::BankThresholdCache* threshold_cache)
+           disturb::BankThresholdCache& threshold_cache)
     : address_(address),
       fault_(fault_model),
       env_(env),
       timing_(timing),
       checker_(timing),
-      threshold_cache_(threshold_cache) {
+      threshold_cache_(&threshold_cache) {
   validate(address_);
   if (fault_ == nullptr || env_ == nullptr) {
     throw std::invalid_argument("Bank: fault model and environment required");
@@ -123,7 +127,7 @@ Bank::RowState& Bank::state(int physical_row, Cycle now) {
     // A cached summary carries the row's power-on plane verbatim; fresh
     // materialization of a cached row skips the per-word hash pass.
     const disturb::RowThresholdSummary* cached =
-        threshold_cache_ ? threshold_cache_->peek(physical_row) : nullptr;
+        threshold_cache_->peek(physical_row);
     if (cached != nullptr) {
       std::copy(cached->power_on.begin(), cached->power_on.end(),
                 words.begin());
@@ -235,14 +239,14 @@ void Bank::sense_and_restore(int physical_row, RowState& row, Cycle now) {
   const double elapsed_s = cycles_to_seconds(now - row.last_restore);
   bool check_retention = elapsed_s > kRetentionFloorSeconds;
   bool check_disturb = !row.ledger.empty();
-  const double temp_now = env_->temperature_c;
+  const double temp = env_->temperature_c;
   if (check_retention) {
     // One cheap scan per row lifetime caches the row's weakest retention;
     // senses below it skip the per-cell retention pass entirely. A cached
     // summary (if the row's is already built) carries the identical value.
     if (row.min_retention_ref_s < 0.0) {
       const disturb::RowThresholdSummary* cached =
-          threshold_cache_ ? threshold_cache_->peek(physical_row) : nullptr;
+          threshold_cache_->peek(physical_row);
       row.min_retention_ref_s = cached
                                     ? cached->min_retention_ref_s
                                     : min_retention_ref_seconds(physical_row);
@@ -250,13 +254,12 @@ void Bank::sense_and_restore(int physical_row, RowState& row, Cycle now) {
     const auto& params = fault_->params();
     const double min_at_temp =
         row.min_retention_ref_s *
-        std::exp2((params.retention_ref_temp_c - temp_now) /
+        std::exp2((params.retention_ref_temp_c - temp) /
                   params.retention_halving_c);
     if (elapsed_s < min_at_temp) check_retention = false;
   }
 
   double max_dose = 0.0;
-  const double temp = temp_now;
   const double temp_vuln = fault_->temperature_vulnerability(temp);
   if (check_disturb) {
     // Upper bound of any cell's effective dose: full coupling, intra bonus.
@@ -290,398 +293,215 @@ void Bank::sense_and_restore(int physical_row, RowState& row, Cycle now) {
     }
   }
 
-  if (check_retention || check_disturb) {
-    // Flips are decided against a snapshot so that materializing one flip
-    // does not change a neighbouring cell's intra-row coupling mid-scan.
-    const RowBits snapshot = row.bits;
-    bool changed = false;
-    SenseArena& a = arena();
-    a.memo_size = 0;
-    a.memo_next = 0;
-    a.classes.clear();
-
-    // threshold <= dose is equivalent to comparing the cell's raw uniform
-    // against Phi(ln(dose / median) / sigma) of the cell's population;
-    // cells fall into a handful of identical dose classes (victim bit x
-    // aggressor bits x intra bonus), so the CDFs are memoized per distinct
-    // dose for both populations. The memo is a ring: once full, slots are
-    // overwritten round-robin (the old fixed-slot scheme thrashed the last
-    // slot forever); evictions are counted as telemetry.
-    auto flip_probabilities = [&](double dose) -> DoseProb {
-      for (std::size_t i = 0; i < a.memo_size; ++i) {
-        if (a.memo[i].dose == dose) return a.memo[i];
-      }
-      DoseProb entry{dose, 0.0, 0.0, 0.0};
-      if (dose > 0.0) {
-        entry.outlier_probability = disturb::FaultModel::normal_cdf(
-            std::log(dose / ctx.outlier_median) / ctx.outlier_sigma);
-        entry.weak_probability = disturb::FaultModel::normal_cdf(
-            std::log(dose / ctx.weak_median) / ctx.weak_sigma);
-        entry.bulk_probability = disturb::FaultModel::normal_cdf(
-            std::log(dose / ctx.bulk_median) / ctx.bulk_sigma);
-      }
-      std::size_t slot;
-      if (a.memo_size < a.memo.size()) {
-        slot = a.memo_size++;
-      } else {
-        slot = a.memo_next;
-        a.memo_next = (a.memo_next + 1) % a.memo.size();
-        ++counters_.dose_memo_evictions;
-      }
-      a.memo[slot] = entry;
-      return entry;
+  // Retention: one failure-probability threshold per population; a
+  // population with a zero threshold cannot flip.
+  double leaky_u_max = 0.0;
+  double normal_u_max = 0.0;
+  if (check_retention) {
+    auto u_max = [&](bool leaky) {
+      const double med = fault_->retention_median_seconds(leaky, temp);
+      const double s = fault_->retention_sigma(leaky);
+      return disturb::FaultModel::normal_cdf(std::log(elapsed_s / med) / s);
     };
-
-    // Retention: one failure probability threshold per population. Most
-    // senses see a zero threshold for the normal population, so the scan
-    // pays one leaky-membership hash per cell and nothing more.
-    double leaky_u_max = 0.0;
-    double normal_u_max = 0.0;
-    if (check_retention) {
-      auto u_max = [&](bool leaky) {
-        const double med = fault_->retention_median_seconds(leaky, temp);
-        const double s = fault_->retention_sigma(leaky);
-        return disturb::FaultModel::normal_cdf(std::log(elapsed_s / med) / s);
-      };
-      leaky_u_max = u_max(true);
-      normal_u_max = u_max(false);
-      if (leaky_u_max <= 0.0 && normal_u_max <= 0.0) check_retention = false;
-    }
-    if (!check_retention && !check_disturb) {
-      row.ledger.clear();
-      row.last_restore = now;
-      return;
-    }
-
-    const auto& epochs = row.ledger.epochs();
-    const std::size_t n_epochs = epochs.size();
-
-    // Word-parallel scan over the whole row: per-cell predicates become
-    // 64-wide mask operations, per-cell dose folds collapse into a handful
-    // of dose classes per word, and flips apply as one XOR per word. The
-    // accessors abstract where per-cell uniforms/memberships come from (a
-    // cached summary, or lazy hashes off hoisted row prefixes); either way
-    // the values are bit-identical to the per-cell fault-model predicates.
-    auto bitplane_scan = [&](const std::uint64_t* true_plane,
-                             const std::uint64_t* leaky_plane,
-                             auto&& cell_u_at, auto&& retention_u_at,
-                             auto&& outlier_at, auto&& weak_at) {
-      const std::uint64_t* sw = snapshot.words().data();
-      // Term-by-term the same products as the per-cell fold; coupling
-      // depends only on victim/aggressor equality, so coupling(true, same,
-      // intra) yields the identical double.
-      a.epoch_terms.resize(n_epochs);
-      for (std::size_t ei = 0; ei < n_epochs; ++ei) {
-        const auto& e = epochs[ei];
-        for (int k = 0; k < 4; ++k) {
-          a.epoch_terms[ei][static_cast<std::size_t>(k)] =
-              e.dose() * fault_->distance_factor(e.distance) *
-              fault_->coupling(true, (k & 2) != 0, (k & 1) != 0);
-        }
-      }
-      auto class_probs = [&](double dose) -> DoseProb {
-        for (const auto& c : a.classes) {
-          if (c.dose == dose) return c.p;
-        }
-        const DoseProb p = flip_probabilities(dose * temp_vuln);
-        a.classes.push_back({dose, p});
-        return p;
-      };
-
-      for (int w = 0; w < RowBits::kWords; ++w) {
-        const auto wi = static_cast<std::size_t>(w);
-        const std::uint64_t v = sw[wi];
-        const std::uint64_t charged = ~(v ^ true_plane[wi]);
-        std::uint64_t flips = 0;
-
-        if (check_retention) {
-          const std::uint64_t lk = leaky_plane[wi];
-          std::uint64_t cand = charged;
-          // A population with a zero failure threshold cannot flip.
-          if (leaky_u_max <= 0.0) cand &= ~lk;
-          if (normal_u_max <= 0.0) cand &= lk;
-          counters_.sense_cells_visited +=
-              static_cast<std::uint64_t>(std::popcount(cand));
-          while (cand != 0) {
-            const int b = std::countr_zero(cand);
-            cand &= cand - 1;
-            const int bit = w * 64 + b;
-            const bool leaky = ((lk >> b) & 1u) != 0;
-            const double u_max = leaky ? leaky_u_max : normal_u_max;
-            if (retention_u_at(bit, leaky) <= u_max) flips |= 1ull << b;
-          }
-        }
-
-        if (check_disturb) {
-          const std::uint64_t cand = charged & ~flips;
-          if (cand != 0) {
-            // Neighbour planes with cross-word carries; edge cells borrow
-            // their own value (differs = 0), matching the per-cell scan.
-            std::uint64_t left = v << 1;
-            left |= w > 0 ? sw[wi - 1] >> 63 : v & 1ull;
-            std::uint64_t right = v >> 1;
-            right |= (w + 1 < RowBits::kWords ? sw[wi + 1] & 1ull
-                                              : (v >> 63) & 1ull)
-                     << 63;
-            const std::uint64_t intra = (v ^ left) | (v ^ right);
-
-            // Split the word's cells into dose classes: first on intra-row
-            // coupling, then on each epoch in ledger order, adding that
-            // epoch's term — the per-cell fold's summation order, so each
-            // group's dose is bit-identical to its cells' folded doses.
-            // Non-empty groups partition 64 bits, so at most 64 exist at
-            // any stage.
-            SenseArena::Group* cur = a.group_a.data();
-            SenseArena::Group* nxt = a.group_b.data();
-            int n_cur = 0;
-            if ((cand & intra) != 0) cur[n_cur++] = {cand & intra, true, 0.0};
-            if ((cand & ~intra) != 0) {
-              cur[n_cur++] = {cand & ~intra, false, 0.0};
-            }
-            for (std::size_t ei = 0; ei < n_epochs; ++ei) {
-              const std::uint64_t same =
-                  ~(v ^ epochs[ei].aggressor_bits.words()[wi]);
-              const auto& terms = a.epoch_terms[ei];
-              int n_nxt = 0;
-              for (int g = 0; g < n_cur; ++g) {
-                const SenseArena::Group& grp = cur[g];
-                const std::uint64_t m1 = grp.mask & same;
-                const std::uint64_t m0 = grp.mask & ~same;
-                const std::size_t k = grp.intra ? 1 : 0;
-                if (m1 != 0) {
-                  nxt[n_nxt++] = {m1, grp.intra, grp.dose + terms[2 + k]};
-                }
-                if (m0 != 0) {
-                  nxt[n_nxt++] = {m0, grp.intra, grp.dose + terms[k]};
-                }
-              }
-              std::swap(cur, nxt);
-              n_cur = n_nxt;
-            }
-            counters_.sense_word_ops += n_epochs + 1;
-
-            for (int g = 0; g < n_cur; ++g) {
-              const DoseProb p = class_probs(cur[g].dose);
-              const double p_max =
-                  std::max({p.outlier_probability, p.weak_probability,
-                            p.bulk_probability});
-              if (p_max <= 0.0) continue;
-              std::uint64_t m = cur[g].mask;
-              counters_.sense_cells_visited +=
-                  static_cast<std::uint64_t>(std::popcount(m));
-              while (m != 0) {
-                const int b = std::countr_zero(m);
-                m &= m - 1;
-                const int bit = w * 64 + b;
-                const double u = cell_u_at(bit);
-                // Sound screen: every population's probability <= p_max.
-                if (u > p_max) continue;
-                double probability = p.bulk_probability;
-                if (outlier_at(bit)) {
-                  probability = p.outlier_probability;
-                } else if (weak_at(bit)) {
-                  probability = p.weak_probability;
-                }
-                if (probability > 0.0 && u <= probability) {
-                  flips |= 1ull << b;
-                }
-              }
-            }
-          }
-        }
-
-        if (flips != 0) {
-          // Flips only discharge charged cells, so the XOR is exactly the
-          // per-bit set(bit, !value) of the per-cell paths.
-          row.bits.words()[wi] ^= flips;
-          counters_.bitflips_materialized +=
-              static_cast<std::uint64_t>(std::popcount(flips));
-          changed = true;
-        }
-      }
-      counters_.sense_word_ops +=
-          static_cast<std::uint64_t>(RowBits::kWords) *
-          (1u + (check_retention ? 1u : 0u));
-    };
-
-    const disturb::RowThresholdSummary* summary =
-        threshold_cache_ ? &threshold_cache_->get(*fault_, physical_row)
-                         : nullptr;
-    bool scanned = false;
-    if (summary != nullptr) {
-      // Candidate-driven scan: per population, only the sorted-by-uniform
-      // prefix that the conservative bounds cannot rule out is visited;
-      // every visited cell is then decided by the exact per-cell
-      // fault-model expressions, with the cached uniforms and flags
-      // standing in (verbatim) for the fault-model hashes.
-      auto& candidates = a.candidates;
-      candidates.clear();
-      const auto take_prefix = [&candidates](const std::vector<int>& order,
-                                             const std::vector<double>& u,
-                                             double bound) {
-        for (int bit : order) {
-          if (u[static_cast<std::size_t>(bit)] > bound) break;
-          candidates.push_back(bit);
-        }
-      };
-      if (check_retention) {
-        // A cell flips only if its retention uniform is <= its
-        // population's u_max; the prefixes cover exactly those cells.
-        if (leaky_u_max > 0.0) {
-          take_prefix(summary->leaky_by_u, summary->retention_u, leaky_u_max);
-        }
-        if (normal_u_max > 0.0) {
-          take_prefix(summary->normal_by_u, summary->retention_u,
-                      normal_u_max);
-        }
-      }
-      if (check_disturb) {
-        // A cell's effective dose is bounded by max_dose (full coupling,
-        // intra bonus — the same bound the early-outs use), so its flip
-        // probability is bounded by its population's CDF at max_dose. The
-        // bound dose is inflated by 1e-9 to absorb the ulp-level
-        // difference between per-term and post-sum coupling rounding,
-        // keeping the prefix a strict superset of the row's flips.
-        const double dose_bound = max_dose * (1.0 + 1e-9);
-        const auto prob_bound = [&](double median, double sigma) {
-          return disturb::FaultModel::normal_cdf(
-              std::log(dose_bound / median) / sigma);
-        };
-        const double outlier_bound =
-            prob_bound(ctx.outlier_median, ctx.outlier_sigma);
-        const double weak_bound = prob_bound(ctx.weak_median, ctx.weak_sigma);
-        const double bulk_bound = prob_bound(ctx.bulk_median, ctx.bulk_sigma);
-        if (outlier_bound > 0.0) {
-          take_prefix(summary->outlier_by_u, summary->cell_u, outlier_bound);
-        }
-        if (weak_bound > 0.0) {
-          take_prefix(summary->weak_by_u, summary->cell_u, weak_bound);
-        }
-        if (bulk_bound > 0.0) {
-          take_prefix(summary->bulk_by_u, summary->cell_u, bulk_bound);
-        }
-      }
-      // A huge candidate prefix means the bounds ruled little out: the
-      // word-parallel scan beats visiting cells one by one. Flips are
-      // identical either way.
-      if (candidates.size() <= kCandidateScanLimit) {
-        scanned = true;
-        std::sort(candidates.begin(), candidates.end());
-        candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                         candidates.end());
-        counters_.sense_cells_visited += candidates.size();
-
-        for (int bit : candidates) {
-        const auto i = static_cast<std::size_t>(bit);
-        const bool value = snapshot.get(bit);
-        const std::uint8_t flags = summary->flags[i];
-        const bool charged =
-            value == ((flags & disturb::RowThresholdSummary::kTrueCell) != 0);
-
-        bool flip = false;
-        if (check_retention) {
-          const double u_max = (flags & disturb::RowThresholdSummary::kLeaky)
-                                   ? leaky_u_max
-                                   : normal_u_max;
-          if (u_max > 0.0 && summary->retention_u[i] <= u_max && charged) {
-            flip = true;
-          }
-        }
-        if (!flip && check_disturb && charged) {
-          const bool left = bit > 0 ? snapshot.get(bit - 1) : value;
-          const bool right =
-              bit + 1 < kRowBits ? snapshot.get(bit + 1) : value;
-          const bool intra_differs = (left != value) || (right != value);
-          double dose = 0.0;
-          for (const auto& e : epochs) {
-            dose += e.dose() * fault_->distance_factor(e.distance) *
-                    fault_->coupling(value, e.aggressor_bits.get(bit),
-                                     intra_differs);
-          }
-          dose *= temp_vuln;
-          const DoseProb& p = flip_probabilities(dose);
-          if (p.outlier_probability > 0.0 || p.weak_probability > 0.0 ||
-              p.bulk_probability > 0.0) {
-            double probability = p.bulk_probability;
-            if (flags & disturb::RowThresholdSummary::kOutlier) {
-              probability = p.outlier_probability;
-            } else if (flags & disturb::RowThresholdSummary::kWeak) {
-              probability = p.weak_probability;
-            }
-            if (probability > 0.0 && summary->cell_u[i] <= probability) {
-              flip = true;
-            }
-          }
-        }
-        if (flip) {
-          row.bits.set(bit, !value);
-          ++counters_.bitflips_materialized;
-          changed = true;
-        }
-        }
-      }
-    }
-    if (!scanned && summary != nullptr) {
-      // Bitplane scan off the cached summary's planes and uniform arrays.
-      bitplane_scan(
-          summary->true_plane.data(), summary->leaky_plane.data(),
-          [&](int bit) {
-            return summary->cell_u[static_cast<std::size_t>(bit)];
-          },
-          [&](int bit, bool /*leaky*/) {
-            return summary->retention_u[static_cast<std::size_t>(bit)];
-          },
-          [&](int bit) {
-            return ((summary->outlier_plane[static_cast<std::size_t>(
-                         bit >> 6)] >>
-                     (bit & 63)) &
-                    1u) != 0;
-          },
-          [&](int bit) {
-            return ((summary->weak_plane[static_cast<std::size_t>(bit >> 6)] >>
-                     (bit & 63)) &
-                    1u) != 0;
-          });
-    } else if (!scanned) {
-      // No cached summary: hoist the row's hash prefixes once, fill only
-      // the planes the masks need, and hash uniforms lazily per visited
-      // cell — identical values to the per-cell hash calls.
-      const auto& params = fault_->params();
-      const auto prefixes = fault_->row_hash_prefixes(address_, physical_row);
-      disturb::FaultModel::fill_membership_plane(
-          prefixes.orientation, params.true_cell_fraction, a.true_plane);
-      counters_.sense_word_ops += RowBits::kWords;
-      if (check_retention) {
-        disturb::FaultModel::fill_membership_plane(
-            prefixes.leaky, params.leaky_cell_fraction, a.leaky_plane);
-        counters_.sense_word_ops += RowBits::kWords;
-      }
-      const std::uint64_t outlier_threshold =
-          disturb::FaultModel::membership_threshold(params.outlier_fraction);
-      const std::uint64_t weak_threshold =
-          disturb::FaultModel::membership_threshold(ctx.weak_density);
-      bitplane_scan(
-          a.true_plane.data(), a.leaky_plane.data(),
-          [&](int bit) {
-            return disturb::FaultModel::uniform_at(prefixes.cell_threshold,
-                                                   bit);
-          },
-          [&](int bit, bool leaky) {
-            return disturb::FaultModel::uniform_at(
-                leaky ? prefixes.leaky_retention : prefixes.normal_retention,
-                bit);
-          },
-          [&](int bit) {
-            return disturb::FaultModel::below_threshold(prefixes.outlier, bit,
-                                                        outlier_threshold);
-          },
-          [&](int bit) {
-            return disturb::FaultModel::below_threshold(prefixes.weak, bit,
-                                                        weak_threshold);
-          });
-    }
-    if (changed) ++row.version;
+    leaky_u_max = u_max(true);
+    normal_u_max = u_max(false);
+    if (leaky_u_max <= 0.0 && normal_u_max <= 0.0) check_retention = false;
   }
+  if (!check_retention && !check_disturb) {
+    row.ledger.clear();
+    row.last_restore = now;
+    return;
+  }
+
+  // Candidate mask: per population, the sorted-by-uniform prefix of cells
+  // that the conservative bounds cannot rule out. The decisions below are
+  // exact for any superset of the flipping cells, so one union mask serves
+  // retention and disturbance alike.
+  const disturb::RowThresholdSummary& summary =
+      threshold_cache_->get(*fault_, physical_row);
+  SenseArena& a = arena();
+  if (check_retention) {
+    // A cell loses its charge only if its retention uniform is <= its
+    // population's u_max; the prefixes cover exactly those cells.
+    if (leaky_u_max > 0.0) {
+      mark_prefix(summary.leaky_by_u, summary.retention_u, leaky_u_max,
+                  a.candidates);
+    }
+    if (normal_u_max > 0.0) {
+      mark_prefix(summary.normal_by_u, summary.retention_u, normal_u_max,
+                  a.candidates);
+    }
+  }
+  if (check_disturb) {
+    // A cell's effective dose is bounded by max_dose (full coupling, intra
+    // bonus — the same bound the early-outs use), so its flip probability
+    // is bounded by its population's CDF at max_dose. The bound dose is
+    // inflated by 1e-9 to absorb the ulp-level difference between per-term
+    // and post-sum coupling rounding, keeping the prefix a strict superset
+    // of the row's flips.
+    const double dose_bound = max_dose * (1.0 + 1e-9);
+    const double outlier_bound =
+        flip_probability(dose_bound, ctx.outlier_median, ctx.outlier_sigma);
+    const double weak_bound =
+        flip_probability(dose_bound, ctx.weak_median, ctx.weak_sigma);
+    const double bulk_bound =
+        flip_probability(dose_bound, ctx.bulk_median, ctx.bulk_sigma);
+    if (outlier_bound > 0.0) {
+      mark_prefix(summary.outlier_by_u, summary.cell_u, outlier_bound,
+                  a.candidates);
+    }
+    if (weak_bound > 0.0) {
+      mark_prefix(summary.weak_by_u, summary.cell_u, weak_bound, a.candidates);
+    }
+    if (bulk_bound > 0.0) {
+      mark_prefix(summary.bulk_by_u, summary.cell_u, bulk_bound, a.candidates);
+    }
+  }
+
+  // Word loop over the non-empty mask words: per-cell predicates become
+  // 64-wide mask operations, the candidates' dose folds collapse into a
+  // handful of dose classes per word, and flips apply as one XOR per word.
+  // Flips are decided against a snapshot so that materializing one flip
+  // does not change a neighbouring cell's intra-row coupling mid-scan.
+  const RowBits snapshot = row.bits;
+  const std::uint64_t* sw = snapshot.words().data();
+  const auto& epochs = row.ledger.epochs();
+  const std::size_t n_epochs = epochs.size();
+  a.classes.clear();
+  if (check_disturb) {
+    // Term-by-term the same products as the per-cell fold; coupling depends
+    // only on victim/aggressor equality, so coupling(true, same, intra)
+    // yields the identical double.
+    a.epoch_terms.resize(n_epochs);
+    for (std::size_t ei = 0; ei < n_epochs; ++ei) {
+      const auto& e = epochs[ei];
+      for (int k = 0; k < 4; ++k) {
+        a.epoch_terms[ei][static_cast<std::size_t>(k)] =
+            e.dose() * fault_->distance_factor(e.distance) *
+            fault_->coupling(true, (k & 2) != 0, (k & 1) != 0);
+      }
+    }
+  }
+  // Each distinct class dose costs one normal_cdf per population.
+  auto class_probs = [&](double dose) -> DoseProb {
+    for (const auto& c : a.classes) {
+      if (c.dose == dose) return c.p;
+    }
+    DoseProb p{0.0, 0.0, 0.0};
+    const double coupled = dose * temp_vuln;
+    if (coupled > 0.0) {
+      p.outlier_probability =
+          flip_probability(coupled, ctx.outlier_median, ctx.outlier_sigma);
+      p.weak_probability =
+          flip_probability(coupled, ctx.weak_median, ctx.weak_sigma);
+      p.bulk_probability =
+          flip_probability(coupled, ctx.bulk_median, ctx.bulk_sigma);
+    }
+    a.classes.push_back({dose, p});
+    return p;
+  };
+
+  bool changed = false;
+  for (int w = 0; w < RowBits::kWords; ++w) {
+    const auto wi = static_cast<std::size_t>(w);
+    const std::uint64_t mask = a.candidates[wi];
+    if (mask == 0) continue;
+    a.candidates[wi] = 0;
+    ++counters_.sense_word_ops;
+    counters_.sense_cells_visited +=
+        static_cast<std::uint64_t>(std::popcount(mask));
+    const std::uint64_t v = sw[wi];
+    const std::uint64_t charged = mask & ~(v ^ summary.true_plane[wi]);
+    std::uint64_t flips = 0;
+
+    if (check_retention) {
+      const std::uint64_t lk = summary.leaky_plane[wi];
+      std::uint64_t cand = charged;
+      if (leaky_u_max <= 0.0) cand &= ~lk;
+      if (normal_u_max <= 0.0) cand &= lk;
+      while (cand != 0) {
+        const int b = std::countr_zero(cand);
+        cand &= cand - 1;
+        const double u_max = ((lk >> b) & 1u) ? leaky_u_max : normal_u_max;
+        if (summary.retention_u[static_cast<std::size_t>(w * 64 + b)] <=
+            u_max) {
+          flips |= 1ull << b;
+        }
+      }
+    }
+
+    const std::uint64_t cand = charged & ~flips;
+    if (check_disturb && cand != 0) {
+      // Neighbour planes with cross-word carries; edge cells borrow their
+      // own value (differs = 0), matching the per-cell oracle.
+      std::uint64_t left = v << 1;
+      left |= w > 0 ? sw[wi - 1] >> 63 : v & 1ull;
+      std::uint64_t right = v >> 1;
+      right |= (w + 1 < RowBits::kWords ? sw[wi + 1] & 1ull
+                                        : (v >> 63) & 1ull)
+               << 63;
+      const std::uint64_t intra = (v ^ left) | (v ^ right);
+
+      // Split the word's candidates into dose classes: first on intra-row
+      // coupling, then on each epoch in ledger order, adding that epoch's
+      // term — the per-cell fold's summation order, so each group's dose
+      // is bit-identical to its cells' folded doses.
+      SenseArena::Group* cur = a.group_a.data();
+      SenseArena::Group* nxt = a.group_b.data();
+      int n_cur = 0;
+      if ((cand & intra) != 0) cur[n_cur++] = {cand & intra, true, 0.0};
+      if ((cand & ~intra) != 0) cur[n_cur++] = {cand & ~intra, false, 0.0};
+      for (std::size_t ei = 0; ei < n_epochs; ++ei) {
+        const std::uint64_t same =
+            ~(v ^ epochs[ei].aggressor_bits.words()[wi]);
+        const auto& terms = a.epoch_terms[ei];
+        int n_nxt = 0;
+        for (int g = 0; g < n_cur; ++g) {
+          const SenseArena::Group& grp = cur[g];
+          const std::uint64_t m1 = grp.mask & same;
+          const std::uint64_t m0 = grp.mask & ~same;
+          const std::size_t k = grp.intra ? 1 : 0;
+          if (m1 != 0) nxt[n_nxt++] = {m1, grp.intra, grp.dose + terms[2 + k]};
+          if (m0 != 0) nxt[n_nxt++] = {m0, grp.intra, grp.dose + terms[k]};
+        }
+        std::swap(cur, nxt);
+        n_cur = n_nxt;
+      }
+      counters_.sense_word_ops += n_epochs;
+
+      for (int g = 0; g < n_cur; ++g) {
+        const DoseProb p = class_probs(cur[g].dose);
+        const double p_max = std::max(
+            {p.outlier_probability, p.weak_probability, p.bulk_probability});
+        if (p_max <= 0.0) continue;
+        std::uint64_t m = cur[g].mask;
+        while (m != 0) {
+          const int b = std::countr_zero(m);
+          m &= m - 1;
+          const double u = summary.cell_u[static_cast<std::size_t>(w * 64 + b)];
+          // Sound screen: every population's probability <= p_max.
+          if (u > p_max) continue;
+          double probability = p.bulk_probability;
+          if ((summary.outlier_plane[wi] >> b) & 1u) {
+            probability = p.outlier_probability;
+          } else if ((summary.weak_plane[wi] >> b) & 1u) {
+            probability = p.weak_probability;
+          }
+          if (probability > 0.0 && u <= probability) flips |= 1ull << b;
+        }
+      }
+    }
+
+    if (flips != 0) {
+      // Flips only discharge charged cells, so the XOR is exactly the
+      // per-cell set(bit, !value).
+      row.bits.words()[wi] ^= flips;
+      counters_.bitflips_materialized +=
+          static_cast<std::uint64_t>(std::popcount(flips));
+      changed = true;
+    }
+  }
+  if (changed) ++row.version;
 
   row.ledger.clear();
   row.last_restore = now;

@@ -41,16 +41,13 @@ struct BankCounters {
   /// window (refresh-window bursts repeat aggressors and dummies): the
   /// work the per-distinct-row dedup saved.
   std::uint64_t hammer_dedup_hits = 0;
-  /// DoseProb memo entries overwritten after the per-sense ring filled up
-  /// (each eviction re-pays three normal_cdf calls on the next lookup of
-  /// the evicted dose). Telemetry: depends on the dose-class visit order.
-  std::uint64_t dose_memo_evictions = 0;
-  /// 64-bit words processed by the word-parallel stages of bitplane senses
-  /// (plane/uniform fills and the per-word class-split scan).
+  /// 64-bit word operations of senses: one per word with a non-empty
+  /// candidate mask, plus one per ledger epoch for each word whose dose
+  /// classes were split; also the plane/uniform fills of the retention
+  /// floor scan.
   std::uint64_t sense_word_ops = 0;
-  /// Cells examined individually by a sense: candidate-prefix entries and
-  /// per-bit work inside bitplane scans. The ratio to sense_word_ops makes
-  /// the candidate-scan-vs-bitplane crossover observable per campaign.
+  /// Candidate cells of senses: the popcount of each sense's candidate
+  /// mask (the union of the summary prefixes the bounds cannot rule out).
   std::uint64_t sense_cells_visited = 0;
 };
 
@@ -64,13 +61,14 @@ struct HammerStep {
 
 class Bank {
  public:
-  /// `threshold_cache` (optional) memoizes per-row cell summaries so senses
-  /// of cached rows skip the per-cell hash scan; results are bit-identical
-  /// with and without it. The cache outlives the bank (it is shared across
-  /// power cycles) and must only be used from the bank's thread.
+  /// `threshold_cache` holds the per-row cell summaries every sense reads
+  /// its candidate cells from; its capacity changes only how often a
+  /// summary is rebuilt, never the result. The cache outlives the bank (it
+  /// is shared across power cycles) and must only be used from the bank's
+  /// thread.
   Bank(BankAddress address, const disturb::FaultModel* fault_model,
        const Environment* env, TimingParams timing,
-       disturb::BankThresholdCache* threshold_cache = nullptr);
+       disturb::BankThresholdCache& threshold_cache);
 
   Bank(const Bank&) = delete;
   Bank& operator=(const Bank&) = delete;
@@ -216,7 +214,7 @@ class Bank {
   }
 
   /// Per-bank scratch arena: every per-sense/per-window buffer (candidate
-  /// lists, bitplanes, uniform rows, dose-class groups, the DoseProb ring)
+  /// mask, retention plane and uniforms, dose-class groups and table)
   /// lives here, lazily allocated on first use so untouched banks stay
   /// cheap and the worker hot path is allocation-free in steady state.
   struct SenseArena;
@@ -225,6 +223,9 @@ class Bank {
 
   /// Sense: applies retention decay and disturbance flips to the stored
   /// bits, then clears the dose ledger and resets the retention clock.
+  /// Three stages: the deterministic early-outs; a candidate mask built
+  /// from the row summary's sorted population prefixes; one word loop that
+  /// decides the candidates 64 cells at a time.
   void sense_and_restore(int physical_row, RowState& row, Cycle now);
 
   /// Minimum cell retention of a row at the reference temperature.
@@ -253,7 +254,7 @@ class Bank {
   std::uint64_t cow_epoch_ = 0;
   std::unique_ptr<ReadDisturbDefense> defense_;
   BankCounters counters_;
-  disturb::BankThresholdCache* threshold_cache_ = nullptr;
+  disturb::BankThresholdCache* threshold_cache_;  // never null
   std::unique_ptr<SenseArena> arena_;
 };
 

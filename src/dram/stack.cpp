@@ -8,7 +8,9 @@ namespace hbmrd::dram {
 
 Stack::Stack(StackConfig config)
     : fault_(config.disturb),
-      threshold_cache_(std::move(config.threshold_cache)),
+      threshold_cache_(config.threshold_cache
+                           ? std::move(config.threshold_cache)
+                           : std::make_shared<disturb::ThresholdCache>()),
       mapping_(config.mapping),
       timing_(config.timing),
       env_{config.initial_temperature_c} {
@@ -20,9 +22,7 @@ Stack::Stack(StackConfig config)
       for (int b = 0; b < kBanksPerPseudoChannel; ++b) {
         const BankAddress addr{ch, pc, b};
         banks_.emplace_back(addr, &fault_, &env_, timing_,
-                            threshold_cache_
-                                ? &threshold_cache_->bank(addr, flat_index++)
-                                : nullptr);
+                            threshold_cache_->bank(addr, flat_index++));
         if (config.defense_factory) {
           banks_.back().set_defense(config.defense_factory(addr));
         }
@@ -162,7 +162,6 @@ BankCounters Stack::total_counters() const {
     totals.bitflips_materialized += c.bitflips_materialized;
     totals.bulk_hammer_windows += c.bulk_hammer_windows;
     totals.hammer_dedup_hits += c.hammer_dedup_hits;
-    totals.dose_memo_evictions += c.dose_memo_evictions;
     totals.sense_word_ops += c.sense_word_ops;
     totals.sense_cells_visited += c.sense_cells_visited;
   }

@@ -28,11 +28,11 @@ struct StackConfig {
   std::function<std::unique_ptr<ReadDisturbDefense>(const BankAddress&)>
       defense_factory;
   double initial_temperature_c = 60.0;
-  /// Optional per-bank row threshold cache (see disturb/threshold_cache.h).
-  /// Shared so it survives stack rebuilds (power cycles): the cached
-  /// summaries are pure functions of the disturb seed, never of device
-  /// state. Null = senses use the uncached full scan. Must only be shared
-  /// between stacks driven from the same thread.
+  /// Per-bank row threshold cache (see disturb/threshold_cache.h) that
+  /// every sense reads. Shared so it survives stack rebuilds (power
+  /// cycles): the cached summaries are pure functions of the disturb seed,
+  /// never of device state. Null = the stack creates a private cache.
+  /// Must only be shared between stacks driven from the same thread.
   std::shared_ptr<disturb::ThresholdCache> threshold_cache;
 };
 

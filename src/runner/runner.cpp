@@ -43,7 +43,6 @@ void accumulate(dram::BankCounters& into, const dram::BankCounters& delta) {
   into.bitflips_materialized += delta.bitflips_materialized;
   into.bulk_hammer_windows += delta.bulk_hammer_windows;
   into.hammer_dedup_hits += delta.hammer_dedup_hits;
-  into.dose_memo_evictions += delta.dose_memo_evictions;
   into.sense_word_ops += delta.sense_word_ops;
   into.sense_cells_visited += delta.sense_cells_visited;
 }
@@ -535,16 +534,11 @@ CampaignReport CampaignRunner::run(const std::vector<Trial>& trials) {
     metrics->add("device.bitflips", out.device.bitflips_materialized);
     metrics->add("device.hammer_windows", out.device.bulk_hammer_windows);
     metrics->add("device.dedup_hits", out.device.hammer_dedup_hits);
-    // Deterministic: path selection inside a sense is a pure function of
-    // device state, never of scheduling.
+    // Deterministic: a sense's candidate mask is a pure function of device
+    // state, never of scheduling.
     metrics->add("device.sense_word_ops", out.device.sense_word_ops);
     metrics->add("device.sense_cells_visited",
                  out.device.sense_cells_visited);
-    // Ring evictions depend on the order in which a scan meets its dose
-    // classes: telemetry, excluded from the fingerprint.
-    metrics->add("device.dose_memo_evictions",
-                 out.device.dose_memo_evictions,
-                 obs::MetricKind::kTelemetry);
     metrics->add("cache.lookups", out.cache.lookups());
     // Epoch-relative summary counters: pure functions of the trial body
     // (the worker power-cycles at trial start, opening a fresh epoch), so

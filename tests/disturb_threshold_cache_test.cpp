@@ -1,6 +1,7 @@
-// Threshold cache: the candidate-driven sense scan must be bit-identical
-// to the uncached full scan, and the summary's sorted head must agree with
-// the fault model's per-cell thresholds (HC_first = weakest cell).
+// Threshold cache: senses driven by the cached summaries must be
+// bit-identical to the per-cell oracle, and the summary's sorted head must
+// agree with the fault model's per-cell thresholds (HC_first = weakest
+// cell).
 #include "disturb/threshold_cache.h"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 
 #include "dram/chip_profiles.h"
 #include "dram/stack.h"
+#include "sense_oracle.h"
 
 namespace hbmrd::disturb {
 namespace {
@@ -57,8 +59,8 @@ struct StackFixture {
     return bits;
   }
 
-  /// Double-sided hammer, then read the victim back.
-  dram::RowBits hammer_and_sense(int victim, std::uint64_t pulses) {
+  /// Double-sided hammer of `victim`'s neighbours.
+  void hammer(int victim, std::uint64_t pulses) {
     const dram::BankAddress bank{0, 0, 0};
     write_row({bank, victim}, dram::RowBits::filled(0x55));
     write_row({bank, victim - 1}, dram::RowBits::filled(0xFF));
@@ -67,20 +69,44 @@ struct StackFixture {
         dram::HammerStep{victim - 1, timing.t_ras},
         dram::HammerStep{victim + 1, timing.t_ras}};
     now = stack.bulk_hammer(bank, steps, pulses, now) + 100;
-    return read_row({bank, victim});
+  }
+
+  dram::RowBits hammer_and_sense(int victim, std::uint64_t pulses) {
+    hammer(victim, pulses);
+    return read_row({{0, 0, 0}, victim});
+  }
+
+  /// What the per-cell oracle says a read of `victim` now leaves behind.
+  dram::RowBits oracle_sense(int victim) {
+    const dram::BankAddress bank{0, 0, 0};
+    const int row = stack.mapping().to_physical(victim);
+    auto& bk = stack.bank(bank);
+    const auto stored = bk.stored_row(row);
+    const DoseLedger* ledger = bk.ledger(row);
+    EXPECT_TRUE(stored.has_value() && ledger != nullptr);
+    if (!stored || ledger == nullptr) return {};
+    return oracle::per_cell_sense(
+        stack.fault_model(), bank, row, stored->bits, *ledger,
+        dram::cycles_to_seconds(now - stored->last_restore),
+        stack.temperature());
   }
 };
 
 TEST(ThresholdCache, CachedSenseIsBitIdenticalToFullScan) {
   for (const std::uint64_t pulses :
        {std::uint64_t{20000}, std::uint64_t{80000}, std::uint64_t{300000}}) {
-    StackFixture cold;
     StackFixture cached(std::make_shared<ThresholdCache>());
-    const auto a = cold.hammer_and_sense(128, pulses);
-    const auto b = cached.hammer_and_sense(128, pulses);
-    EXPECT_EQ(a.count_diff(b), 0) << "pulses=" << pulses;
-    EXPECT_EQ(cold.stack.total_counters().bitflips_materialized,
-              cached.stack.total_counters().bitflips_materialized)
+    cached.hammer(128, pulses);
+    const auto expected = cached.oracle_sense(128);
+    const auto flips_before =
+        cached.stack.total_counters().bitflips_materialized;
+    const auto got = cached.read_row({{0, 0, 0}, 128});
+    EXPECT_EQ(got.count_diff(expected), 0) << "pulses=" << pulses;
+    // The victim held its freshly written pattern until this read.
+    EXPECT_EQ(cached.stack.total_counters().bitflips_materialized -
+                  flips_before,
+              static_cast<std::uint64_t>(
+                  got.count_diff(dram::RowBits::filled(0x55))))
         << "pulses=" << pulses;
   }
 }

@@ -25,7 +25,8 @@ struct TestBank {
   disturb::FaultModel fault{test_params()};
   Environment env{60.0};
   TimingParams timing{};
-  Bank bank{kAddr, &fault, &env, timing};
+  disturb::BankThresholdCache cache{kAddr, 16};
+  Bank bank{kAddr, &fault, &env, timing, cache};
   Cycle now = 1000;
 
   void write_row(int row, const RowBits& bits) {

@@ -1,6 +1,6 @@
 // Per-cell reference sense: the test oracle for dram::Bank's production
-// sense paths (the candidate-prefix scan and the word-parallel bitplane
-// scan).
+// sense (a word-parallel loop over a candidate mask built from the row's
+// threshold summary).
 //
 // Given a row's pre-sense bits, its dose ledger, the time since its last
 // restore and the chip temperature, per_cell_sense() returns the bits a
