@@ -1,6 +1,7 @@
 #include "bender/executor.h"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 
 namespace hbmrd::bender {
@@ -30,19 +31,21 @@ dram::RowBits ExecutionResult::row(std::size_t index) const {
 Executor::Executor(dram::Stack* stack) : stack_(stack) {
   if (stack_ == nullptr) throw std::invalid_argument("Executor: null stack");
   timing_ = stack_->timing();
-  bank_sched_.resize(static_cast<std::size_t>(dram::kChannels) *
-                     dram::kPseudoChannels * dram::kBanksPerPseudoChannel);
+  bank_sched_.resize(dram::kBanks);
   channel_ref_ok_.resize(dram::kChannels, 0);
 }
 
 Executor::BankSchedule& Executor::sched(const dram::BankAddress& bank) {
   dram::validate(bank);
-  const auto index =
-      (static_cast<std::size_t>(bank.channel) * dram::kPseudoChannels +
-       static_cast<std::size_t>(bank.pseudo_channel)) *
-          dram::kBanksPerPseudoChannel +
-      static_cast<std::size_t>(bank.bank);
-  return bank_sched_[index];
+  return bank_sched_[dram::flat_bank_index(bank)];
+}
+
+std::span<Executor::BankSchedule> Executor::channel_sched(int channel) {
+  if (channel < 0 || channel >= dram::kChannels) {
+    throw std::out_of_range("channel index");
+  }
+  return {bank_sched_.data() + dram::channel_first_bank(channel),
+          dram::kBanksPerChannel};
 }
 
 const Executor::BankSchedule& Executor::sched(
@@ -83,21 +86,16 @@ void Executor::exec_pre(const PreInstr& instr) {
 void Executor::exec_pre_all(const PreAllInstr& instr) {
   ++counters_.pres;
   // Schedule the PREA at a cycle legal for every open bank of the channel.
+  const std::span<BankSchedule> banks = channel_sched(instr.channel);
   dram::Cycle t = clock_;
-  for (int pc = 0; pc < dram::kPseudoChannels; ++pc) {
-    for (int bk = 0; bk < dram::kBanksPerPseudoChannel; ++bk) {
-      const BankSchedule& b = sched({instr.channel, pc, bk});
-      if (b.open) t = std::max(t, b.pre_ok);
-    }
+  for (const BankSchedule& b : banks) {
+    if (b.open) t = std::max(t, b.pre_ok);
   }
   stack_->precharge_all(instr.channel, t);
-  for (int pc = 0; pc < dram::kPseudoChannels; ++pc) {
-    for (int bk = 0; bk < dram::kBanksPerPseudoChannel; ++bk) {
-      BankSchedule& b = sched({instr.channel, pc, bk});
-      if (b.open) {
-        b.open = false;
-        b.act_ok = std::max(b.act_ok, t + timing_.t_rp);
-      }
+  for (BankSchedule& b : banks) {
+    if (b.open) {
+      b.open = false;
+      b.act_ok = std::max(b.act_ok, t + timing_.t_rp);
     }
   }
   clock_ = t + kIssueCycles;
@@ -126,21 +124,15 @@ void Executor::exec_ref(const RefInstr& instr) {
     throw std::out_of_range("REF channel");
   }
   ++counters_.refs;
+  const std::span<BankSchedule> banks = channel_sched(instr.channel);
   dram::Cycle t = std::max(
       clock_, channel_ref_ok_[static_cast<std::size_t>(instr.channel)]);
-  for (int pc = 0; pc < dram::kPseudoChannels; ++pc) {
-    for (int bk = 0; bk < dram::kBanksPerPseudoChannel; ++bk) {
-      t = std::max(t, sched({instr.channel, pc, bk}).act_ok);
-    }
-  }
+  for (const BankSchedule& b : banks) t = std::max(t, b.act_ok);
   stack_->refresh(instr.channel, t);
   channel_ref_ok_[static_cast<std::size_t>(instr.channel)] =
       t + timing_.t_rfc;
-  for (int pc = 0; pc < dram::kPseudoChannels; ++pc) {
-    for (int bk = 0; bk < dram::kBanksPerPseudoChannel; ++bk) {
-      BankSchedule& b = sched({instr.channel, pc, bk});
-      b.act_ok = std::max(b.act_ok, t + timing_.t_rfc);
-    }
+  for (BankSchedule& b : banks) {
+    b.act_ok = std::max(b.act_ok, t + timing_.t_rfc);
   }
   clock_ = t + kIssueCycles;
 }

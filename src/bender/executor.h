@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "bender/program.h"
@@ -110,6 +111,8 @@ class Executor {
  private:
   BankSchedule& sched(const dram::BankAddress& bank);
   [[nodiscard]] const BankSchedule& sched(const dram::BankAddress& bank) const;
+  /// The schedules of one channel's banks; throws on a bad channel.
+  std::span<BankSchedule> channel_sched(int channel);
 
   void exec_act(const ActInstr& instr);
   void exec_pre(const PreInstr& instr);

@@ -1,13 +1,17 @@
 // Disturbance-dose bookkeeping for one victim row.
 //
 // A victim accumulates dose *epochs*: scalar doses tagged with the aggressor
-// distance and a snapshot of the aggressor's contents at the time of the
-// activations. Keeping the aggressor bits per epoch (instead of per cell)
-// lets the device model stay O(touched rows) in memory while still applying
-// bit-exact data-pattern coupling at sense time.
+// distance and the aggressor's contents at the time of the activations.
+// Keeping the aggressor bits per epoch (instead of per cell) lets the device
+// model stay O(touched rows) in memory while still applying bit-exact
+// data-pattern coupling at sense time. An epoch holds the aggressor's
+// contents by reference: the bank never mutates a contents buffer that is
+// shared (it copies on write), so every epoch opened while the aggressor's
+// contents were unchanged shares one immutable 1 KiB copy with the row.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "dram/row_data.h"
@@ -32,8 +36,12 @@ struct DoseEpoch {
   /// n and m activations yields bit-for-bit the same epoch as one window
   /// of n + m, which the checkpointed incremental HC search relies on.
   std::uint64_t count = 0;
-  /// Aggressor contents during these activations.
-  dram::RowBits aggressor_bits;
+  /// Aggressor contents during these activations, shared with the
+  /// aggressor row; null = the aggressor's power-on contents (it was
+  /// activated without ever being read or written). The aggressor is row
+  /// `victim + distance`. Materializing contents keeps the version, so
+  /// epochs merged across it hold equal contents either way.
+  std::shared_ptr<const dram::RowBits> aggressor_bits;
 
   [[nodiscard]] double dose() const {
     return unit * static_cast<double>(count);
@@ -46,18 +54,10 @@ struct DoseEpoch {
 class DoseLedger {
  public:
   void add(int distance, std::uint64_t aggressor_version,
-           const dram::RowBits& aggressor_bits, double unit,
-           std::uint64_t count = 1) {
-    if (!epochs_.empty()) {
-      auto& last = epochs_.back();
-      if (last.distance == distance &&
-          last.aggressor_version == aggressor_version && last.unit == unit) {
-        last.count += count;
-        return;
-      }
-    }
-    // A new epoch for the same (distance, version, unit) that is not the
-    // most recent one can still merge: scan backwards (lists stay tiny).
+           const std::shared_ptr<const dram::RowBits>& aggressor_bits,
+           double unit, std::uint64_t count = 1) {
+    // Scan backwards (lists stay tiny): the most recent epoch is the common
+    // match during hammering, but an older one can still merge.
     for (auto it = epochs_.rbegin(); it != epochs_.rend(); ++it) {
       if (it->distance == distance &&
           it->aggressor_version == aggressor_version && it->unit == unit) {

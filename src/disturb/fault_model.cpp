@@ -223,8 +223,12 @@ double FaultModel::temperature_vulnerability(double temperature_c) const {
 std::uint64_t FaultModel::power_on_word(const dram::BankAddress& bank,
                                         int physical_row,
                                         int word_index) const {
-  return hash_key(p_.seed, kTagPowerOn, bank_key(bank), physical_row,
-                  word_index);
+  return power_on_word_at(power_on_prefix(bank, physical_row), word_index);
+}
+
+std::uint64_t FaultModel::power_on_prefix(const dram::BankAddress& bank,
+                                          int physical_row) const {
+  return hash_key(p_.seed, kTagPowerOn, bank_key(bank), physical_row);
 }
 
 bool FaultModel::power_on_bit(const dram::BankAddress& bank, int physical_row,
@@ -313,6 +317,15 @@ void FaultModel::fill_retention_uniform_row(
           ((plane >> b) & 1u) ? leaky_prefix : normal_prefix;
       out[base + b] = util::to_unit(util::mix64(prefix ^ (base + b)));
     }
+  }
+}
+
+void FaultModel::fill_power_on_row(const dram::BankAddress& bank,
+                                   int physical_row,
+                                   std::span<std::uint64_t> out) const {
+  const std::uint64_t prefix = power_on_prefix(bank, physical_row);
+  for (std::size_t w = 0; w < out.size(); ++w) {
+    out[w] = power_on_word_at(prefix, static_cast<int>(w));
   }
 }
 

@@ -19,6 +19,7 @@
 #include "disturb/params.h"
 #include "dram/geometry.h"
 #include "dram/timing.h"
+#include "util/rng.h"
 
 namespace hbmrd::disturb {
 
@@ -106,6 +107,15 @@ class FaultModel {
                                             int physical_row,
                                             int word_index) const;
 
+  /// Hoisted per-row prefix of power_on_word: a row's words then cost one
+  /// mix each (power_on_word_at), bit-identical to power_on_word.
+  [[nodiscard]] std::uint64_t power_on_prefix(const dram::BankAddress& bank,
+                                              int physical_row) const;
+  [[nodiscard]] static std::uint64_t power_on_word_at(
+      std::uint64_t prefix, int word_index) noexcept {
+    return util::mix64(prefix ^ static_cast<std::uint64_t>(word_index));
+  }
+
   // -- Fast sense-path primitives -------------------------------------------
   // For either population, threshold <= dose is equivalent to
   //   cell_threshold_uniform(...) <= normal_cdf(ln(dose / median) / sigma)
@@ -177,6 +187,11 @@ class FaultModel {
                                          std::span<const std::uint64_t>
                                              leaky_plane,
                                          std::span<double> out) noexcept;
+
+  /// Fills a row's power-on contents (power_on_word of every word) from
+  /// one hoisted prefix; `out` spans kRowBits/64 words.
+  void fill_power_on_row(const dram::BankAddress& bank, int physical_row,
+                         std::span<std::uint64_t> out) const;
 
   /// Conservative lower bound on any cell threshold of any row of this
   /// chip (5-sigma process-variation margins, 6-sigma cell margin). Doses

@@ -104,11 +104,11 @@ RowThresholdSummary build_row_summary(const FaultModel& model,
   FaultModel::fill_retention_uniform_row(prefixes.leaky_retention,
                                          prefixes.normal_retention,
                                          s.leaky_plane, s.retention_u);
+  model.fill_power_on_row(bank, physical_row, s.power_on);
   for (int w = 0; w < RowThresholdSummary::kPlaneWords; ++w) {
     const auto wi = static_cast<std::size_t>(w);
     // Same membership precedence as the sense scan: outlier wins over weak.
     s.weak_plane[wi] &= ~s.outlier_plane[wi];
-    s.power_on[wi] = model.power_on_word(bank, physical_row, w);
     const std::uint64_t t = s.true_plane[wi];
     const std::uint64_t l = s.leaky_plane[wi];
     const std::uint64_t o = s.outlier_plane[wi];

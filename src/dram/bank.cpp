@@ -13,6 +13,9 @@ namespace hbmrd::dram {
 
 namespace {
 
+/// Slab indices of the flat row table are int16_t: every row fits.
+static_assert(kRowsPerBank <= 32768);
+
 /// Retention decay is only evaluated when a row went unrefreshed for longer
 /// than this floor. Manufacturers guarantee no retention errors within the
 /// 32 ms refresh window (Sec. 3.1); the floor sits just above tREFW so the
@@ -83,6 +86,8 @@ struct Bank::SenseArena {
   std::vector<ClassEntry> classes;
   /// Per-epoch dose terms, indexed [same * 2 + intra].
   std::vector<std::array<double, 4>> epoch_terms;
+  /// Per-epoch power_on_prefix of the aggressor, for null snapshots.
+  std::vector<std::uint64_t> epoch_power_on;
 
   /// Scratch for bulk_hammer's sorted hammered-row lookup.
   std::vector<int> hammered_rows;
@@ -120,51 +125,80 @@ void Bank::check_row(int physical_row) const {
 
 Bank::RowState& Bank::state(int physical_row, Cycle now) {
   check_row(physical_row);
-  auto [it, inserted] = rows_.try_emplace(physical_row);
-  if (inserted) {
-    RowState& rs = it->second;
-    auto words = rs.bits.words();
-    // A cached summary carries the row's power-on plane verbatim; fresh
-    // materialization of a cached row skips the per-word hash pass.
-    const disturb::RowThresholdSummary* cached =
-        threshold_cache_->peek(physical_row);
+  if (slot_.empty()) slot_.assign(static_cast<std::size_t>(kRowsPerBank), -1);
+  auto& slot = slot_[static_cast<std::size_t>(physical_row)];
+  if (slot >= 0) {
+    RowState& rs = rows_[static_cast<std::size_t>(slot)];
+    cow_touch(rs);
+    return rs;
+  }
+  slot = static_cast<std::int16_t>(rows_.size());
+  RowState& rs = rows_.emplace_back();
+  rs.row = physical_row;
+  rs.last_restore = now;
+  if (!layers_.empty()) {
+    // The row had no state at push time: record an erase pre-image.
+    layers_.back().pre.emplace_back(physical_row, std::nullopt);
+    rs.cow_epoch = cow_epoch_;
+  }
+  return rs;
+}
+
+Bank::RowState* Bank::find_state(int physical_row) {
+  const int slot = slot_of(physical_row);
+  if (slot < 0) return nullptr;
+  RowState& rs = rows_[static_cast<std::size_t>(slot)];
+  cow_touch(rs);
+  return &rs;
+}
+
+void Bank::erase_state(int physical_row) {
+  const int slot = slot_of(physical_row);
+  if (slot < 0) return;
+  const auto index = static_cast<std::size_t>(slot);
+  if (index + 1 != rows_.size()) {
+    rows_[index] = std::move(rows_.back());
+    slot_[static_cast<std::size_t>(rows_[index].row)] =
+        static_cast<std::int16_t>(slot);
+  }
+  rows_.pop_back();
+  slot_[static_cast<std::size_t>(physical_row)] = -1;
+}
+
+const RowBits& Bank::contents(RowState& rs) {
+  if (!rs.bits) {
+    auto bits = std::make_shared<RowBits>();
+    auto words = bits->words();
+    // A cached summary carries the row's power-on plane verbatim; a cached
+    // row skips the per-word hash pass.
+    const disturb::RowThresholdSummary* cached = threshold_cache_->peek(rs.row);
     if (cached != nullptr) {
       std::copy(cached->power_on.begin(), cached->power_on.end(),
                 words.begin());
     } else {
-      for (int w = 0; w < RowBits::kWords; ++w) {
-        words[static_cast<std::size_t>(w)] =
-            fault_->power_on_word(address_, physical_row, w);
-      }
+      fault_->fill_power_on_row(address_, rs.row, words);
     }
-    rs.last_restore = now;
-    if (!layers_.empty()) {
-      // The row had no state at push time: record an erase pre-image.
-      layers_.back().pre.emplace(physical_row, std::nullopt);
-      rs.cow_epoch = cow_epoch_;
-    }
-  } else {
-    cow_touch(physical_row, it->second);
+    rs.bits = std::move(bits);
   }
-  return it->second;
-}
-
-Bank::RowState* Bank::find_state(int physical_row) {
-  const auto it = rows_.find(physical_row);
-  if (it == rows_.end()) return nullptr;
-  cow_touch(physical_row, it->second);
-  return &it->second;
+  return *rs.bits;
 }
 
 const disturb::DoseLedger* Bank::ledger(int physical_row) const {
-  const auto it = rows_.find(physical_row);
-  return it == rows_.end() ? nullptr : &it->second.ledger;
+  const int slot = slot_of(physical_row);
+  return slot < 0 ? nullptr : &rows_[static_cast<std::size_t>(slot)].ledger;
 }
 
 std::optional<Bank::StoredRow> Bank::stored_row(int physical_row) const {
-  const auto it = rows_.find(physical_row);
-  if (it == rows_.end()) return std::nullopt;
-  return StoredRow{it->second.bits, it->second.last_restore};
+  const int slot = slot_of(physical_row);
+  if (slot < 0) return std::nullopt;
+  const RowState& rs = rows_[static_cast<std::size_t>(slot)];
+  StoredRow stored{{}, rs.last_restore};
+  if (rs.bits) {
+    stored.bits = *rs.bits;
+  } else {
+    fault_->fill_power_on_row(address_, physical_row, stored.bits.words());
+  }
+  return stored;
 }
 
 std::size_t Bank::push_checkpoint() {
@@ -189,19 +223,26 @@ void Bank::restore_checkpoint(std::size_t index) {
   // row lands on its value as of the target push.
   for (std::size_t j = layers_.size(); j-- > index;) {
     for (auto& [row, pre] : layers_[j].pre) {
-      if (pre) {
-        if (pre->min_retention_ref_s < 0) {
-          // The retention floor is a pure function of the row's fixed cell
-          // parameters, so a value computed after the push is still valid
-          // before it — keep it instead of rescanning 8K cells per probe.
-          if (const auto it = rows_.find(row); it != rows_.end()) {
-            pre->min_retention_ref_s = it->second.min_retention_ref_s;
-          }
-        }
-        rows_.insert_or_assign(row, std::move(*pre));
-      } else {
-        rows_.erase(row);
+      if (!pre) {
+        erase_state(row);
+        continue;
       }
+      const int slot = slot_of(row);
+      if (slot < 0) {
+        // slot_ exists: a pre-image was recorded from a live state.
+        slot_[static_cast<std::size_t>(row)] =
+            static_cast<std::int16_t>(rows_.size());
+        rows_.push_back(std::move(*pre));
+        continue;
+      }
+      RowState& current = rows_[static_cast<std::size_t>(slot)];
+      if (pre->min_retention_ref_s < 0) {
+        // The retention floor is a pure function of the row's fixed cell
+        // parameters, so a value computed after the push is still valid
+        // before it — keep it instead of rescanning 8K cells per probe.
+        pre->min_retention_ref_s = current.min_retention_ref_s;
+      }
+      current = std::move(*pre);
     }
   }
   const CheckpointLayer& target = layers_[index];
@@ -228,6 +269,7 @@ void Bank::drop_row_states() {
         "drop_row_states: checkpoints active (pre-images would dangle)");
   }
   rows_.clear();
+  slot_.clear();
 }
 
 int Bank::open_row() const {
@@ -361,10 +403,13 @@ void Bank::sense_and_restore(int physical_row, RowState& row, Cycle now) {
   // Word loop over the non-empty mask words: per-cell predicates become
   // 64-wide mask operations, the candidates' dose folds collapse into a
   // handful of dose classes per word, and flips apply as one XOR per word.
-  // Flips are decided against a snapshot so that materializing one flip
-  // does not change a neighbouring cell's intra-row coupling mid-scan.
-  const RowBits snapshot = row.bits;
-  const std::uint64_t* sw = snapshot.words().data();
+  // Flips are decided against the pre-sense contents, read in place; they
+  // go into a fresh buffer, copied at the first flipping word, so one flip
+  // never changes a neighbouring cell's intra-row coupling mid-scan and
+  // buffers shared with dose epochs or pre-images stay intact.
+  const std::uint64_t* sw =
+      row.bits ? row.bits->words().data() : summary.power_on.data();
+  std::shared_ptr<RowBits> sensed;
   const auto& epochs = row.ledger.epochs();
   const std::size_t n_epochs = epochs.size();
   a.classes.clear();
@@ -373,12 +418,19 @@ void Bank::sense_and_restore(int physical_row, RowState& row, Cycle now) {
     // only on victim/aggressor equality, so coupling(true, same, intra)
     // yields the identical double.
     a.epoch_terms.resize(n_epochs);
+    a.epoch_power_on.resize(n_epochs);
     for (std::size_t ei = 0; ei < n_epochs; ++ei) {
       const auto& e = epochs[ei];
       for (int k = 0; k < 4; ++k) {
         a.epoch_terms[ei][static_cast<std::size_t>(k)] =
             e.dose() * fault_->distance_factor(e.distance) *
             fault_->coupling(true, (k & 2) != 0, (k & 1) != 0);
+      }
+      // A null snapshot is the power-on contents of the aggressor, row
+      // victim + distance.
+      if (!e.aggressor_bits) {
+        a.epoch_power_on[ei] =
+            fault_->power_on_prefix(address_, physical_row + e.distance);
       }
     }
   }
@@ -401,7 +453,6 @@ void Bank::sense_and_restore(int physical_row, RowState& row, Cycle now) {
     return p;
   };
 
-  bool changed = false;
   for (int w = 0; w < RowBits::kWords; ++w) {
     const auto wi = static_cast<std::size_t>(w);
     const std::uint64_t mask = a.candidates[wi];
@@ -452,8 +503,12 @@ void Bank::sense_and_restore(int physical_row, RowState& row, Cycle now) {
       if ((cand & intra) != 0) cur[n_cur++] = {cand & intra, true, 0.0};
       if ((cand & ~intra) != 0) cur[n_cur++] = {cand & ~intra, false, 0.0};
       for (std::size_t ei = 0; ei < n_epochs; ++ei) {
-        const std::uint64_t same =
-            ~(v ^ epochs[ei].aggressor_bits.words()[wi]);
+        const auto& aggressor = epochs[ei].aggressor_bits;
+        const std::uint64_t aggressor_word =
+            aggressor ? aggressor->words()[wi]
+                      : disturb::FaultModel::power_on_word_at(
+                            a.epoch_power_on[ei], w);
+        const std::uint64_t same = ~(v ^ aggressor_word);
         const auto& terms = a.epoch_terms[ei];
         int n_nxt = 0;
         for (int g = 0; g < n_cur; ++g) {
@@ -493,15 +548,21 @@ void Bank::sense_and_restore(int physical_row, RowState& row, Cycle now) {
     }
 
     if (flips != 0) {
+      if (!sensed) {
+        sensed = std::make_shared<RowBits>();
+        std::copy(sw, sw + RowBits::kWords, sensed->words().begin());
+      }
       // Flips only discharge charged cells, so the XOR is exactly the
       // per-cell set(bit, !value).
-      row.bits.words()[wi] ^= flips;
+      sensed->words()[wi] ^= flips;
       counters_.bitflips_materialized +=
           static_cast<std::uint64_t>(std::popcount(flips));
-      changed = true;
     }
   }
-  if (changed) ++row.version;
+  if (sensed) {
+    row.bits = std::move(sensed);
+    ++row.version;
+  }
 
   row.ledger.clear();
   row.last_restore = now;
@@ -550,10 +611,9 @@ double Bank::min_retention_ref_seconds(int physical_row) {
   return minimum;
 }
 
-void Bank::disturb_neighbors(int aggressor_row, const RowState& /*aggressor*/,
-                             double dose, Cycle now) {
-  // First make sure every victim state exists; creating states can rehash
-  // the map, so the aggressor is re-looked-up afterwards.
+void Bank::disturb_neighbors(int aggressor_row, double dose, Cycle now) {
+  // First make sure every victim state exists; creating states can grow
+  // the table, so the aggressor is looked up afterwards.
   static constexpr int kDistances[] = {-2, -1, 1, 2};
   for (int d : kDistances) {
     const int victim = aggressor_row + d;
@@ -593,22 +653,24 @@ void Bank::precharge(Cycle now) {
   checker_.on_precharge(now);
   const int aggressor = *open_row_;
   open_row_.reset();
-  const double dose = fault_->taggon_factor(on_cycles);
-  RowState* aggr = find_state(aggressor);
-  disturb_neighbors(aggressor, *aggr, dose, now);
+  disturb_neighbors(aggressor, fault_->taggon_factor(on_cycles), now);
 }
 
 void Bank::read_column(int column, std::span<std::uint64_t> out, Cycle now) {
   checker_.on_read(now);
-  find_state(open_row())->bits.get_column(column, out);
+  contents(*find_state(open_row())).get_column(column, out);
 }
 
 void Bank::write_column(int column, std::span<const std::uint64_t> data,
                         Cycle now) {
   checker_.on_write(now);
-  RowState* rs = find_state(open_row());
-  rs->bits.set_column(column, data);
-  ++rs->version;
+  RowState& rs = *find_state(open_row());
+  // Copy on write: dose epochs and checkpoint pre-images may share the
+  // current buffer.
+  if (rs.bits.use_count() > 1) rs.bits = std::make_shared<RowBits>(*rs.bits);
+  (void)contents(rs);
+  rs.bits->set_column(column, data);
+  ++rs.version;
 }
 
 void Bank::refresh_row(int physical_row, Cycle now) {
@@ -622,10 +684,14 @@ void Bank::refresh_row(int physical_row, Cycle now) {
 void Bank::refresh(Cycle now) {
   checker_.on_refresh(now);
   ++counters_.refresh_commands;
-  for (int i = 0; i < timing_.rows_per_ref(); ++i) {
-    refresh_row(refresh_pointer_, now);
-    refresh_pointer_ = (refresh_pointer_ + 1) % kRowsPerBank;
+  // Most banks of a refreshed channel hold no row state; skipping their
+  // per-row lookups is worth ~30 % of arena_mix throughput.
+  if (!rows_.empty()) {
+    for (int i = 0; i < timing_.rows_per_ref(); ++i) {
+      refresh_row((refresh_pointer_ + i) % kRowsPerBank, now);
+    }
   }
+  refresh_pointer_ = (refresh_pointer_ + timing_.rows_per_ref()) % kRowsPerBank;
   if (defense_) {
     for (int victim : defense_->on_refresh(now)) {
       if (victim < 0 || victim >= kRowsPerBank) continue;
@@ -636,9 +702,8 @@ void Bank::refresh(Cycle now) {
       // vector of Sec. 8.1. (Pointer refreshes are modeled as
       // disturbance-free to keep long refresh runs O(touched rows);
       // their per-row rate is 2 per tREFW and physically negligible.)
-      if (RowState* rs = find_state(victim)) {
-        disturb_neighbors(victim, *rs,
-                          fault_->taggon_factor(timing_.t_ras), now);
+      if (slot_of(victim) >= 0) {
+        disturb_neighbors(victim, fault_->taggon_factor(timing_.t_ras), now);
       }
     }
   }
@@ -735,7 +800,7 @@ Cycle Bank::bulk_hammer(std::span<const HammerStep> steps,
     RowState& rs = state(hr.row, start);
     sense_and_restore(hr.row, rs, start + hr.first_offset);
   }
-  // Materialize all victim states up front (inserts may rehash), then
+  // Create all victim states up front (inserts may grow the table), then
   // resolve the pointers once; no inserts happen after this block.
   for (const auto& hr : rows_hit) {
     for (int d : kDistances) {

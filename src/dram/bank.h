@@ -4,14 +4,19 @@
 //
 // Memory model: only rows that have been touched (written, activated, or
 // disturbed) carry state; everything else is implicit (power-on contents,
-// fully charged). A touched row costs ~1 KiB plus its dose epochs.
+// fully charged). A row state is a small record plus its dose epochs, held
+// in a flat per-bank table. Its 1 KiB contents are materialized only when a
+// column is read or written or a sense flips a cell; until then they are
+// the row's power-on contents. Contents are copy-on-write: one immutable
+// buffer is shared by the row, by every dose epoch it opened as an
+// aggressor and by checkpoint pre-images, and a writer copies it first.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "disturb/dose.h"
@@ -168,18 +173,22 @@ class Bank {
 
   /// Stored contents and last restore time of a row.
   struct StoredRow {
-    const RowBits& bits;
+    RowBits bits;
     Cycle last_restore;
   };
 
   /// A row's stored state, if it has any (tests/diagnostics only: the
-  /// per-cell sense oracle starts from it). `bits` refers into the bank and
-  /// is valid until the next command or checkpoint operation.
+  /// per-cell sense oracle starts from it). Contents that were never
+  /// materialized are returned as the row's power-on contents; the call
+  /// neither materializes them nor consults the threshold cache.
   [[nodiscard]] std::optional<StoredRow> stored_row(int physical_row) const;
 
  private:
   struct RowState {
-    RowBits bits;
+    /// Contents; null = the row's power-on contents, not yet materialized.
+    /// Never mutated while shared (use_count() > 1): writers copy first, so
+    /// dose epochs and checkpoint pre-images can hold the same buffer.
+    std::shared_ptr<RowBits> bits;
     Cycle last_restore = 0;
     std::uint64_t version = 0;
     disturb::DoseLedger ledger;
@@ -190,26 +199,48 @@ class Bank {
     /// Copy-on-write generation whose top layer already holds this row's
     /// pre-image (0 = none); see cow_touch().
     std::uint64_t cow_epoch = 0;
+    /// Physical row of this state (the table erases by swapping the last
+    /// entry into the hole, which must re-point that entry's slot).
+    int row = 0;
   };
 
   /// One checkpoint: lazily collected row pre-images (nullopt = the row had
-  /// no state at push time) plus the bank scalars captured eagerly.
+  /// no state at push time; at most one per row, see cow_touch()) plus the
+  /// bank scalars captured eagerly.
   struct CheckpointLayer {
-    std::unordered_map<int, std::optional<RowState>> pre;
+    std::vector<std::pair<int, std::optional<RowState>>> pre;
     int refresh_pointer = 0;
     BankTimingChecker checker;
     std::unique_ptr<ReadDisturbDefense> defense;  // clone; null if none
   };
 
+  /// The row's state, created (dose-only: no contents) if it has none.
+  /// Creating a state can grow the table and so invalidates every other
+  /// RowState pointer and reference.
   RowState& state(int physical_row, Cycle now);
   [[nodiscard]] RowState* find_state(int physical_row);
+  /// Index of the row's state in rows_, or -1 (also for rows outside the
+  /// bank). No copy-on-write bookkeeping: for lookups that change nothing.
+  [[nodiscard]] int slot_of(int physical_row) const {
+    if (slot_.empty() || physical_row < 0 || physical_row >= kRowsPerBank) {
+      return -1;
+    }
+    return slot_[static_cast<std::size_t>(physical_row)];
+  }
+  /// Removes the row's state: the last table entry moves into its slot.
+  void erase_state(int physical_row);
+
+  /// The row's contents, materialized from its power-on contents first if
+  /// it has none (one threshold-cache peek). Read-only: may be shared.
+  const RowBits& contents(RowState& rs);
 
   /// Records `rs`'s pre-image into the top checkpoint layer if it has not
   /// been recorded since the layer became top. Called from every state
-  /// lookup, so each mutation site is covered by construction.
-  void cow_touch(int physical_row, RowState& rs) {
+  /// lookup, so each mutation site is covered by construction. The
+  /// pre-image shares the row's contents buffer instead of copying it.
+  void cow_touch(RowState& rs) {
     if (layers_.empty() || rs.cow_epoch == cow_epoch_) return;
-    layers_.back().pre.emplace(physical_row, rs);
+    layers_.back().pre.emplace_back(rs.row, rs);
     rs.cow_epoch = cow_epoch_;
   }
 
@@ -225,16 +256,17 @@ class Bank {
   /// bits, then clears the dose ledger and resets the retention clock.
   /// Three stages: the deterministic early-outs; a candidate mask built
   /// from the row summary's sorted population prefixes; one word loop that
-  /// decides the candidates 64 cells at a time.
+  /// decides the candidates 64 cells at a time. The loop reads the
+  /// pre-sense contents in place (the summary's power-on plane for a row
+  /// without contents) and writes flips into a fresh buffer.
   void sense_and_restore(int physical_row, RowState& row, Cycle now);
 
   /// Minimum cell retention of a row at the reference temperature.
   [[nodiscard]] double min_retention_ref_seconds(int physical_row);
 
   /// Applies the disturbance of one aggressor activation burst to the
-  /// aggressor's in-subarray neighbours.
-  void disturb_neighbors(int aggressor_row, const RowState& aggressor,
-                         double dose, Cycle now);
+  /// aggressor's in-subarray neighbours. The aggressor must have state.
+  void disturb_neighbors(int aggressor_row, double dose, Cycle now);
 
   void check_row(int physical_row) const;
 
@@ -246,7 +278,11 @@ class Bank {
 
   std::optional<int> open_row_;
   int refresh_pointer_ = 0;
-  std::unordered_map<int, RowState> rows_;
+  /// Flat row table: slot_[row] indexes rows_ (-1 = no state). Allocated
+  /// with kRowsPerBank entries on the bank's first row state, so banks
+  /// that are never touched stay small.
+  std::vector<std::int16_t> slot_;
+  std::vector<RowState> rows_;
   /// Active checkpoint ladder (oldest first) and the generation counter
   /// that invalidates RowState::cow_epoch tags; bumped on every push and
   /// restore so stale tags never suppress a needed pre-image copy.

@@ -11,6 +11,7 @@
 
 #include <array>
 #include <compare>
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 
@@ -49,6 +50,25 @@ struct RowAddress {
 /// Throws std::out_of_range if the address does not exist in the geometry.
 void validate(const BankAddress& addr);
 void validate(const RowAddress& addr);
+
+inline constexpr int kBanksPerChannel =
+    kPseudoChannels * kBanksPerPseudoChannel;
+inline constexpr int kBanks = kChannels * kBanksPerChannel;
+
+/// Per-bank tables are channel-major: a channel's kBanksPerChannel banks
+/// are contiguous from channel_first_bank(channel).
+[[nodiscard]] constexpr std::size_t channel_first_bank(int channel) noexcept {
+  return static_cast<std::size_t>(channel) * kBanksPerChannel;
+}
+
+/// Index of a valid bank in a per-bank table, in [0, kBanks).
+[[nodiscard]] constexpr std::size_t flat_bank_index(
+    const BankAddress& addr) noexcept {
+  return channel_first_bank(addr.channel) +
+         static_cast<std::size_t>(addr.pseudo_channel) *
+             kBanksPerPseudoChannel +
+         static_cast<std::size_t>(addr.bank);
+}
 
 /// The die a channel is stacked on (channel pairs share a die).
 [[nodiscard]] constexpr int die_of_channel(int channel) noexcept {
@@ -94,15 +114,27 @@ static_assert(subarray_start(kSubarrays - 1) +
                   subarray_size(kSubarrays - 1) ==
               kRowsPerBank);
 
-/// Subarray index that contains a physical row.
-[[nodiscard]] constexpr int subarray_of_row(int physical_row) {
-  int start = 0;
-  for (int s = 0; s < kSubarrays; ++s) {
-    const int size = subarray_size(s);
-    if (physical_row < start + size) return s;
-    start += size;
+namespace detail {
+/// Subarray of every physical row, built once at compile time.
+inline constexpr auto kSubarrayOfRow = [] {
+  std::array<std::int8_t, kRowsPerBank> table{};
+  int subarray = 0;
+  int end = subarray_size(0);
+  for (int row = 0; row < kRowsPerBank; ++row) {
+    if (row == end) end += subarray_size(++subarray);
+    table[static_cast<std::size_t>(row)] =
+        static_cast<std::int8_t>(subarray);
   }
-  return kSubarrays - 1;  // unreachable for valid rows
+  return table;
+}();
+}  // namespace detail
+
+/// Subarray index that contains a physical row. Rows below the bank map to
+/// the first subarray, rows beyond it to the last.
+[[nodiscard]] constexpr int subarray_of_row(int physical_row) {
+  if (physical_row < 0) return 0;
+  if (physical_row >= kRowsPerBank) return kSubarrays - 1;
+  return detail::kSubarrayOfRow[static_cast<std::size_t>(physical_row)];
 }
 
 /// Row position inside its subarray, in [0, subarray_size).

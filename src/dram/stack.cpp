@@ -14,15 +14,14 @@ Stack::Stack(StackConfig config)
       mapping_(config.mapping),
       timing_(config.timing),
       env_{config.initial_temperature_c} {
-  banks_.reserve(static_cast<std::size_t>(kChannels) * kPseudoChannels *
-                 kBanksPerPseudoChannel);
-  std::size_t flat_index = 0;
+  banks_.reserve(kBanks);
   for (int ch = 0; ch < kChannels; ++ch) {
     for (int pc = 0; pc < kPseudoChannels; ++pc) {
       for (int b = 0; b < kBanksPerPseudoChannel; ++b) {
         const BankAddress addr{ch, pc, b};
-        banks_.emplace_back(addr, &fault_, &env_, timing_,
-                            threshold_cache_->bank(addr, flat_index++));
+        banks_.emplace_back(
+            addr, &fault_, &env_, timing_,
+            threshold_cache_->bank(addr, flat_bank_index(addr)));
         if (config.defense_factory) {
           banks_.back().set_defense(config.defense_factory(addr));
         }
@@ -33,10 +32,14 @@ Stack::Stack(StackConfig config)
 
 std::size_t Stack::bank_index(const BankAddress& address) const {
   validate(address);
-  return (static_cast<std::size_t>(address.channel) * kPseudoChannels +
-          static_cast<std::size_t>(address.pseudo_channel)) *
-             kBanksPerPseudoChannel +
-         static_cast<std::size_t>(address.bank);
+  return flat_bank_index(address);
+}
+
+std::span<Bank> Stack::channel_banks(int channel) {
+  if (channel < 0 || channel >= kChannels) {
+    throw std::out_of_range("channel index");
+  }
+  return {banks_.data() + channel_first_bank(channel), kBanksPerChannel};
 }
 
 Bank& Stack::bank(const BankAddress& address) {
@@ -54,11 +57,7 @@ void Stack::precharge(const BankAddress& address, Cycle now) {
 }
 
 void Stack::precharge_all(int channel, Cycle now) {
-  for (int pc = 0; pc < kPseudoChannels; ++pc) {
-    for (int b = 0; b < kBanksPerPseudoChannel; ++b) {
-      bank({channel, pc, b}).precharge(now);
-    }
-  }
+  for (Bank& bk : channel_banks(channel)) bk.precharge(now);
 }
 
 void Stack::read_column(const BankAddress& address, int column,
@@ -112,14 +111,7 @@ void Stack::write_column(const BankAddress& address, int column,
 }
 
 void Stack::refresh(int channel, Cycle now) {
-  if (channel < 0 || channel >= kChannels) {
-    throw std::out_of_range("channel index");
-  }
-  for (int pc = 0; pc < kPseudoChannels; ++pc) {
-    for (int b = 0; b < kBanksPerPseudoChannel; ++b) {
-      bank({channel, pc, b}).refresh(now);
-    }
-  }
+  for (Bank& bk : channel_banks(channel)) bk.refresh(now);
   // Documented TRR Mode (Sec. 7, footnote 2): while armed, every REF also
   // refreshes the neighbours of the mode-register-designated target row.
   if (mode_registers_.trr_mode_enabled()) {

@@ -118,6 +118,8 @@ class Stack {
 
  private:
   [[nodiscard]] std::size_t bank_index(const BankAddress& address) const;
+  /// One channel's banks; throws std::out_of_range on a bad channel.
+  std::span<Bank> channel_banks(int channel);
 
   disturb::FaultModel fault_;
   std::shared_ptr<disturb::ThresholdCache> threshold_cache_;

@@ -249,6 +249,7 @@ TEST(BitplaneDifferential, RandomizedSensesAreByteIdentical) {
   BankPair q;
   const std::array<std::uint8_t, 6> patterns = {0x00, 0xFF, 0x55,
                                                 0xAA, 0x33, 0x6D};
+  int null_snapshot_reads = 0;
   for (int trial = 0; trial < 24; ++trial) {
     // Mid-subarray victims, spread across two subarrays.
     const int victim =
@@ -256,11 +257,19 @@ TEST(BitplaneDifferential, RandomizedSensesAreByteIdentical) {
     const auto victim_pattern =
         patterns[rng.next_u64() % patterns.size()];
     q.env.temperature_c = 40.0 + 55.0 * rng.next_unit();
+    // Every fourth trial starts from power-on and never writes victim + 1:
+    // that aggressor's epochs carry null (power-on) snapshots.
+    const bool fresh_aggressor = trial % 4 == 3;
+    if (fresh_aggressor) {
+      for (auto& bank : q.banks) bank.drop_row_states();
+    }
     q.write_row(victim, RowBits::filled(victim_pattern));
     q.write_row(victim - 1,
                 RowBits::filled(patterns[rng.next_u64() % patterns.size()]));
-    q.write_row(victim + 1,
-                RowBits::filled(patterns[rng.next_u64() % patterns.size()]));
+    const auto right_pattern = patterns[rng.next_u64() % patterns.size()];
+    if (!fresh_aggressor) {
+      q.write_row(victim + 1, RowBits::filled(right_pattern));
+    }
     if (trial % 3 == 0) {
       q.write_row(victim - 2,
                   RowBits::filled(patterns[rng.next_u64() % patterns.size()]));
@@ -286,6 +295,12 @@ TEST(BitplaneDifferential, RandomizedSensesAreByteIdentical) {
       // Park the row long enough that retention decay joins the sense.
       q.idle_seconds(0.02 + 30.0 * rng.next_unit());
     }
+    const auto& epochs = q.banks[0].ledger(victim)->epochs();
+    if (std::any_of(epochs.begin(), epochs.end(), [](const auto& e) {
+          return e.aggressor_bits == nullptr;
+        })) {
+      ++null_snapshot_reads;
+    }
     (void)q.read_row_checked(victim);
     if (trial % 3 == 0) {
       (void)q.read_row_checked(victim - 2);
@@ -300,6 +315,7 @@ TEST(BitplaneDifferential, RandomizedSensesAreByteIdentical) {
   EXPECT_TRUE(std::any_of(q.visited_per_read.begin(),
                           q.visited_per_read.end(),
                           [](std::uint64_t n) { return n > 512; }));
+  EXPECT_GT(null_snapshot_reads, 0);
   EXPECT_GT(q.banks[0].counters().bitflips_materialized, 0u);
   EXPECT_EQ(q.banks[0].counters().bitflips_materialized,
             q.banks[1].counters().bitflips_materialized);

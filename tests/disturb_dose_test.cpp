@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 namespace hbmrd::disturb {
 namespace {
 
@@ -14,7 +16,8 @@ TEST(DoseLedger, StartsEmpty) {
 
 TEST(DoseLedger, MergesSameDistanceVersionAndUnit) {
   DoseLedger ledger;
-  const auto bits = dram::RowBits::filled(0xAA);
+  const auto bits = std::make_shared<const dram::RowBits>(
+      dram::RowBits::filled(0xAA));
   ledger.add(1, 7, bits, 10.0);
   ledger.add(1, 7, bits, 10.0, 4);
   ASSERT_EQ(ledger.epochs().size(), 1u);
@@ -25,7 +28,8 @@ TEST(DoseLedger, MergesSameDistanceVersionAndUnit) {
 
 TEST(DoseLedger, SeparatesDistancesVersionsAndUnits) {
   DoseLedger ledger;
-  const auto bits = dram::RowBits::filled(0xAA);
+  const auto bits = std::make_shared<const dram::RowBits>(
+      dram::RowBits::filled(0xAA));
   ledger.add(1, 7, bits, 10.0);
   ledger.add(-1, 7, bits, 4.0);
   ledger.add(1, 8, bits, 2.0);   // content changed: new epoch
@@ -38,7 +42,8 @@ TEST(DoseLedger, SplitAccumulationIsExactlyAssociative) {
   // The incremental HC search hammers a count in several delta windows;
   // the resulting epoch must equal one window of the summed count exactly
   // (integer count addition, no floating-point re-association).
-  const auto bits = dram::RowBits::filled(0x0F);
+  const auto bits = std::make_shared<const dram::RowBits>(
+      dram::RowBits::filled(0x0F));
   const double unit = 0.3;  // not exactly representable
   DoseLedger split;
   split.add(1, 1, bits, unit, 7);
@@ -54,8 +59,10 @@ TEST(DoseLedger, SplitAccumulationIsExactlyAssociative) {
 TEST(DoseLedger, MergesWithEarlierEpochAfterInterleaving) {
   // The hammer pattern A B A B ... must not grow the epoch list.
   DoseLedger ledger;
-  const auto bits_a = dram::RowBits::filled(0xAA);
-  const auto bits_b = dram::RowBits::filled(0x55);
+  const auto bits_a = std::make_shared<const dram::RowBits>(
+      dram::RowBits::filled(0xAA));
+  const auto bits_b = std::make_shared<const dram::RowBits>(
+      dram::RowBits::filled(0x55));
   for (int i = 0; i < 100; ++i) {
     ledger.add(1, 1, bits_a, 1.0);
     ledger.add(-1, 2, bits_b, 1.0);
@@ -67,7 +74,8 @@ TEST(DoseLedger, MergesWithEarlierEpochAfterInterleaving) {
 
 TEST(DoseLedger, AdjacentDoseIgnoresBlastRadius) {
   DoseLedger ledger;
-  const auto bits = dram::RowBits::filled(0x00);
+  const auto bits = std::make_shared<const dram::RowBits>(
+      dram::RowBits::filled(0x00));
   ledger.add(2, 1, bits, 50.0);
   ledger.add(-2, 1, bits, 50.0);
   EXPECT_DOUBLE_EQ(ledger.adjacent_dose(), 0.0);
@@ -77,7 +85,7 @@ TEST(DoseLedger, AdjacentDoseIgnoresBlastRadius) {
 
 TEST(DoseLedger, ClearResets) {
   DoseLedger ledger;
-  ledger.add(1, 1, dram::RowBits{}, 1.0);
+  ledger.add(1, 1, nullptr, 1.0);
   EXPECT_FALSE(ledger.empty());
   ledger.clear();
   EXPECT_TRUE(ledger.empty());
@@ -85,11 +93,16 @@ TEST(DoseLedger, ClearResets) {
 }
 
 TEST(DoseLedger, EpochKeepsAggressorSnapshot) {
+  // The epoch shares the caller's immutable contents instead of copying
+  // them; merged activations keep the first epoch's snapshot.
   DoseLedger ledger;
-  auto bits = dram::RowBits::filled(0xFF);
+  const auto bits = std::make_shared<const dram::RowBits>(
+      dram::RowBits::filled(0xFF));
   ledger.add(1, 1, bits, 1.0);
-  bits.set(0, false);  // mutating the caller's copy must not leak in
-  EXPECT_TRUE(ledger.epochs()[0].aggressor_bits.get(0));
+  ledger.add(1, 1, nullptr, 1.0);
+  ASSERT_EQ(ledger.epochs().size(), 1u);
+  EXPECT_EQ(ledger.epochs()[0].aggressor_bits, bits);
+  EXPECT_TRUE(ledger.epochs()[0].aggressor_bits->get(0));
 }
 
 }  // namespace

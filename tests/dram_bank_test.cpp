@@ -4,9 +4,11 @@
 
 #include <array>
 #include <memory>
+#include <vector>
 
 #include "disturb/fault_model.h"
 #include "dram/geometry.h"
+#include "sense_oracle.h"
 
 namespace hbmrd::dram {
 namespace {
@@ -361,6 +363,141 @@ TEST(Bank, CountersTrackDeviceEvents) {
   t.hammer(100, 2'000'000);
   (void)t.read_row(100);
   EXPECT_GT(t.bank.counters().bitflips_materialized, before);
+}
+
+/// The row's deterministic power-on contents.
+RowBits power_on(const TestBank& t, int row) {
+  RowBits bits;
+  for (int w = 0; w < RowBits::kWords; ++w) {
+    bits.words()[static_cast<std::size_t>(w)] =
+        t.fault.power_on_word(kAddr, row, w);
+  }
+  return bits;
+}
+
+TEST(Bank, DoseOnlyVictimSkipsContentsAndCache) {
+  TestBank t;
+  t.write_row(kVictim - 1, RowBits::filled(0xAA));
+  t.write_row(kVictim + 1, RowBits::filled(0xAA));
+  const auto lookups = t.cache.stats().lookups();
+  // Far below any threshold: the never-written victim gets a dose ledger
+  // through both the fast path and a plain ACT/PRE, and nothing else.
+  t.hammer(kVictim, 1000);
+  t.bank.activate(kVictim - 1, t.now);
+  t.now += t.timing.t_ras + 100;
+  t.bank.precharge(t.now);
+  t.now += t.timing.t_rp + 100;
+  ASSERT_NE(t.bank.ledger(kVictim), nullptr);
+  EXPECT_FALSE(t.bank.ledger(kVictim)->empty());
+  EXPECT_EQ(t.cache.stats().lookups(), lookups);
+  const auto stored = t.bank.stored_row(kVictim);
+  ASSERT_TRUE(stored.has_value());
+  EXPECT_EQ(stored->bits, power_on(t, kVictim));
+  EXPECT_EQ(t.cache.stats().lookups(), lookups);
+  // The first read materializes the contents: one cache peek.
+  EXPECT_EQ(t.read_row(kVictim), power_on(t, kVictim));
+  EXPECT_EQ(t.cache.stats().lookups(), lookups + 1);
+}
+
+TEST(Bank, WritingAnAggressorKeepsItsOpenEpochContents) {
+  TestBank t;
+  t.write_row(kVictim, RowBits::filled(0x55));
+  t.write_row(kVictim - 1, RowBits::filled(0xAA));
+  t.write_row(kVictim + 1, RowBits::filled(0xAA));
+  t.hammer(kVictim, doubling_hc());
+  // Rewriting the aggressor must copy its contents, not change the ones
+  // the victim's open epoch shares.
+  t.write_row(kVictim - 1, RowBits::filled(0x0F));
+  const disturb::DoseLedger* ledger = t.bank.ledger(kVictim);
+  ASSERT_NE(ledger, nullptr);
+  int hammered_epochs = 0;
+  for (const auto& e : ledger->epochs()) {
+    ASSERT_NE(e.aggressor_bits, nullptr);
+    if (e.count > 1) {
+      ++hammered_epochs;
+      EXPECT_EQ(*e.aggressor_bits, RowBits::filled(0xAA));
+    }
+  }
+  EXPECT_EQ(hammered_epochs, 2);
+  const auto stored = t.bank.stored_row(kVictim);
+  ASSERT_TRUE(stored.has_value());
+  const RowBits expected = oracle::per_cell_sense(
+      t.fault, kAddr, kVictim, stored->bits, *ledger,
+      cycles_to_seconds(t.now - stored->last_restore), t.env.temperature_c);
+  const RowBits got = t.read_row(kVictim);
+  EXPECT_EQ(got, expected);
+  EXPECT_GT(got.count_diff(RowBits::filled(0x55)), 0);
+}
+
+TEST(Bank, RestoreRecoversContentsSharedWithThePreImage) {
+  TestBank t;
+  t.write_row(kVictim, RowBits::filled(0x55));
+  t.write_row(kVictim - 1, RowBits::filled(0xAA));
+  t.write_row(kVictim + 1, RowBits::filled(0xAA));
+  ASSERT_EQ(t.bank.push_checkpoint(), 0u);
+  for (int round = 0; round < 2; ++round) {
+    // A column write and a flipping sense each replace contents that the
+    // pre-images share; restoring must bring back the pushed contents.
+    t.write_row(kVictim - 1, RowBits::filled(0x3C));
+    EXPECT_EQ(t.read_row(kVictim - 1), RowBits::filled(0x3C));
+    t.hammer(kVictim, 2 * doubling_hc());
+    EXPECT_NE(t.read_row(kVictim), RowBits::filled(0x55));
+    t.bank.restore_checkpoint(0);
+    EXPECT_EQ(t.read_row(kVictim - 1), RowBits::filled(0xAA))
+        << "round " << round;
+    EXPECT_EQ(t.read_row(kVictim), RowBits::filled(0x55)) << "round " << round;
+    t.bank.restore_checkpoint(0);
+  }
+  t.bank.discard_checkpoints();
+}
+
+TEST(Bank, RestoreErasingMiddleTableEntriesKeepsOtherRows) {
+  TestBank t;
+  t.write_row(1000, RowBits::filled(0x11));
+  t.write_row(2000, RowBits::filled(0x22));
+  t.hammer(1500, 5000);  // dose-only rows around never-written aggressors
+  struct Saved {
+    int row;
+    RowBits bits;
+    Cycle last_restore;
+    std::size_t epochs;
+    double adjacent_dose;
+  };
+  std::vector<Saved> saved;
+  for (int row = 900; row < 2100; ++row) {
+    const auto stored = t.bank.stored_row(row);
+    if (!stored) continue;
+    const auto* ledger = t.bank.ledger(row);
+    saved.push_back({row, stored->bits, stored->last_restore,
+                     ledger->epochs().size(), ledger->adjacent_dose()});
+  }
+  const std::size_t touched = t.bank.touched_rows();
+  ASSERT_EQ(saved.size(), touched);
+
+  ASSERT_EQ(t.bank.push_checkpoint(), 0u);
+  // New rows first (they sit mid-table once later rows follow), then
+  // changes to rows that already had state.
+  t.write_row(1200, RowBits::filled(0x33));
+  t.write_row(1300, RowBits::filled(0x44));
+  t.write_row(2000, RowBits::filled(0x55));
+  t.hammer(1000, 7000);
+  ASSERT_GT(t.bank.touched_rows(), touched);
+  t.bank.restore_checkpoint(0);
+
+  EXPECT_EQ(t.bank.touched_rows(), touched);
+  for (const auto& s : saved) {
+    const auto stored = t.bank.stored_row(s.row);
+    ASSERT_TRUE(stored.has_value()) << "row " << s.row;
+    EXPECT_EQ(stored->bits, s.bits) << "row " << s.row;
+    EXPECT_EQ(stored->last_restore, s.last_restore) << "row " << s.row;
+    const auto* ledger = t.bank.ledger(s.row);
+    EXPECT_EQ(ledger->epochs().size(), s.epochs) << "row " << s.row;
+    EXPECT_EQ(ledger->adjacent_dose(), s.adjacent_dose) << "row " << s.row;
+  }
+  for (int row : {1198, 1199, 1200, 1201, 1202, 1300}) {
+    EXPECT_EQ(t.bank.ledger(row), nullptr) << "row " << row;
+  }
+  t.bank.discard_checkpoints();
 }
 
 TEST(Bank, DropRowStatesReclaimsMemory) {

@@ -35,6 +35,20 @@ TEST(Geometry, ValidateRejectsOutOfRange) {
   EXPECT_NO_THROW(validate(RowAddress{{0, 0, 0}, 16383}));
 }
 
+TEST(Geometry, FlatBankIndexIsChannelMajor) {
+  std::size_t expected = 0;
+  for (int ch = 0; ch < kChannels; ++ch) {
+    EXPECT_EQ(channel_first_bank(ch), expected);
+    for (int pc = 0; pc < kPseudoChannels; ++pc) {
+      for (int b = 0; b < kBanksPerPseudoChannel; ++b) {
+        EXPECT_EQ(flat_bank_index({ch, pc, b}), expected++);
+      }
+    }
+  }
+  EXPECT_EQ(expected, static_cast<std::size_t>(kBanks));
+  EXPECT_EQ(kBanksPerChannel, kPseudoChannels * kBanksPerPseudoChannel);
+}
+
 TEST(Subarrays, SizesCoverTheBank) {
   int total = 0;
   int large = 0;
@@ -74,6 +88,27 @@ TEST(Subarrays, RowLookupsAreConsistent) {
     EXPECT_EQ(position_in_subarray(end), subarray_size(s) - 1);
   }
   EXPECT_EQ(subarray_of_row(kRowsPerBank - 1), kSubarrays - 1);
+}
+
+/// The subarray walk the lookup table replaced: the oracle for the table.
+int subarray_by_scan(int physical_row) {
+  int start = 0;
+  for (int s = 0; s < kSubarrays; ++s) {
+    start += subarray_size(s);
+    if (physical_row < start) return s;
+  }
+  return kSubarrays - 1;
+}
+
+TEST(Subarrays, RowTableMatchesTheScan) {
+  for (int row = -3; row < kRowsPerBank + 3; ++row) {
+    ASSERT_EQ(subarray_of_row(row), subarray_by_scan(row)) << "row " << row;
+  }
+  // Out-of-range rows clamp to the first and the last subarray.
+  EXPECT_EQ(subarray_of_row(-1), 0);
+  EXPECT_EQ(subarray_of_row(kRowsPerBank), kSubarrays - 1);
+  static_assert(subarray_of_row(subarray_start(kMiddleSubarray)) ==
+                kMiddleSubarray);
 }
 
 TEST(Subarrays, SameSubarrayAtBoundaries) {

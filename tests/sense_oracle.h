@@ -125,9 +125,13 @@ inline dram::RowBits per_cell_sense(const disturb::FaultModel& fault,
       const bool intra_differs = (left != value) || (right != value);
       double dose = 0.0;
       for (const auto& e : ledger.epochs()) {
+        // A null snapshot is the aggressor's power-on contents.
+        const bool aggressor_value =
+            e.aggressor_bits
+                ? e.aggressor_bits->get(bit)
+                : fault.power_on_bit(bank, row + e.distance, bit);
         dose += e.dose() * fault.distance_factor(e.distance) *
-                fault.coupling(value, e.aggressor_bits.get(bit),
-                               intra_differs);
+                fault.coupling(value, aggressor_value, intra_differs);
       }
       dose *= temp_vuln;
       double p = probability(dose, ctx.bulk_median, ctx.bulk_sigma);

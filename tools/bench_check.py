@@ -4,8 +4,13 @@
 Machine speeds differ between the box that recorded the baseline and the CI
 runner, so raw nanoseconds are not comparable. Every guarded benchmark is
 instead normalized by an anchor benchmark (BM_ActPrePair: a trivial
-ACT+PRE pair whose cost tracks raw simulator/CPU speed, untouched by the
-optimizations the guard protects). The check fails when
+ACT+PRE pair whose cost tracks raw simulator/CPU speed). The anchor runs
+the per-ACT device path, so it is not immune to optimization: a change
+that makes it faster raises every normalized ratio, and the gate then
+fails for benchmarks the change never touched. Such a change re-records
+the baselines (every entry, anchor included, the median of several runs)
+and states each entry's absolute time before and after, so the re-record
+hides no absolute regression. The check fails when
 
     (current[name] / current[anchor]) >
         (baseline[name] / baseline[anchor]) * (1 + tolerance)
