@@ -120,11 +120,8 @@ void Executor::exec_wr(const WrInstr& instr, const Program& program) {
 }
 
 void Executor::exec_ref(const RefInstr& instr) {
-  if (instr.channel < 0 || instr.channel >= dram::kChannels) {
-    throw std::out_of_range("REF channel");
-  }
-  ++counters_.refs;
   const std::span<BankSchedule> banks = channel_sched(instr.channel);
+  ++counters_.refs;
   dram::Cycle t = std::max(
       clock_, channel_ref_ok_[static_cast<std::size_t>(instr.channel)]);
   for (const BankSchedule& b : banks) t = std::max(t, b.act_ok);
@@ -142,62 +139,34 @@ void Executor::exec_mrs(const MrsInstr& instr) {
   clock_ += kMrsCycles;
 }
 
+void Executor::exec(const Program& program, const Instruction& instr,
+                    ExecutionResult& result) {
+  if (const auto* act = std::get_if<ActInstr>(&instr)) {
+    exec_act(*act);
+  } else if (const auto* pre = std::get_if<PreInstr>(&instr)) {
+    exec_pre(*pre);
+  } else if (const auto* prea = std::get_if<PreAllInstr>(&instr)) {
+    exec_pre_all(*prea);
+  } else if (const auto* rd = std::get_if<RdInstr>(&instr)) {
+    exec_rd(*rd, result);
+  } else if (const auto* wr = std::get_if<WrInstr>(&instr)) {
+    exec_wr(*wr, program);
+  } else if (const auto* ref = std::get_if<RefInstr>(&instr)) {
+    exec_ref(*ref);
+  } else if (const auto* mrs = std::get_if<MrsInstr>(&instr)) {
+    exec_mrs(*mrs);
+  } else if (const auto* wait = std::get_if<WaitInstr>(&instr)) {
+    clock_ += wait->cycles;
+  } else {
+    // run() hands every LoopBegin to exec_loop(), which consumes its LoopEnd.
+    throw std::invalid_argument("stray LoopEnd");
+  }
+}
+
 bool Executor::try_hammer_fast_path(const Program& program,
                                     std::size_t body_begin,
                                     std::size_t body_end,
                                     std::uint64_t iterations) {
-  // Eligible body: one or more [ACT (WAIT)* PRE] groups on a single bank.
-  std::vector<dram::HammerStep> steps;
-  const dram::BankAddress* bank = nullptr;
-  std::size_t i = body_begin;
-  while (i < body_end) {
-    const auto* act = std::get_if<ActInstr>(&program.instructions[i]);
-    if (act == nullptr) return false;
-    if (bank == nullptr) {
-      bank = &act->bank;
-    } else if (act->bank != *bank) {
-      return false;
-    }
-    ++i;
-    dram::Cycle on = 0;
-    while (i < body_end) {
-      const auto* w = std::get_if<WaitInstr>(&program.instructions[i]);
-      if (w == nullptr) break;
-      on += w->cycles;
-      ++i;
-    }
-    if (i >= body_end) return false;
-    const auto* pre = std::get_if<PreInstr>(&program.instructions[i]);
-    if (pre == nullptr || pre->bank != *bank) return false;
-    ++i;
-    // Same on-time the iterative path would produce: the PRE issues one
-    // command-bus cycle after the ACT plus any WAITs, floored at tRAS.
-    steps.push_back(
-        dram::HammerStep{act->row, std::max(on + kIssueCycles, timing_.t_ras)});
-  }
-  if (steps.empty() || bank == nullptr) return false;
-
-  BankSchedule& b = sched(*bank);
-  if (b.open) return false;  // require a precharged bank, like the device
-  const dram::Cycle start = std::max(clock_, b.act_ok);
-  const dram::Cycle end = stack_->bulk_hammer(*bank, steps, iterations, start);
-  // Represented commands: each iteration replays every [ACT .. PRE] step.
-  counters_.acts += iterations * steps.size();
-  counters_.pres += iterations * steps.size();
-  ++counters_.bulk_hammer_windows;
-  b.open = false;
-  b.last_act = end;  // conservative: next ACT is gated by act_ok below
-  b.act_ok = end;
-  b.pre_ok = end;
-  b.rdwr_ok = end;
-  clock_ = end;
-  return true;
-}
-
-bool Executor::try_windowed_hammer_fast_path(const Program& program,
-                                             std::size_t body_begin,
-                                             std::size_t body_end,
-                                             std::uint64_t iterations) {
   // Eligible body: REF instructions interleaved with maximal
   // [ACT (WAIT)* PRE]+ runs, everything on one bank / that bank's channel.
   // An element with ref == nullptr is a hammer window over steps
@@ -240,6 +209,8 @@ bool Executor::try_windowed_hammer_fast_path(const Program& program,
       const auto* pre = std::get_if<PreInstr>(&program.instructions[i]);
       if (pre == nullptr || pre->bank != *bank) return false;
       ++i;
+      // Same on-time the iterative path would produce: the PRE issues one
+      // command-bus cycle after the ACT plus any WAITs, floored at tRAS.
       steps.push_back(dram::HammerStep{
           act->row, std::max(on + kIssueCycles, timing_.t_ras)});
     }
@@ -247,7 +218,7 @@ bool Executor::try_windowed_hammer_fast_path(const Program& program,
     if (steps.size() == window_begin) return false;
     elements.push_back({nullptr, window_begin, steps.size()});
   }
-  if (bank == nullptr || !has_ref) return false;
+  if (bank == nullptr) return false;
   // REFs must target the hammered bank's channel: their act_ok push-out
   // then dominates the schedule exactly as in the iterative path. A REF on
   // another channel would see our conservative post-window clock.
@@ -257,7 +228,12 @@ bool Executor::try_windowed_hammer_fast_path(const Program& program,
   BankSchedule& b = sched(*bank);
   if (b.open) return false;  // require a precharged bank, like the device
 
-  for (std::uint64_t iter = 0; iter < iterations; ++iter) {
+  // A REF-free body is one window of `iterations` rounds. Otherwise every
+  // iteration replays the REFs at their exact iterative schedule and each
+  // window as one round.
+  const std::uint64_t rounds = has_ref ? 1 : iterations;
+  const std::uint64_t passes = has_ref ? iterations : 1;
+  for (std::uint64_t pass = 0; pass < passes; ++pass) {
     for (const auto& e : elements) {
       if (e.ref != nullptr) {
         exec_ref(*e.ref);
@@ -265,12 +241,14 @@ bool Executor::try_windowed_hammer_fast_path(const Program& program,
       }
       const dram::Cycle start = std::max(clock_, b.act_ok);
       const dram::Cycle end = stack_->bulk_hammer(
-          *bank, std::span(steps).subspan(e.begin, e.end - e.begin), 1, start);
-      counters_.acts += e.end - e.begin;
-      counters_.pres += e.end - e.begin;
+          *bank, std::span(steps).subspan(e.begin, e.end - e.begin), rounds,
+          start);
+      // Represented commands: each round replays every [ACT .. PRE] step.
+      counters_.acts += rounds * (e.end - e.begin);
+      counters_.pres += rounds * (e.end - e.begin);
       ++counters_.bulk_hammer_windows;
       b.open = false;
-      b.last_act = end;  // conservative, same as the pure fast path
+      b.last_act = end;  // conservative: next ACT is gated by act_ok below
       b.act_ok = end;
       b.pre_ok = end;
       b.rdwr_ok = end;
@@ -300,34 +278,11 @@ std::size_t Executor::exec_loop(const Program& program,
     throw std::invalid_argument("unterminated loop");
   }
 
-  if (try_hammer_fast_path(program, begin_index + 1, end_index,
-                           begin.iterations) ||
-      try_windowed_hammer_fast_path(program, begin_index + 1, end_index,
-                                    begin.iterations)) {
-    return end_index + 1;
-  }
-
-  for (std::uint64_t iter = 0; iter < begin.iterations; ++iter) {
-    for (std::size_t i = begin_index + 1; i < end_index; ++i) {
-      const auto& instr = program.instructions[i];
-      if (const auto* act = std::get_if<ActInstr>(&instr)) {
-        exec_act(*act);
-      } else if (const auto* pre = std::get_if<PreInstr>(&instr)) {
-        exec_pre(*pre);
-      } else if (const auto* prea = std::get_if<PreAllInstr>(&instr)) {
-        exec_pre_all(*prea);
-      } else if (const auto* rd = std::get_if<RdInstr>(&instr)) {
-        exec_rd(*rd, result);
-      } else if (const auto* wr = std::get_if<WrInstr>(&instr)) {
-        exec_wr(*wr, program);
-      } else if (const auto* ref = std::get_if<RefInstr>(&instr)) {
-        exec_ref(*ref);
-      } else if (const auto* mrs = std::get_if<MrsInstr>(&instr)) {
-        exec_mrs(*mrs);
-      } else if (const auto* wait = std::get_if<WaitInstr>(&instr)) {
-        clock_ += wait->cycles;
-      } else {
-        throw std::logic_error("unexpected instruction in loop body");
+  if (!try_hammer_fast_path(program, begin_index + 1, end_index,
+                            begin.iterations)) {
+    for (std::uint64_t iter = 0; iter < begin.iterations; ++iter) {
+      for (std::size_t i = begin_index + 1; i < end_index; ++i) {
+        exec(program, program.instructions[i], result);
       }
     }
   }
@@ -339,35 +294,10 @@ ExecutionResult Executor::run(const Program& program) {
   result.start_cycle = clock_;
   std::size_t i = 0;
   while (i < program.instructions.size()) {
-    const auto& instr = program.instructions[i];
-    if (const auto* act = std::get_if<ActInstr>(&instr)) {
-      exec_act(*act);
-      ++i;
-    } else if (const auto* pre = std::get_if<PreInstr>(&instr)) {
-      exec_pre(*pre);
-      ++i;
-    } else if (const auto* prea = std::get_if<PreAllInstr>(&instr)) {
-      exec_pre_all(*prea);
-      ++i;
-    } else if (const auto* rd = std::get_if<RdInstr>(&instr)) {
-      exec_rd(*rd, result);
-      ++i;
-    } else if (const auto* wr = std::get_if<WrInstr>(&instr)) {
-      exec_wr(*wr, program);
-      ++i;
-    } else if (const auto* ref = std::get_if<RefInstr>(&instr)) {
-      exec_ref(*ref);
-      ++i;
-    } else if (const auto* mrs = std::get_if<MrsInstr>(&instr)) {
-      exec_mrs(*mrs);
-      ++i;
-    } else if (const auto* wait = std::get_if<WaitInstr>(&instr)) {
-      clock_ += wait->cycles;
-      ++i;
-    } else if (std::holds_alternative<LoopBeginInstr>(instr)) {
+    if (std::holds_alternative<LoopBeginInstr>(program.instructions[i])) {
       i = exec_loop(program, i, result);
     } else {
-      throw std::invalid_argument("stray LoopEnd");
+      exec(program, program.instructions[i++], result);
     }
   }
   result.end_cycle = clock_;

@@ -4,12 +4,12 @@
 // The executor plays programs against a Stack: each command is issued at the
 // earliest cycle that satisfies the HBM2 timing rules (the device model
 // independently asserts the same rules), WAIT instructions extend row
-// on-times, and counted loops either run iteratively or — for pure
-// ACT/WAIT/PRE hammer bodies on a single bank — through the device's
-// analytic hammer fast path with identical semantics. Refresh-interleaved
-// hammer bodies (REFs between ACT/PRE runs, the TRR-bypass shape) take a
-// windowed variant of the same fast path: one bulk_hammer call per run per
-// iteration, with REFs executed at their exact iterative schedule.
+// on-times, and counted loops either run iteratively or, when the body only
+// hammers one bank (ACT/WAIT/PRE runs, optionally with REFs on that bank's
+// channel), through the device's analytic hammer fast path with identical
+// semantics. A REF-free body is one bulk_hammer window of `iterations`
+// rounds; a refresh-interleaved body (the TRR-bypass shape) replays its REFs
+// at their exact iterative schedule and each run as a one-round window.
 #pragma once
 
 #include <cstdint>
@@ -126,19 +126,15 @@ class Executor {
   std::size_t exec_loop(const Program& program, std::size_t begin_index,
                         ExecutionResult& result);
 
-  /// Attempts the hammer fast path; true on success.
+  /// Issues one non-loop instruction at its earliest legal cycle.
+  void exec(const Program& program, const Instruction& instr,
+            ExecutionResult& result);
+
+  /// The hammer fast path for loop bodies of [ACT (WAIT)* PRE]+ runs on one
+  /// bank, optionally mixed with REFs on that bank's channel (the TRR bypass
+  /// shape of Sec. 7); true on success, false to run the loop iteratively.
   bool try_hammer_fast_path(const Program& program, std::size_t body_begin,
                             std::size_t body_end, std::uint64_t iterations);
-
-  /// Widened fast path for refresh-interleaved hammer loops: bodies of
-  /// [ACT (WAIT)* PRE]+ runs on one bank mixed with REFs on that bank's
-  /// channel (the TRR bypass shape of Sec. 7). Each iteration replays the
-  /// REFs through exec_ref and each run through one single-iteration
-  /// bulk_hammer window; true on success.
-  bool try_windowed_hammer_fast_path(const Program& program,
-                                     std::size_t body_begin,
-                                     std::size_t body_end,
-                                     std::uint64_t iterations);
 
   dram::Stack* stack_;
   dram::TimingParams timing_;

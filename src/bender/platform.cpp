@@ -28,9 +28,7 @@ dram::StackConfig HbmChip::stack_config() const {
   dram::StackConfig config;
   config.disturb = profile_.disturb;
   config.mapping = profile_.mapping;
-  config.initial_temperature_c = profile_.temperature_controlled
-                                     ? profile_.target_temperature_c
-                                     : profile_.ambient_temperature_c;
+  config.initial_temperature_c = profile_.setpoint_c();
   if (profile_.has_undocumented_trr) {
     config.defense_factory = [](const dram::BankAddress&) {
       return std::make_unique<trr::UndocumentedTrr>();

@@ -41,6 +41,14 @@ class HbmChip : public ChipSession {
   /// Alias for power_cycle(); the recovery path after a hung session.
   void reset() { power_cycle(); }
 
+  /// The canonical trial state: the rig back at `rig_snapshot` and a
+  /// power-on stack, so what runs next cannot depend on what ran before.
+  /// Campaign trials and serve fallbacks both start from it.
+  void restore_canonical(const thermal::TemperatureRig& rig_snapshot) {
+    rig_ = rig_snapshot;
+    power_cycle();
+  }
+
   /// Pins the device temperature the stack sees to a fixed value; the rig
   /// keeps advancing in real time underneath. The campaign runner pins
   /// trials to the calibrated setpoint once the rig has been validated to

@@ -28,6 +28,21 @@ constexpr double kRetentionFloorSeconds = 0.033;
 /// for the per-cell threshold scan.
 constexpr double kThresholdScanSigma = 6.0;
 
+/// Row distances an activation disturbs (blast radius 2).
+constexpr std::array<int, 4> kDistances = {-2, -1, 1, 2};
+
+/// Calls f(slot, victim) for every row an activation of `aggressor`
+/// disturbs: kDistances[slot] rows away, inside the bank, same subarray.
+template <typename F>
+void for_each_victim(int aggressor, F&& f) {
+  for (std::size_t slot = 0; slot < kDistances.size(); ++slot) {
+    const int victim = aggressor + kDistances[slot];
+    if (victim < 0 || victim >= kRowsPerBank) continue;
+    if (!same_subarray(aggressor, victim)) continue;
+    f(slot, victim);
+  }
+}
+
 /// Probability that a cell of a population with this threshold median and
 /// sigma flips at `dose` (> 0): a threshold <= dose is equivalent to the
 /// cell's raw uniform being <= Phi(ln(dose / median) / sigma).
@@ -614,24 +629,17 @@ double Bank::min_retention_ref_seconds(int physical_row) {
 void Bank::disturb_neighbors(int aggressor_row, double dose, Cycle now) {
   // First make sure every victim state exists; creating states can grow
   // the table, so the aggressor is looked up afterwards.
-  static constexpr int kDistances[] = {-2, -1, 1, 2};
-  for (int d : kDistances) {
-    const int victim = aggressor_row + d;
-    if (victim < 0 || victim >= kRowsPerBank) continue;
-    if (!same_subarray(aggressor_row, victim)) continue;
-    state(victim, now);
-  }
+  for_each_victim(aggressor_row,
+                  [&](std::size_t, int victim) { state(victim, now); });
   RowState* aggr = find_state(aggressor_row);
   if (aggr == nullptr) {
     throw std::logic_error("disturb_neighbors: aggressor has no state");
   }
-  for (int d : kDistances) {
-    const int victim = aggressor_row + d;
-    if (victim < 0 || victim >= kRowsPerBank) continue;
-    if (!same_subarray(aggressor_row, victim)) continue;
+  for_each_victim(aggressor_row, [&](std::size_t, int victim) {
     // The epoch records the aggressor's position relative to the victim.
-    find_state(victim)->ledger.add(-d, aggr->version, aggr->bits, dose);
-  }
+    find_state(victim)->ledger.add(aggressor_row - victim, aggr->version,
+                                   aggr->bits, dose);
+  });
 }
 
 void Bank::activate(int physical_row, Cycle now) {
@@ -766,13 +774,12 @@ Cycle Bank::bulk_hammer(std::span<const HammerStep> steps,
     return std::binary_search(hammered_rows.begin(), hammered_rows.end(),
                               row);
   };
-  static constexpr int kDistances[] = {-2, -1, 1, 2};
   struct HammeredRow {
     int row;
     Cycle first_offset;
     Cycle last_offset;
     RowState* state = nullptr;
-    std::array<RowState*, 4> victims{};  // by kDistances index; null = skip
+    std::array<RowState*, kDistances.size()> victims{};  // null = skip
   };
   std::vector<HammeredRow> rows_hit;
   rows_hit.reserve(steps.size());
@@ -803,23 +810,15 @@ Cycle Bank::bulk_hammer(std::span<const HammerStep> steps,
   // Create all victim states up front (inserts may grow the table), then
   // resolve the pointers once; no inserts happen after this block.
   for (const auto& hr : rows_hit) {
-    for (int d : kDistances) {
-      const int victim = hr.row + d;
-      if (victim < 0 || victim >= kRowsPerBank) continue;
-      if (!same_subarray(hr.row, victim)) continue;
-      if (is_hammered(victim)) continue;
-      state(victim, start);
-    }
+    for_each_victim(hr.row, [&](std::size_t, int victim) {
+      if (!is_hammered(victim)) state(victim, start);
+    });
   }
   for (auto& hr : rows_hit) {
     hr.state = find_state(hr.row);
-    for (std::size_t di = 0; di < 4; ++di) {
-      const int victim = hr.row + kDistances[di];
-      if (victim < 0 || victim >= kRowsPerBank) continue;
-      if (!same_subarray(hr.row, victim)) continue;
-      if (is_hammered(victim)) continue;
-      hr.victims[di] = find_state(victim);
-    }
+    for_each_victim(hr.row, [&](std::size_t slot, int victim) {
+      if (!is_hammered(victim)) hr.victims[slot] = find_state(victim);
+    });
   }
 
   // Apply the aggregated dose to victims that are not themselves hammered
@@ -830,7 +829,7 @@ Cycle Bank::bulk_hammer(std::span<const HammerStep> steps,
   for (std::size_t k = 0; k < steps.size(); ++k) {
     const HammeredRow& hr = rows_hit[row_of_step[k]];
     const double unit = fault_->taggon_factor(steps[k].on_cycles);
-    for (std::size_t di = 0; di < 4; ++di) {
+    for (std::size_t di = 0; di < hr.victims.size(); ++di) {
       RowState* victim = hr.victims[di];
       if (victim == nullptr) continue;
       victim->ledger.add(-kDistances[di], hr.state->version, hr.state->bits,

@@ -30,6 +30,12 @@ struct ChipProfile {
   double target_temperature_c = 82.0;   // if controlled
   double ambient_temperature_c = 55.0;  // if not controlled
   disturb::DisturbParams disturb;
+
+  /// The calibrated test temperature: the controlled target or ambient.
+  [[nodiscard]] double setpoint_c() const {
+    return temperature_controlled ? target_temperature_c
+                                  : ambient_temperature_c;
+  }
 };
 
 /// The six chip profiles, derived deterministically from the platform seed.

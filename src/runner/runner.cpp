@@ -273,17 +273,6 @@ CampaignRunner::CampaignRunner(bender::HbmChip& chip, RunnerConfig config)
       config_(std::move(config)),
       faulty_(chip, fault::FaultPlan(config_.faults)) {}
 
-double CampaignRunner::setpoint_c() const {
-  const auto& profile = chip_.profile();
-  return profile.temperature_controlled ? profile.target_temperature_c
-                                        : profile.ambient_temperature_c;
-}
-
-double CampaignRunner::band_c() const {
-  if (config_.guard.band_c > 0.0) return config_.guard.band_c;
-  return chip_.profile().temperature_controlled ? 1.0 : 3.0;
-}
-
 CampaignReport CampaignRunner::run(const std::vector<Trial>& trials) {
   const auto width = config_.result_columns.size();
   std::vector<std::string> header = {"trial", "status"};
@@ -381,8 +370,8 @@ CampaignReport CampaignRunner::run(const std::vector<Trial>& trials) {
         .field("thermal_rate", faults.thermal_rate, 4)
         .field("persistent_rate", faults.persistent_rate, 4)
         .field("fatal_rate", faults.fatal_rate, 4)
-        .field("setpoint_c", setpoint_c(), 1)
-        .field("band_c", band_c(), 2);
+        .field("setpoint_c", chip_.profile().setpoint_c(), 1)
+        .field("band_c", config_.guard.band_for(chip_.profile()), 2);
   }
   // Surface recovery findings before the campaign continues; these are
   // campaign-level lines ("key", not "trial") and a later resume drops

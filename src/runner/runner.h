@@ -80,6 +80,12 @@ struct GuardBandConfig {
   double poll_s = 2.0;
   /// Give up waiting after this long; the attempt counts as faulted.
   double max_wait_s = 900.0;
+
+  /// The effective band half-width for `profile` (resolves band_c = 0).
+  [[nodiscard]] double band_for(const dram::ChipProfile& profile) const {
+    if (band_c > 0.0) return band_c;
+    return profile.temperature_controlled ? 1.0 : 3.0;
+  }
 };
 
 struct RunnerConfig {
@@ -197,10 +203,6 @@ class CampaignRunner {
   /// The campaign chip — what a shard worker or supervisor builds its own
   /// runner around (bench/common.cpp).
   [[nodiscard]] bender::HbmChip& chip() { return chip_; }
-
-  /// The guard/pin setpoint: the profile's controlled target or ambient.
-  [[nodiscard]] double setpoint_c() const;
-  [[nodiscard]] double band_c() const;
 
  private:
   bender::HbmChip& chip_;

@@ -60,11 +60,6 @@ TrialWorker::TrialWorker(const dram::ChipProfile& profile,
       faulty_(chip_, fault::FaultPlan(config.faults)),
       journal_enabled_(journal_enabled) {
   faulty_.set_incarnation(incarnation);
-  setpoint_c_ = profile.temperature_controlled ? profile.target_temperature_c
-                                               : profile.ambient_temperature_c;
-  band_c_ = config.guard.band_c > 0.0
-                ? config.guard.band_c
-                : (profile.temperature_controlled ? 1.0 : 3.0);
 }
 
 bool TrialWorker::wait_for_guard_band(TrialOutcome& out, std::string* sink,
@@ -74,7 +69,8 @@ bool TrialWorker::wait_for_guard_band(TrialOutcome& out, std::string* sink,
   while (true) {
     // Read the physical rig sensor, not the (possibly pinned) device view.
     const double measured = chip_.rig().temperature_c();
-    if (std::abs(measured - setpoint_c_) <= band_c_) {
+    if (std::abs(measured - chip_.profile().setpoint_c()) <=
+        config_.guard.band_for(chip_.profile())) {
       if (waited > 0.0) {
         ++out.guard_blocks;
         out.guard_wait_s += waited;
@@ -128,8 +124,7 @@ TrialOutcome TrialWorker::run(const CampaignRunner::Trial& trial,
 
   // Canonical session state: same rig snapshot, same power-on stack for
   // every trial, so the outcome cannot depend on execution order.
-  chip_.rig() = rig0_;
-  chip_.power_cycle();
+  chip_.restore_canonical(rig0_);
   trial_t0_ = chip_.rig().time_s();
   const auto width = config_.result_columns.size();
 
@@ -143,7 +138,7 @@ TrialOutcome TrialWorker::run(const CampaignRunner::Trial& trial,
       fault_kind = kGuardTimeout;
     } else {
       const double attempt_t0 = chip_.rig().time_s();
-      chip_.pin_temperature(setpoint_c_);
+      chip_.pin_temperature(chip_.profile().setpoint_c());
       try {
         auto cells = trial.body(faulty_);
         chip_.pin_temperature(std::nullopt);

@@ -92,8 +92,6 @@ class TrialWorker {
   bender::HbmChip chip_;
   thermal::TemperatureRig rig0_;  // power-on rig snapshot (canonical state)
   fault::FaultyChip faulty_;
-  double setpoint_c_ = 0.0;
-  double band_c_ = 0.0;
   double trial_t0_ = 0.0;  // simulated rig time at current trial start
   bool journal_enabled_ = false;
 };

@@ -83,8 +83,8 @@ struct QueryScratch {
 };
 
 /// A chip the engine can fall back to. canonical() replays the campaign
-/// worker's full trial idiom (runner/worker.cpp): restore the rig
-/// snapshot taken at construction, power-cycle, and pin the device to the
+/// worker's full trial idiom (runner/worker.cpp): restore_canonical() from
+/// the rig snapshot taken at construction, then pin the device to the
 /// profile's calibrated setpoint. The pin matters: campaign CSVs are
 /// measured pinned, so an unpinned fallback would drift off the recorded
 /// thresholds by the thermal epsilon and break byte-identity with
@@ -95,12 +95,8 @@ class FallbackSession {
       : chip_(&chip), map_(&map), rig0_(chip.rig()) {}
 
   [[nodiscard]] bender::ChipSession& canonical() {
-    chip_->rig() = rig0_;
-    chip_->power_cycle();
-    const auto& profile = chip_->profile();
-    chip_->pin_temperature(profile.temperature_controlled
-                               ? profile.target_temperature_c
-                               : profile.ambient_temperature_c);
+    chip_->restore_canonical(rig0_);
+    chip_->pin_temperature(chip_->profile().setpoint_c());
     return *chip_;
   }
   [[nodiscard]] const study::AddressMap& map() const { return *map_; }

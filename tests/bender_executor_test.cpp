@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <utility>
 
 #include "bender/program.h"
 
@@ -116,6 +117,61 @@ TEST_F(ExecutorFixture, HammerFastPathMatchesIterativeLoop) {
   const auto slow_row = run_setup(slow_stack, slow_executor, false);
   EXPECT_EQ(fast_row, slow_row);
   EXPECT_GT(fast_row.count_diff(dram::RowBits::filled(0x55)), 0);
+}
+
+TEST_F(ExecutorFixture, RefInterleavedFastPathMatchesIterativeLoop) {
+  // The TRR-bypass loop shape: an aggressor window, a REF, a dummy-row
+  // window, a REF. As a loop it takes the hammer fast path (REFs replayed,
+  // one bulk window per run and iteration); fully unrolled it has no loop,
+  // so every command runs iteratively. The refresh pointer passes the
+  // victim midway, so both paths must also agree on when it is refreshed.
+  constexpr int kVictim = 4300;
+  constexpr std::uint64_t kIterations = 3000;
+  constexpr int kRounds = 16;
+  constexpr dram::Cycle kOnWait = 200;  // RowPress: on-time above tRAS
+  const std::array<int, 2> aggressors = {kVictim - 1, kVictim + 1};
+  const std::array<int, 2> dummies = {kVictim + 1000, kVictim + 1002};
+  const auto body = [&](ProgramBuilder& builder) {
+    for (int r = 0; r < kRounds; ++r) {
+      for (int row : aggressors) {
+        builder.act(kBank, row).wait(kOnWait).pre(kBank);
+      }
+    }
+    builder.ref(kBank.channel);
+    for (int row : dummies) builder.act(kBank, row).pre(kBank);
+    builder.ref(kBank.channel);
+  };
+  const auto run = [&](dram::Stack& target, bool as_loop) {
+    Executor session{&target};
+    ProgramBuilder init;
+    init.write_row(kBank, kVictim, dram::RowBits::filled(0x55));
+    for (int row : aggressors) {
+      init.write_row(kBank, row, dram::RowBits::filled(0xAA));
+    }
+    session.run(std::move(init).build());
+    ProgramBuilder hammer;
+    if (as_loop) hammer.loop_begin(kIterations);
+    for (std::uint64_t i = 0; i < (as_loop ? 1 : kIterations); ++i) {
+      body(hammer);
+    }
+    if (as_loop) hammer.loop_end();
+    session.run(std::move(hammer).build());
+    ProgramBuilder read;
+    read.read_row(kBank, kVictim);
+    return std::pair{session.run(std::move(read).build()).row(0),
+                     session.counters()};
+  };
+
+  dram::Stack unrolled_stack{test_config()};
+  const auto [fast_row, fast] = run(stack, true);
+  const auto [slow_row, slow] = run(unrolled_stack, false);
+  EXPECT_EQ(fast_row, slow_row);
+  EXPECT_GT(fast_row.count_diff(dram::RowBits::filled(0x55)), 0);
+  EXPECT_EQ(fast.acts, slow.acts);
+  EXPECT_EQ(fast.pres, slow.pres);
+  EXPECT_EQ(fast.refs, slow.refs);
+  EXPECT_EQ(slow.bulk_hammer_windows, 0u);
+  EXPECT_EQ(fast.bulk_hammer_windows, 2 * kIterations);
 }
 
 TEST_F(ExecutorFixture, LoopWithRefRunsIteratively) {
