@@ -275,21 +275,30 @@ int main(int argc, char** argv) {
     std::string label;
     std::uint64_t shards;
     fault::WorkerFaultConfig worker;
+    /// What recovering from the injected faults means. Whether a wedged
+    /// worker is reaped or its trials are stolen first depends on timing,
+    /// so the table states the recovery, not the supervisor's counts.
+    std::string handled;
   };
   const auto shards_override =
       static_cast<std::uint64_t>(ctx.cli().get_int("--shards", 0));
   const std::vector<ChaosScenario> chaos_scenarios = {
       // Trial numbers are global and 1-based; keep them small so the
       // faults fire even at --rows-scaled-down campaign sizes.
-      {"2 shards, crash in trial 2's commit", 2, {.crash_at_trial = 2}},
-      {"2 shards, hang before trial 5", 2, {.hang_at_trial = 5}},
-      {"2 shards, heartbeats drop after 3", 2, {.drop_heartbeats_after = 3}},
+      {"2 shards, crash in trial 2's commit", 2, {.crash_at_trial = 2},
+       "crash restarted"},
+      {"2 shards, hang before trial 5", 2, {.hang_at_trial = 5},
+       "hang reaped or stolen"},
+      {"2 shards, heartbeats drop after 3", 2, {.drop_heartbeats_after = 3},
+       "mute worker reaped or stolen"},
       {"4 shards, crash at 2 + hang at 5",
        4,
-       {.crash_at_trial = 2, .hang_at_trial = 5}},
+       {.crash_at_trial = 2, .hang_at_trial = 5},
+       "crash restarted, hang reaped or stolen"},
   };
-  util::Table chaos_table({"scenario", "spawns", "crashes", "hangs",
-                           "stolen", "csv bytes", "journal bytes"});
+  util::Table chaos_table(
+      {"scenario", "fault handled", "csv bytes", "journal bytes"});
+  std::vector<std::string> chaos_telemetry;
   bool chaos_ok = true;
   int chaos_index = 0;
   for (const auto& scenario : chaos_scenarios) {
@@ -325,16 +334,27 @@ int main(int argc, char** argv) {
     const bool jsonl_same =
         !srep.campaign.aborted && slurp(jsonl_path) == slurp(ref_jsonl);
     if (!csv_same || !jsonl_same) chaos_ok = false;
+    // An injected fault fires on whichever worker reaches its trial, so a
+    // campaign that reaches it completes only through a supervisor action.
+    const bool acted =
+        srep.crashes + srep.hangs_killed + srep.shards_stolen > 0;
     chaos_table.row()
         .cell(scenario.label)
-        .cell(static_cast<long long>(srep.spawns))
-        .cell(static_cast<long long>(srep.crashes))
-        .cell(static_cast<long long>(srep.hangs_killed))
-        .cell(static_cast<long long>(srep.shards_stolen))
+        .cell(srep.campaign.aborted ? "NOT handled (aborted)"
+              : acted               ? scenario.handled
+                                    : "no fault fired")
         .cell(csv_same ? "identical" : "DIFFER")
         .cell(jsonl_same ? "identical" : "DIFFER");
+    chaos_telemetry.push_back(
+        scenario.label + ": spawns/crashes/hangs/stolen = " +
+        std::to_string(srep.spawns) + "/" + std::to_string(srep.crashes) +
+        "/" + std::to_string(srep.hangs_killed) + "/" +
+        std::to_string(srep.shards_stolen));
   }
   chaos_table.print(std::cout);
+  for (const auto& line : chaos_telemetry) {
+    std::cout << "timing telemetry (varies run to run) | " << line << "\n";
+  }
 
   ctx.banner("Checks");
   ctx.compare("completion at 1% transient rate", ">= 99%",

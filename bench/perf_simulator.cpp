@@ -92,7 +92,8 @@ void BM_SenseDisturbedRow(benchmark::State& state) {
   write.write_row(kBank, 4300, dram::RowBits::filled(0x55));
   executor.run(std::move(write).build());
   const std::size_t written = stack.push_checkpoint();
-  const auto written_clock = executor.checkpoint_state();
+  bender::Executor::Snapshot written_clock;
+  executor.save_state(written_clock);
   for (auto _ : state) {
     state.PauseTiming();
     stack.restore_checkpoint(written);

@@ -89,12 +89,12 @@ class Executor {
     std::vector<dram::Cycle> channel_ref_ok;
   };
 
-  [[nodiscard]] Snapshot checkpoint_state() const {
-    Snapshot s;
+  /// Overwrites `s` with the current schedule; reuses its storage, so a
+  /// snapshot saved into before does not allocate.
+  void save_state(Snapshot& s) const {
     s.clock = clock_;
     s.bank_sched = bank_sched_;
     s.channel_ref_ok = channel_ref_ok_;
-    return s;
   }
 
   void restore_state(const Snapshot& s) {

@@ -66,37 +66,30 @@ void HbmChip::power_cycle() {
   // epoch rolls over with the board session (threshold_cache.h).
   threshold_cache_->begin_epoch();
   thermal_synced_at_ = 0;
-  exec_checkpoints_.clear();
   probe_accounting_ = false;
   stack_->set_temperature(pinned_c_ ? *pinned_c_ : rig_.temperature_c());
 }
 
 std::size_t HbmChip::checkpoint() {
   const std::size_t id = stack_->push_checkpoint();
-  if (id != exec_checkpoints_.size()) {
-    throw std::logic_error("checkpoint: executor ladder out of lockstep");
-  }
-  exec_checkpoints_.push_back(executor_.checkpoint_state());
+  if (id == exec_checkpoints_.size()) exec_checkpoints_.emplace_back();
+  executor_.save_state(exec_checkpoints_[id]);
   return id;
 }
 
 void HbmChip::restore(std::size_t id) {
-  if (id >= exec_checkpoints_.size()) {
+  if (id >= stack_->checkpoint_depth()) {
     throw std::out_of_range(
         "restore: unknown checkpoint (discarded or lost to a power cycle)");
   }
   stack_->restore_checkpoint(id);
   executor_.restore_state(exec_checkpoints_[id]);
-  exec_checkpoints_.resize(id + 1);
   // The rig never rewinds (real time is monotone); re-anchor the sync point
   // so the rewound device clock is not charged as negative elapsed time.
   thermal_synced_at_ = executor_.now();
 }
 
-void HbmChip::discard_checkpoints() {
-  stack_->discard_checkpoints();
-  exec_checkpoints_.clear();
-}
+void HbmChip::discard_checkpoints() { stack_->discard_checkpoints(); }
 
 void HbmChip::begin_probe_accounting() {
   sync_thermal();

@@ -113,7 +113,9 @@ class HbmChip : public ChipSession {
   Executor executor_;
   dram::Cycle thermal_synced_at_ = 0;
   std::optional<double> pinned_c_;
-  /// Scheduler snapshots in lockstep with the stack's checkpoint ladder.
+  /// Scheduler snapshot of each rung of the stack's checkpoint ladder,
+  /// whose depth says which are live. Storage above the depth is kept for
+  /// reuse, so a checkpoint does not allocate.
   std::vector<Executor::Snapshot> exec_checkpoints_;
   /// While set, run() defers the thermal-rig advance to
   /// account_thermal_cycles() (see ChipSession::begin_probe_accounting).

@@ -110,12 +110,14 @@ struct Bank::SenseArena {
 
 Bank::Bank(BankAddress address, const disturb::FaultModel* fault_model,
            const Environment* env, TimingParams timing,
-           disturb::BankThresholdCache& threshold_cache)
+           disturb::BankThresholdCache& threshold_cache,
+           CheckpointLadder& ladder)
     : address_(address),
       fault_(fault_model),
       env_(env),
       timing_(timing),
       checker_(timing),
+      ladder_(&ladder),
       threshold_cache_(&threshold_cache) {
   validate(address_);
   if (fault_ == nullptr || env_ == nullptr) {
@@ -216,27 +218,45 @@ std::optional<Bank::StoredRow> Bank::stored_row(int physical_row) const {
   return stored;
 }
 
-std::size_t Bank::push_checkpoint() {
-  if (open_row_) {
-    throw std::logic_error("push_checkpoint: bank must be precharged");
-  }
-  if (defense_ && !defense_->checkpointable()) {
-    throw std::logic_error(
-        "push_checkpoint: attached defense is not checkpointable");
-  }
-  layers_.push_back(CheckpointLayer{
-      {}, refresh_pointer_, checker_, defense_ ? defense_->clone() : nullptr});
-  ++cow_epoch_;  // invalidate all cow tags: pre-images go to the new layer
-  return layers_.size() - 1;
-}
-
-void Bank::restore_checkpoint(std::size_t index) {
-  if (index >= layers_.size()) {
+void CheckpointLadder::restore(std::size_t index) {
+  if (index >= depth_) {
     throw std::out_of_range("restore_checkpoint: no such checkpoint");
   }
+  for (Bank* bank : banks_) bank->rewind_to(index);
+  std::erase_if(banks_,
+                [](const Bank* bank) { return bank->layers_.empty(); });
+  depth_ = index + 1;
+}
+
+void CheckpointLadder::discard() {
+  for (Bank* bank : banks_) bank->drop_layers();
+  banks_.clear();
+  depth_ = 0;
+}
+
+void Bank::open_layer() {
+  if (defense_ && !defense_->checkpointable()) {
+    throw std::logic_error(
+        "checkpoint: attached defense is not checkpointable");
+  }
+  // Nothing changed since the push of the top rung: the current scalars
+  // are the pushed ones.
+  if (layers_.empty()) ladder_->banks_.push_back(this);
+  const std::size_t rung = ladder_->depth_ - 1;
+  layers_.push_back(CheckpointLayer{rung, {}, open_row_, refresh_pointer_,
+                                    checker_,
+                                    defense_ ? defense_->clone() : nullptr});
+  layer_top_ = rung + 1;
+  ++cow_epoch_;  // invalidate all cow tags: pre-images go to the new layer
+}
+
+void Bank::rewind_to(std::size_t rung) {
+  std::size_t oldest = layers_.size();
+  while (oldest > 0 && layers_[oldest - 1].rung >= rung) --oldest;
+  if (oldest == layers_.size()) return;  // untouched since that push
   // Apply pre-images newest layer first; older layers overwrite, so every
   // row lands on its value as of the target push.
-  for (std::size_t j = layers_.size(); j-- > index;) {
+  for (std::size_t j = layers_.size(); j-- > oldest;) {
     for (auto& [row, pre] : layers_[j].pre) {
       if (!pre) {
         erase_state(row);
@@ -260,28 +280,29 @@ void Bank::restore_checkpoint(std::size_t index) {
       current = std::move(*pre);
     }
   }
-  const CheckpointLayer& target = layers_[index];
+  // The oldest undone layer holds the scalars as of the target push; its
+  // defense clone moves back (the next mutation clones it again, which
+  // keeps the rung restorable). counters_ deliberately keeps counting
+  // (represented work is monotone).
+  CheckpointLayer& target = layers_[oldest];
+  open_row_ = target.open_row;
   refresh_pointer_ = target.refresh_pointer;
   checker_ = target.checker;
-  open_row_.reset();  // push requires a precharged bank
-  if (target.defense) {
-    // Clone again so the layer stays restorable a second time.
-    defense_ = target.defense->clone();
-  }
-  // The target layer stays on the ladder, now collecting fresh pre-images;
-  // counters_ deliberately keeps counting (represented work is monotone).
-  layers_.erase(layers_.begin() + static_cast<std::ptrdiff_t>(index) + 1,
+  if (target.defense) defense_ = std::move(target.defense);
+  layers_.erase(layers_.begin() + static_cast<std::ptrdiff_t>(oldest),
                 layers_.end());
-  layers_.back().pre.clear();
-  ++cow_epoch_;
+  layer_top_ = layers_.empty() ? 0 : layers_.back().rung + 1;
 }
 
-void Bank::discard_checkpoints() { layers_.clear(); }
+void Bank::drop_layers() {
+  layers_.clear();
+  layer_top_ = 0;
+}
 
 void Bank::drop_row_states() {
-  if (!layers_.empty()) {
+  if (ladder_->depth_ != 0) {
     throw std::logic_error(
-        "drop_row_states: checkpoints active (pre-images would dangle)");
+        "drop_row_states: checkpoints active (no layer would rewind it)");
   }
   rows_.clear();
   slot_.clear();
@@ -644,6 +665,7 @@ void Bank::disturb_neighbors(int aggressor_row, double dose, Cycle now) {
 
 void Bank::activate(int physical_row, Cycle now) {
   check_row(physical_row);
+  cover_top_rung();
   checker_.on_activate(now);
   ++counters_.activations;
   open_row_ = physical_row;
@@ -657,6 +679,7 @@ void Bank::precharge(Cycle now) {
     checker_.on_precharge(now);  // legal no-op
     return;
   }
+  cover_top_rung();
   const Cycle on_cycles = now - checker_.open_since();
   checker_.on_precharge(now);
   const int aggressor = *open_row_;
@@ -665,12 +688,14 @@ void Bank::precharge(Cycle now) {
 }
 
 void Bank::read_column(int column, std::span<std::uint64_t> out, Cycle now) {
+  cover_top_rung();
   checker_.on_read(now);
   contents(*find_state(open_row())).get_column(column, out);
 }
 
 void Bank::write_column(int column, std::span<const std::uint64_t> data,
                         Cycle now) {
+  cover_top_rung();
   checker_.on_write(now);
   RowState& rs = *find_state(open_row());
   // Copy on write: dose epochs and checkpoint pre-images may share the
@@ -683,6 +708,7 @@ void Bank::write_column(int column, std::span<const std::uint64_t> data,
 
 void Bank::refresh_row(int physical_row, Cycle now) {
   check_row(physical_row);
+  cover_top_rung();
   if (RowState* rs = find_state(physical_row)) {
     sense_and_restore(physical_row, *rs, now);
   }
@@ -690,6 +716,7 @@ void Bank::refresh_row(int physical_row, Cycle now) {
 }
 
 void Bank::refresh(Cycle now) {
+  cover_top_rung();
   checker_.on_refresh(now);
   ++counters_.refresh_commands;
   // Most banks of a refreshed channel hold no row state; skipping their
@@ -728,6 +755,8 @@ Cycle Bank::bulk_hammer(std::span<const HammerStep> steps,
       throw TimingViolation("bulk_hammer: on-time below tRAS");
     }
   }
+
+  cover_top_rung();
 
   // Canonical per-iteration layout: step k activates, stays open for its
   // on-time, precharges; the next ACT follows after max(tRP, tRC slack).

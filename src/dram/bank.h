@@ -64,16 +64,52 @@ struct HammerStep {
   Cycle on_cycles = 0;
 };
 
+class Bank;
+
+/// The checkpoint ladder of a set of banks (a Stack's 256, or a test's
+/// one): the number of rungs pushed and the banks that hold layers.
+/// Pushing a rung visits no bank; each bank opens its layer for the top
+/// rung at its first mutation after the push and joins the list. Restore
+/// and discard visit only the listed banks, so every ladder operation
+/// costs O(banks touched since the push), never O(banks).
+class CheckpointLadder {
+ public:
+  CheckpointLadder() = default;
+  CheckpointLadder(const CheckpointLadder&) = delete;
+  CheckpointLadder& operator=(const CheckpointLadder&) = delete;
+
+  /// Opens a new rung and returns its index.
+  std::size_t push() { return depth_++; }
+
+  /// Rewinds every bank to its state at the push of rung `index` and drops
+  /// the younger rungs; `index` itself stays restorable.
+  void restore(std::size_t index);
+
+  /// Forgets every rung without changing the banks' state.
+  void discard();
+
+  [[nodiscard]] std::size_t depth() const { return depth_; }
+
+ private:
+  friend class Bank;
+
+  std::size_t depth_ = 0;
+  /// Banks holding at least one layer, each listed once.
+  std::vector<Bank*> banks_;
+};
+
 class Bank {
  public:
   /// `threshold_cache` holds the per-row cell summaries every sense reads
   /// its candidate cells from; its capacity changes only how often a
   /// summary is rebuilt, never the result. The cache outlives the bank (it
   /// is shared across power cycles) and must only be used from the bank's
-  /// thread.
+  /// thread. `ladder` is the checkpoint ladder the bank records layers for;
+  /// it outlives the bank, which must not move while it holds layers.
   Bank(BankAddress address, const disturb::FaultModel* fault_model,
        const Environment* env, TimingParams timing,
-       disturb::BankThresholdCache& threshold_cache);
+       disturb::BankThresholdCache& threshold_cache,
+       CheckpointLadder& ladder);
 
   Bank(const Bank&) = delete;
   Bank& operator=(const Bank&) = delete;
@@ -123,30 +159,26 @@ class Bank {
   // -- Dose checkpoints (copy-on-write) --------------------------------------
   //
   // A checkpoint captures the bank's device-visible state — row contents,
-  // dose ledgers, retention clocks, refresh pointer, timing-checker state,
-  // and a clone of the defense tracker — lazily: pushing a layer records
-  // nothing, and the pre-image of a row is copied the first time it is
-  // touched afterwards. Cost is O(rows touched since the push), never
-  // O(rows per bank). Used by the incremental HC search engine
-  // (src/study/ber_probe.*) to rewind a hammered row to a lower dose.
+  // dose ledgers, retention clocks, open row, refresh pointer, timing-checker
+  // state, and a clone of the defense tracker — lazily, at two levels. The
+  // bank opens its layer for the ladder's top rung only at its first
+  // mutation after the push (ACT, PRE of an open row, RD, WR, REF,
+  // refresh_row or bulk_hammer), so a bank that gets no command costs
+  // nothing; and the layer copies a row's pre-image only the first time
+  // that row is touched. Cost is O(rows touched since the push), never
+  // O(rows per bank). Pushes, restores and discards go through the
+  // CheckpointLadder the bank was built with. Used by the incremental HC
+  // search engine (src/study/ber_probe.*) to rewind a hammered row to a
+  // lower dose.
 
-  /// Opens a new checkpoint layer and returns its index. The bank must be
-  /// precharged and its defense (if any) checkpointable.
-  std::size_t push_checkpoint();
-
-  /// Rewinds the bank to the state captured by checkpoint `index` and
-  /// discards all younger checkpoints; `index` itself stays valid (it can
-  /// be restored again).
-  void restore_checkpoint(std::size_t index);
-
-  /// Forgets all checkpoints without changing the current state.
-  void discard_checkpoints();
-
+  /// Layers this bank holds (one per rung it was mutated under, at most
+  /// the ladder's depth; 0 for a bank untouched since the first push).
   [[nodiscard]] std::size_t checkpoint_depth() const {
     return layers_.size();
   }
 
-  /// False when the attached defense cannot be cloned (push would throw).
+  /// False when the attached defense cannot be cloned (opening a layer
+  /// would throw).
   [[nodiscard]] bool checkpoint_supported() const {
     return !defense_ || defense_->checkpointable();
   }
@@ -159,7 +191,7 @@ class Bank {
 
   /// Drops all per-row simulator state (contents revert to power-on).
   /// Memory-reclaim hook for long sweeps; not a DRAM operation. Illegal
-  /// while checkpoints are active (the pre-images would dangle).
+  /// while the ladder has rungs (no layer would rewind it).
   void drop_row_states();
 
   /// Number of rows currently carrying state.
@@ -184,6 +216,8 @@ class Bank {
   [[nodiscard]] std::optional<StoredRow> stored_row(int physical_row) const;
 
  private:
+  friend class CheckpointLadder;
+
   struct RowState {
     /// Contents; null = the row's power-on contents, not yet materialized.
     /// Never mutated while shared (use_count() > 1): writers copy first, so
@@ -204,15 +238,31 @@ class Bank {
     int row = 0;
   };
 
-  /// One checkpoint: lazily collected row pre-images (nullopt = the row had
-  /// no state at push time; at most one per row, see cow_touch()) plus the
-  /// bank scalars captured eagerly.
+  /// The bank's state at the push of ladder rung `rung`: the scalars as
+  /// the layer was opened (nothing changed between the push and then) plus
+  /// lazily collected row pre-images (nullopt = the row had no state at
+  /// push time; at most one per row, see cow_touch()).
   struct CheckpointLayer {
+    std::size_t rung = 0;
     std::vector<std::pair<int, std::optional<RowState>>> pre;
+    std::optional<int> open_row;
     int refresh_pointer = 0;
     BankTimingChecker checker;
     std::unique_ptr<ReadDisturbDefense> defense;  // clone; null if none
   };
+
+  /// Called on entry to every command that may change the bank: opens the
+  /// layer for the ladder's top rung unless the bank already holds it. One
+  /// compare when it does (or when the ladder is empty).
+  void cover_top_rung() {
+    if (layer_top_ != ladder_->depth_) open_layer();
+  }
+  void open_layer();
+  /// Undoes every layer whose rung is >= `rung`, newest first, and drops
+  /// them; the bank is then as it was at that rung's push.
+  void rewind_to(std::size_t rung);
+  /// Drops every layer without changing the current state.
+  void drop_layers();
 
   /// The row's state, created (dose-only: no contents) if it has none.
   /// Creating a state can grow the table and so invalidates every other
@@ -283,10 +333,14 @@ class Bank {
   /// that are never touched stay small.
   std::vector<std::int16_t> slot_;
   std::vector<RowState> rows_;
-  /// Active checkpoint ladder (oldest first) and the generation counter
-  /// that invalidates RowState::cow_epoch tags; bumped on every push and
-  /// restore so stale tags never suppress a needed pre-image copy.
+  CheckpointLadder* ladder_;  // never null
+  /// This bank's layers, oldest (lowest rung) first; layer_top_ is one past
+  /// the newest layer's rung (0 = no layers), so the bank covers the
+  /// ladder's top rung iff layer_top_ == ladder_->depth_. cow_epoch_ is
+  /// the generation that invalidates RowState::cow_epoch tags; bumped on
+  /// every opened layer so stale tags never suppress a needed pre-image.
   std::vector<CheckpointLayer> layers_;
+  std::size_t layer_top_ = 0;
   std::uint64_t cow_epoch_ = 0;
   std::unique_ptr<ReadDisturbDefense> defense_;
   BankCounters counters_;

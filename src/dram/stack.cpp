@@ -21,7 +21,7 @@ Stack::Stack(StackConfig config)
         const BankAddress addr{ch, pc, b};
         banks_.emplace_back(
             addr, &fault_, &env_, timing_,
-            threshold_cache_->bank(addr, flat_bank_index(addr)));
+            threshold_cache_->bank(addr, flat_bank_index(addr)), ladder_);
         if (config.defense_factory) {
           banks_.back().set_defense(config.defense_factory(addr));
         }
@@ -165,37 +165,18 @@ std::size_t Stack::push_checkpoint() {
     throw std::logic_error(
         "push_checkpoint: ECC parity is not checkpointed; disable ECC first");
   }
-  for (auto& bank : banks_) {
-    if (bank.is_open()) {
-      throw std::logic_error("push_checkpoint: all banks must be precharged");
-    }
-  }
-  const std::size_t index = checkpoint_modes_.size();
-  for (auto& bank : banks_) {
-    const std::size_t got = bank.push_checkpoint();
-    if (got != index) {
-      throw std::logic_error("push_checkpoint: bank ladder out of lockstep");
-    }
-  }
   checkpoint_modes_.push_back(mode_registers_);
-  return index;
+  return ladder_.push();
 }
 
 void Stack::restore_checkpoint(std::size_t index) {
-  if (index >= checkpoint_modes_.size()) {
-    throw std::out_of_range("restore_checkpoint: no such checkpoint");
-  }
-  for (auto& bank : banks_) {
-    bank.restore_checkpoint(index);
-  }
+  ladder_.restore(index);
   mode_registers_ = checkpoint_modes_[index];
   checkpoint_modes_.resize(index + 1);
 }
 
 void Stack::discard_checkpoints() {
-  for (auto& bank : banks_) {
-    bank.discard_checkpoints();
-  }
+  ladder_.discard();
   checkpoint_modes_.clear();
 }
 

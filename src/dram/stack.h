@@ -74,23 +74,26 @@ class Stack {
 
   // -- Dose checkpoints (copy-on-write; see Bank) ----------------------------
 
-  /// Opens one checkpoint layer on every bank (lockstep) and snapshots the
-  /// mode registers; returns the checkpoint index. Requires ECC disabled
-  /// (parity is not checkpointed) and every bank precharged.
+  /// Pushes a rung on the banks' ladder and snapshots the mode registers;
+  /// returns the checkpoint index. Visits no bank: each bank records its
+  /// layer at its first mutation afterwards. Requires ECC disabled (parity
+  /// is not checkpointed).
   std::size_t push_checkpoint();
 
-  /// Rewinds every bank and the mode registers to checkpoint `index`;
-  /// younger checkpoints are discarded, `index` stays restorable.
+  /// Rewinds the banks mutated since checkpoint `index` and the mode
+  /// registers to it; younger checkpoints are discarded, `index` stays
+  /// restorable.
   void restore_checkpoint(std::size_t index);
 
   /// Forgets all checkpoints without changing the current state.
   void discard_checkpoints();
 
   [[nodiscard]] std::size_t checkpoint_depth() const {
-    return checkpoint_modes_.size();
+    return ladder_.depth();
   }
 
-  /// False when any bank's defense cannot be cloned.
+  /// False when any bank's defense cannot be cloned (its first mutation
+  /// under a checkpoint would throw).
   [[nodiscard]] bool checkpoint_supported() const;
 
   // -- Environment -----------------------------------------------------------
@@ -127,10 +130,11 @@ class Stack {
   TimingParams timing_;
   Environment env_;
   ModeRegisters mode_registers_;
-  std::vector<Bank> banks_;
-  /// Mode-register snapshots, one per active checkpoint (bank layers are
-  /// kept in lockstep, so this doubles as the ladder depth).
+  /// The banks' checkpoint ladder (outlives them) and one mode-register
+  /// snapshot per rung.
+  CheckpointLadder ladder_;
   std::vector<ModeRegisters> checkpoint_modes_;
+  std::vector<Bank> banks_;
 
   // Sideband ECC parity, stored per (bank, logical row) when ECC is on.
   // 8 parity bits per 64-bit data word; see src/ecc/. Parity cells are not

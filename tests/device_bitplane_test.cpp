@@ -174,8 +174,9 @@ struct BankPair {
   TimingParams timing{};
   disturb::BankThresholdCache warm{kAddr, 16};
   disturb::BankThresholdCache cold{kAddr, 1};
-  std::array<Bank, 2> banks{Bank{kAddr, &fault, &env, timing, warm},
-                            Bank{kAddr, &fault, &env, timing, cold}};
+  CheckpointLadder ladder;
+  std::array<Bank, 2> banks{Bank{kAddr, &fault, &env, timing, warm, ladder},
+                            Bank{kAddr, &fault, &env, timing, cold, ladder}};
   Cycle now = 1000;
   /// sense_cells_visited of bank 0 added by each checked read.
   std::vector<std::uint64_t> visited_per_read;
@@ -369,7 +370,7 @@ TEST(BitplaneDifferential, CheckpointRestoreKeepsVariantsInLockstep) {
   q.write_row(victim, RowBits::filled(0x55));
   q.write_row(victim - 1, RowBits::filled(0xAA));
   q.write_row(victim + 1, RowBits::filled(0xAA));
-  for (auto& bank : q.banks) ASSERT_EQ(bank.push_checkpoint(), 0u);
+  ASSERT_EQ(q.ladder.push(), 0u);
   const std::array<HammerStep, 2> steps = {
       HammerStep{victim - 1, q.timing.t_ras},
       HammerStep{victim + 1, q.timing.t_ras}};
@@ -377,12 +378,12 @@ TEST(BitplaneDifferential, CheckpointRestoreKeepsVariantsInLockstep) {
     const std::uint64_t count = 20000 + rng.next_u64() % 150000;
     q.hammer(steps, count);
     (void)q.read_row_checked(victim);
-    for (auto& bank : q.banks) bank.restore_checkpoint(0);
+    q.ladder.restore(0);
     // Restored state must also sense identically.
     q.write_row(victim - 1, RowBits::filled(0xAA));
     q.write_row(victim + 1, RowBits::filled(0xAA));
   }
-  for (auto& bank : q.banks) bank.discard_checkpoints();
+  q.ladder.discard();
 }
 
 // ---------------------------------------------------------------------------

@@ -28,7 +28,8 @@ struct TestBank {
   Environment env{60.0};
   TimingParams timing{};
   disturb::BankThresholdCache cache{kAddr, 16};
-  Bank bank{kAddr, &fault, &env, timing, cache};
+  CheckpointLadder ladder;
+  Bank bank{kAddr, &fault, &env, timing, cache, ladder};
   Cycle now = 1000;
 
   void write_row(int row, const RowBits& bits) {
@@ -434,7 +435,7 @@ TEST(Bank, RestoreRecoversContentsSharedWithThePreImage) {
   t.write_row(kVictim, RowBits::filled(0x55));
   t.write_row(kVictim - 1, RowBits::filled(0xAA));
   t.write_row(kVictim + 1, RowBits::filled(0xAA));
-  ASSERT_EQ(t.bank.push_checkpoint(), 0u);
+  ASSERT_EQ(t.ladder.push(), 0u);
   for (int round = 0; round < 2; ++round) {
     // A column write and a flipping sense each replace contents that the
     // pre-images share; restoring must bring back the pushed contents.
@@ -442,13 +443,13 @@ TEST(Bank, RestoreRecoversContentsSharedWithThePreImage) {
     EXPECT_EQ(t.read_row(kVictim - 1), RowBits::filled(0x3C));
     t.hammer(kVictim, 2 * doubling_hc());
     EXPECT_NE(t.read_row(kVictim), RowBits::filled(0x55));
-    t.bank.restore_checkpoint(0);
+    t.ladder.restore(0);
     EXPECT_EQ(t.read_row(kVictim - 1), RowBits::filled(0xAA))
         << "round " << round;
     EXPECT_EQ(t.read_row(kVictim), RowBits::filled(0x55)) << "round " << round;
-    t.bank.restore_checkpoint(0);
+    t.ladder.restore(0);
   }
-  t.bank.discard_checkpoints();
+  t.ladder.discard();
 }
 
 TEST(Bank, RestoreErasingMiddleTableEntriesKeepsOtherRows) {
@@ -474,7 +475,7 @@ TEST(Bank, RestoreErasingMiddleTableEntriesKeepsOtherRows) {
   const std::size_t touched = t.bank.touched_rows();
   ASSERT_EQ(saved.size(), touched);
 
-  ASSERT_EQ(t.bank.push_checkpoint(), 0u);
+  ASSERT_EQ(t.ladder.push(), 0u);
   // New rows first (they sit mid-table once later rows follow), then
   // changes to rows that already had state.
   t.write_row(1200, RowBits::filled(0x33));
@@ -482,7 +483,7 @@ TEST(Bank, RestoreErasingMiddleTableEntriesKeepsOtherRows) {
   t.write_row(2000, RowBits::filled(0x55));
   t.hammer(1000, 7000);
   ASSERT_GT(t.bank.touched_rows(), touched);
-  t.bank.restore_checkpoint(0);
+  t.ladder.restore(0);
 
   EXPECT_EQ(t.bank.touched_rows(), touched);
   for (const auto& s : saved) {
@@ -497,7 +498,7 @@ TEST(Bank, RestoreErasingMiddleTableEntriesKeepsOtherRows) {
   for (int row : {1198, 1199, 1200, 1201, 1202, 1300}) {
     EXPECT_EQ(t.bank.ledger(row), nullptr) << "row " << row;
   }
-  t.bank.discard_checkpoints();
+  t.ladder.discard();
 }
 
 TEST(Bank, DropRowStatesReclaimsMemory) {

@@ -4,6 +4,8 @@
 
 #include <array>
 #include <memory>
+#include <stdexcept>
+#include <vector>
 
 namespace hbmrd::dram {
 namespace {
@@ -195,6 +197,107 @@ TEST(Stack, DropRowStatesClearsParityToo) {
   const auto before = f.stack.ecc_counters().detected_uncorrectable_words;
   (void)f.read_row({bank, 10});
   EXPECT_EQ(f.stack.ecc_counters().detected_uncorrectable_words, before);
+}
+
+// ---------------------------------------------------------------------------
+// Checkpoint ladder: banks record their layers lazily.
+
+TEST(StackCheckpoint, BankFirstMutatedUnderALaterRungRewinds) {
+  StackFixture f;
+  const RowAddress early{{0, 0, 0}, 50};   // mutated under rung 0
+  const RowAddress late{{2, 1, 4}, 60};    // first mutated under rung 1
+  const RowAddress idle{{5, 0, 9}, 70};    // never touched after a push
+  f.write_row(early, RowBits::filled(0x11));
+  f.write_row(late, RowBits::filled(0x22));
+  f.write_row(idle, RowBits::filled(0x33));
+
+  const auto k0 = f.stack.push_checkpoint();
+  f.write_row(early, RowBits::filled(0x44));
+  const auto k1 = f.stack.push_checkpoint();
+  f.write_row(late, RowBits::filled(0x55));
+  const auto k2 = f.stack.push_checkpoint();
+  f.write_row(late, RowBits::filled(0x66));
+  ASSERT_EQ(k2, 2u);
+  EXPECT_EQ(f.stack.checkpoint_depth(), 3u);
+  // One layer per rung a bank was mutated under; none for the idle bank.
+  EXPECT_EQ(f.stack.bank(early.bank).checkpoint_depth(), 1u);
+  EXPECT_EQ(f.stack.bank(late.bank).checkpoint_depth(), 2u);
+  EXPECT_EQ(f.stack.bank(idle.bank).checkpoint_depth(), 0u);
+  EXPECT_EQ(f.stack.bank({7, 1, 15}).checkpoint_depth(), 0u);
+
+  f.stack.restore_checkpoint(k2);
+  EXPECT_EQ(f.stack.checkpoint_depth(), 3u);
+  EXPECT_EQ(f.read_row(late), RowBits::filled(0x55));
+  EXPECT_EQ(f.read_row(early), RowBits::filled(0x44));
+
+  f.stack.restore_checkpoint(k1);
+  EXPECT_EQ(f.stack.checkpoint_depth(), 2u);
+  EXPECT_EQ(f.read_row(late), RowBits::filled(0x22));
+  EXPECT_EQ(f.read_row(early), RowBits::filled(0x44));
+  EXPECT_EQ(f.read_row(idle), RowBits::filled(0x33));
+
+  f.stack.restore_checkpoint(k0);
+  EXPECT_EQ(f.read_row(early), RowBits::filled(0x11));
+  EXPECT_EQ(f.read_row(late), RowBits::filled(0x22));
+  EXPECT_EQ(f.read_row(idle), RowBits::filled(0x33));
+  EXPECT_EQ(f.stack.bank(idle.bank).checkpoint_depth(), 1u);  // the read
+
+  f.stack.discard_checkpoints();
+  EXPECT_EQ(f.stack.checkpoint_depth(), 0u);
+  for (const auto& addr : {early, late, idle}) {
+    EXPECT_EQ(f.stack.bank(addr.bank).checkpoint_depth(), 0u);
+  }
+  EXPECT_THROW(f.stack.restore_checkpoint(0), std::out_of_range);
+}
+
+TEST(StackCheckpoint, RestoreRewindsRefAndPreaOfEveryBankInTheChannel) {
+  StackFixture f;
+  constexpr int kChannel = 3;
+  const RowAddress open{{kChannel, 0, 2}, 400};
+  const BankAddress other{kChannel, 1, 5};
+  f.write_row(open, RowBits::filled(0x5A));
+  f.stack.refresh(kChannel, f.now);  // pointers off zero, tRFC history
+  f.now += f.timing.t_rfc + 100;
+  std::vector<int> pointers;
+  for (int pc = 0; pc < kPseudoChannels; ++pc) {
+    for (int b = 0; b < kBanksPerPseudoChannel; ++b) {
+      pointers.push_back(f.stack.bank({kChannel, pc, b}).refresh_pointer());
+    }
+  }
+  const Cycle opened_at = f.now;
+  f.stack.activate(open, opened_at);  // a bank left open across the push
+  f.now += f.timing.t_ras + 100;
+
+  const auto k = f.stack.push_checkpoint();
+  f.stack.precharge_all(kChannel, f.now);
+  f.now += f.timing.t_rp + 100;
+  const Cycle ref_at = f.now;
+  f.stack.refresh(kChannel, ref_at);
+  // Under the REF's tRFC window an ACT is illegal ...
+  EXPECT_THROW(f.stack.activate({other, 10}, ref_at + 1), TimingViolation);
+  EXPECT_EQ(f.stack.bank({kChannel + 1, 0, 0}).checkpoint_depth(), 0u);
+
+  f.stack.restore_checkpoint(k);
+  std::size_t i = 0;
+  for (int pc = 0; pc < kPseudoChannels; ++pc) {
+    for (int b = 0; b < kBanksPerPseudoChannel; ++b) {
+      const Bank& bank = f.stack.bank({kChannel, pc, b});
+      EXPECT_EQ(bank.refresh_pointer(), pointers[i++])
+          << "pc " << pc << " bank " << b;
+      EXPECT_EQ(bank.checkpoint_depth(), 0u);
+    }
+  }
+  // ... and after the restore the REF never happened, while the PREA is
+  // undone: the bank is open on its row again and precharges normally.
+  EXPECT_NO_THROW(f.stack.activate({other, 10}, ref_at + 1));
+  f.stack.precharge(other, ref_at + 1 + f.timing.t_ras);
+  ASSERT_TRUE(f.stack.bank(open.bank).is_open());
+  EXPECT_EQ(f.stack.bank(open.bank).open_row(),
+            f.stack.mapping().to_physical(open.row));
+  f.stack.precharge(open.bank, f.now);
+  f.now += f.timing.t_rfc + f.timing.t_rp + 100;
+  EXPECT_EQ(f.read_row(open), RowBits::filled(0x5A));
+  f.stack.discard_checkpoints();
 }
 
 }  // namespace

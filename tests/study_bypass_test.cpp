@@ -24,10 +24,10 @@ TEST(BypassPlan, RejectsOverBudgetConfigs) {
   const dram::TimingParams timing;
   BypassConfig config;
   config.aggressor_acts = 39;  // 78 activations: no dummy budget left
-  EXPECT_THROW(plan_bypass(timing, config), std::invalid_argument);
+  EXPECT_THROW((void)plan_bypass(timing, config), std::invalid_argument);
   config.aggressor_acts = 18;
   config.dummy_rows = 0;
-  EXPECT_THROW(plan_bypass(timing, config), std::invalid_argument);
+  EXPECT_THROW((void)plan_bypass(timing, config), std::invalid_argument);
 }
 
 struct BypassFixture : ::testing::Test {
@@ -83,9 +83,9 @@ TEST_F(BypassFixture, UnprotectedChipFlipsEvenWithFewDummies) {
 
 TEST_F(BypassFixture, EdgeVictimRejected) {
   BypassConfig config;
-  EXPECT_THROW(
-      run_bypass_attack(chip, map, dram::RowAddress{{0, 0, 0}, 0}, config),
-      std::invalid_argument);
+  EXPECT_THROW((void)run_bypass_attack(chip, map,
+                                       dram::RowAddress{{0, 0, 0}, 0}, config),
+               std::invalid_argument);
 }
 
 }  // namespace

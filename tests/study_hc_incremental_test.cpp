@@ -21,8 +21,10 @@
 
 #include "bender/platform.h"
 #include "runner/runner.h"
+#include "study/bypass.h"
 #include "study/hc_first.h"
 #include "study/hcn.h"
+#include "trr/undocumented_trr.h"
 
 namespace hbmrd::study {
 namespace {
@@ -101,7 +103,9 @@ TEST(HcIncremental, MatchesScratchOnTrrChipAndHigherN) {
     const auto a = run_search(0, victim, n, {}, /*scratch=*/true);
     const auto b = run_search(0, victim, n, {}, /*scratch=*/false);
     ASSERT_EQ(a.hc.has_value(), b.hc.has_value()) << "n " << n;
-    if (a.hc) EXPECT_EQ(*a.hc, *b.hc) << "n " << n;
+    if (a.hc) {
+      EXPECT_EQ(*a.hc, *b.hc) << "n " << n;
+    }
   }
 }
 
@@ -140,7 +144,9 @@ TEST(HcIncremental, HcnSequenceMatchesScratch) {
   for (int k = 0; k < kHcnFlips; ++k) {
     ASSERT_EQ(results[0].hc[k].has_value(), results[1].hc[k].has_value())
         << "k " << k;
-    if (results[0].hc[k]) EXPECT_EQ(*results[0].hc[k], *results[1].hc[k]);
+    if (results[0].hc[k]) {
+      EXPECT_EQ(*results[0].hc[k], *results[1].hc[k]);
+    }
   }
 }
 
@@ -284,6 +290,65 @@ TEST(DoseCheckpoint, NestedLadderSupportsRestoreToAnyRung) {
   chip.hammer(kBank, aggressors, 200000);
   chip.hammer(kBank, aggressors, 400000);
   EXPECT_EQ(chip.read_row(victim), expected);
+  chip.discard_checkpoints();
+}
+
+TEST(DoseCheckpoint, RestoringARungTwiceReplaysTrrIdentically) {
+  // Chip 0's TRR sees every ACT and REF of a Fig. 14 bypass attack. The
+  // first restore moves the rung's defense clone back into the bank; the
+  // next mutation clones it again, so a second restore of the same rung
+  // must replay the same TRR decisions and the same flips.
+  const dram::RowAddress victim{kBank, 4301};
+  BypassConfig config;
+  config.dummy_rows = 4;
+  config.aggressor_acts = 34;
+  config.windows = 2000;
+  struct Replay {
+    int bitflips = 0;
+    std::uint64_t victim_refreshes = 0;
+    // The victim bank's TRR tracker after the attack.
+    std::uint64_t refs_seen = 0;
+    std::vector<int> sampler;
+    std::vector<int> pending;
+  };
+  const auto attack = [&](bender::HbmChip& chip) {
+    const auto map = AddressMap::from_scheme(chip.profile().mapping);
+    const auto before =
+        chip.stack().total_counters().defense_victim_refreshes;
+    Replay replay;
+    replay.bitflips = run_bypass_attack(chip, map, victim, config).bitflips;
+    replay.victim_refreshes =
+        chip.stack().total_counters().defense_victim_refreshes - before;
+    const auto* trr = dynamic_cast<const trr::UndocumentedTrr*>(
+        chip.stack().bank(kBank).defense());
+    EXPECT_NE(trr, nullptr);
+    if (trr != nullptr) {
+      replay.refs_seen = trr->refs_seen();
+      replay.sampler = trr->sampler();
+      replay.pending = trr->pending();
+    }
+    return replay;
+  };
+
+  bender::Platform control_platform;
+  const Replay expected = attack(control_platform.chip(0));
+  EXPECT_GT(expected.bitflips, 0);
+  EXPECT_GT(expected.victim_refreshes, 0u);
+
+  bender::Platform platform;
+  auto& chip = platform.chip(0);
+  ASSERT_TRUE(chip.supports_checkpoints());
+  const auto id = chip.checkpoint();
+  for (int replay = 0; replay < 3; ++replay) {
+    if (replay > 0) chip.restore(id);
+    const Replay got = attack(chip);
+    EXPECT_EQ(got.bitflips, expected.bitflips) << "replay " << replay;
+    EXPECT_EQ(got.victim_refreshes, expected.victim_refreshes)
+        << "replay " << replay;
+    EXPECT_EQ(got.refs_seen, expected.refs_seen) << "replay " << replay;
+    EXPECT_EQ(got.sampler, expected.sampler) << "replay " << replay;
+    EXPECT_EQ(got.pending, expected.pending) << "replay " << replay;
+  }
   chip.discard_checkpoints();
 }
 
