@@ -1,6 +1,5 @@
 #include "common.h"
 
-#include <csignal>
 #include <cstdlib>
 #include <iomanip>
 #include <sstream>
@@ -243,41 +242,17 @@ runner::CampaignReport run_shard_worker(
     skip.abort_reason = "shard-skip";
     return skip;
   }
-
-  auto config = campaign.config();
-  config.results_path = cli.get_string("--shard-results", "");
-  config.journal_path = cli.get_string("--shard-journal", "");
-  config.resume = cli.has("--shard-resume");
-  config.shard.enabled = true;
-  config.shard.lo = static_cast<std::uint64_t>(cli.get_int("--shard-lo", 0));
-  config.shard.hi = static_cast<std::uint64_t>(cli.get_int("--shard-hi", 0));
-  config.shard.heartbeat_fd = static_cast<int>(cli.get_int("--shard-fd", -1));
-  config.shard.incarnation =
+  runner::ShardAssignment assignment;
+  assignment.results_path = cli.get_string("--shard-results", "");
+  assignment.journal_path = cli.get_string("--shard-journal", "");
+  assignment.resume = cli.has("--shard-resume");
+  assignment.lo = static_cast<std::uint64_t>(cli.get_int("--shard-lo", 0));
+  assignment.hi = static_cast<std::uint64_t>(cli.get_int("--shard-hi", 0));
+  assignment.heartbeat_fd = static_cast<int>(cli.get_int("--shard-fd", -1));
+  assignment.incarnation =
       static_cast<std::uint64_t>(cli.get_int("--shard-incarnation", 0));
-  // Observability belongs to the supervisor process; the worker's stdout
-  // already lands in the per-shard log.
-  config.metrics = nullptr;
-  config.trace = nullptr;
-  config.progress = nullptr;
-
-  runner::install_graceful_stop();  // SIGTERM = checkpoint-flush and exit
-  std::signal(SIGPIPE, SIG_IGN);    // dead supervisor mutes the heartbeat
-
-  int code = runner::shard_exit::kError;
-  try {
-    runner::CampaignRunner worker(campaign.chip(), config);
-    const auto report = worker.run(trials);
-    if (!report.aborted) {
-      code = runner::shard_exit::kComplete;
-    } else if (report.abort_reason == "signal") {
-      code = runner::shard_exit::kStopped;
-    } else {
-      code = runner::shard_exit::kAborted;
-    }
-  } catch (const std::exception& error) {
-    std::cerr << "shard worker: " << error.what() << "\n";
-  }
-  std::exit(code);
+  std::exit(runner::run_shard_worker(campaign.chip(), campaign.config(),
+                                     trials, assignment));
 }
 
 /// `--export-index F`: derive a .hbmidx query index (docs/SERVING.md)
@@ -315,6 +290,32 @@ void export_index_from_results(const util::Cli& cli,
   }
 }
 
+/// Runs a campaign with the graceful-stop handler installed (SIGTERM /
+/// SIGINT checkpoint-flush at the next commit boundary), turning storage
+/// and configuration failures into a message and exit(2) instead of an
+/// uncaught-exception backtrace.
+template <typename Run>
+runner::CampaignReport or_die(Run&& run) {
+  try {
+    runner::install_graceful_stop();
+    return run();
+  } catch (const runner::CheckpointMismatchError& error) {
+    std::cerr << "error: " << error.what() << "\n";
+  } catch (const runner::StoreError& error) {
+    std::cerr << "error: campaign storage failed: " << error.what()
+              << "\n(committed state is intact; rerun with --resume once "
+                 "the storage problem is fixed)\n";
+  } catch (const fault::StoreCrashError& error) {
+    // Simulated power loss (--store-crash-write/-fsync): the store is dead
+    // and the artifacts are left exactly as torn as a real cut would leave
+    // them — which is the point. Resume recovers them.
+    std::cerr << "error: " << error.what()
+              << "\n(artifacts left in their torn post-crash state; rerun "
+                 "with --resume to recover)\n";
+  }
+  std::exit(2);
+}
+
 runner::CampaignReport run_supervised(
     BenchContext& ctx, runner::CampaignRunner& campaign,
     const std::vector<runner::CampaignRunner::Trial>& trials,
@@ -349,25 +350,18 @@ runner::CampaignReport run_campaign_or_die(
     }
     const auto shards =
         static_cast<std::uint64_t>(cli.get_int("--shards", 1));
-    runner::install_graceful_stop();
-    if (shards > 1) return run_supervised(ctx, campaign, trials, shards);
-    const auto report = campaign.run(trials);
+    if (shards > 1) {
+      return or_die([&] {
+        return run_supervised(ctx, campaign, trials, shards);
+      });
+    }
+    const auto report = run_campaign_or_die(campaign, trials);
     if (!report.aborted) {
       export_index_from_results(cli, campaign.config().results_path);
     }
     return report;
-  } catch (const runner::CheckpointMismatchError& error) {
-    std::cerr << "error: " << error.what() << "\n";
   } catch (const std::invalid_argument& error) {
     std::cerr << "error: " << error.what() << "\n";
-  } catch (const runner::StoreError& error) {
-    std::cerr << "error: campaign storage failed: " << error.what()
-              << "\n(committed state is intact; rerun with --resume once "
-                 "the storage problem is fixed)\n";
-  } catch (const fault::StoreCrashError& error) {
-    std::cerr << "error: " << error.what()
-              << "\n(artifacts left in their torn post-crash state; rerun "
-                 "with --resume to recover)\n";
   }
   std::exit(2);
 }
@@ -389,24 +383,7 @@ void print_supervisor_report(std::ostream& out,
 runner::CampaignReport run_campaign_or_die(
     runner::CampaignRunner& campaign,
     const std::vector<runner::CampaignRunner::Trial>& trials) {
-  try {
-    runner::install_graceful_stop();
-    return campaign.run(trials);
-  } catch (const runner::CheckpointMismatchError& error) {
-    std::cerr << "error: " << error.what() << "\n";
-  } catch (const runner::StoreError& error) {
-    std::cerr << "error: campaign storage failed: " << error.what()
-              << "\n(committed state is intact; rerun with --resume once "
-                 "the storage problem is fixed)\n";
-  } catch (const fault::StoreCrashError& error) {
-    // Simulated power loss (--store-crash-write/-fsync): the store is dead
-    // and the artifacts are left exactly as torn as a real cut would leave
-    // them — which is the point. Resume recovers them.
-    std::cerr << "error: " << error.what()
-              << "\n(artifacts left in their torn post-crash state; rerun "
-                 "with --resume to recover)\n";
-  }
-  std::exit(2);
+  return or_die([&] { return campaign.run(trials); });
 }
 
 void print_campaign_report(std::ostream& out,
@@ -437,7 +414,7 @@ void print_campaign_report(std::ostream& out,
     }
     if (report.checkpoint_rolled_back != 0) {
       out << " " << report.checkpoint_rolled_back
-          << " row(s) rolled back (no journal block);";
+          << " row(s) rolled back (no matching journal block);";
     }
     if (report.checkpoint_header_rebuilt) out << " header rebuilt;";
     out << " re-running affected trials\n";

@@ -46,9 +46,14 @@ int main(int argc, char** argv) {
         config.dummy_rows = dummies;
         config.aggressor_acts = acts;
         config.windows = windows;
+        std::string key = "d";
+        key += std::to_string(dummies);
+        key += ":a";
+        key += std::to_string(acts);
+        key += ":row";
+        key += std::to_string(row);
         trials.push_back(
-            {"d" + std::to_string(dummies) + ":a" + std::to_string(acts) +
-                 ":row" + std::to_string(row),
+            {std::move(key),
              [&map, dummies, acts, row, config](
                  bender::ChipSession& session) -> std::vector<std::string> {
                const auto result = study::run_bypass_attack(

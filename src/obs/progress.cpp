@@ -62,8 +62,11 @@ void ProgressReporter::emit(bool final_line) {
   const double elapsed = options_.clock() - start_s_;
   std::string line = "progress: " + std::to_string(done_);
   if (total_ != 0) {
-    line += "/" + std::to_string(total_) + " trials (" +
-            std::to_string(done_ * 100 / total_) + "%)";
+    line += '/';
+    line += std::to_string(total_);
+    line += " trials (";
+    line += std::to_string(done_ * 100 / total_);
+    line += "%)";
   } else {
     line += " trials";
   }

@@ -21,6 +21,12 @@
 // are independent records, so recovery skips bad ones; journal lines form
 // per-trial blocks, so recovery truncates at the first bad line — a block
 // after a hole cannot be interpreted.
+//
+// Which of the surviving rows count as committed is decided in one place,
+// trusted_state(): --resume, `campaign_fsck --repair` and the supervisor's
+// repair of a dead worker's shard store all apply that rule and rewrite
+// the artifacts with write_trusted_state(), so they cannot disagree about
+// which trials rerun.
 #pragma once
 
 #include <cstdint>
@@ -28,11 +34,33 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "runner/store.h"
 
 namespace hbmrd::runner {
+
+enum class TrialStatus {
+  kOk,           // completed this run
+  kOkResumed,    // found committed in the checkpoint, skipped
+  kQuarantined,  // persistent fault or retries exhausted; reported
+  kNotRun,       // campaign aborted before reaching this trial
+};
+
+/// The on-disk status cell: "ok" (for kOk and kOkResumed), "quarantined"
+/// or "not-run".
+[[nodiscard]] const char* to_string(TrialStatus status);
+
+struct TrialRecord {
+  std::string key;
+  TrialStatus status = TrialStatus::kNotRun;
+  int attempts = 0;
+  /// Result payload (one cell per configured result column); empty when
+  /// quarantined.
+  std::vector<std::string> cells;
+  std::string quarantine_reason;
+};
 
 /// The --resume target was produced by a different campaign configuration.
 /// The message names the file, what was expected vs found, and the likely
@@ -76,6 +104,9 @@ struct RecoveredCheckpoint {
   /// The final line was partial or CRC-invalid — the signature of a torn
   /// tail from a kill/power cut; it is truncated, not quarantined.
   bool tail_truncated = false;
+  /// The damaged bytes verbatim: every corrupt row and the torn tail, each
+  /// newline-terminated (fsck keeps them in its quarantine sidecar).
+  std::string damaged;
 };
 
 /// Scans the checkpoint at `path`. `expected_width` is the full on-disk
@@ -99,5 +130,57 @@ struct JournalScan {
 };
 
 [[nodiscard]] JournalScan scan_journal(Store& store, const std::string& path);
+
+/// Decodes one CRC-valid checkpoint row: the key, the status ("ok" reads
+/// as kOkResumed, "quarantined" as kQuarantined, anything else as
+/// kNotRun) and the payload cells between the status and the CRC trailer.
+[[nodiscard]] TrialRecord decode_checkpoint_row(std::string_view line);
+
+/// The verdict on one CRC-valid checkpoint row.
+enum class RowTrust {
+  kTrusted,
+  kDuplicate,        // an earlier row already holds this trial's key
+  kNoTerminalEvent,  // the journal has no trial-ok / quarantine for it
+  kStatusMismatch,   // its status differs from the journal's outcome
+};
+
+/// What a checkpoint + journal pair commits, and the bytes it is rewritten
+/// to. A row is trusted only when it is CRC-valid, the first row of its
+/// key, and — when the journal exists — its trial's terminal journal event
+/// (trial-ok / quarantine) records the row's status. The journal is the
+/// write-ahead log, but a power cut rolls each file back independently, so
+/// either can be ahead of the other; only rows both vouch for are kept.
+/// Without a journal file (the campaign never journaled) every first row
+/// is trusted.
+struct TrustedState {
+  /// One verdict per RecoveredCheckpoint::lines entry.
+  std::vector<RowTrust> verdicts;
+  /// The trusted rows, decoded, by trial key.
+  std::unordered_map<std::string, TrialRecord> committed;
+  /// Per trial with a terminal journal event, the status it records
+  /// ("ok" / "quarantined"). Empty when there is no journal.
+  std::unordered_map<std::string, std::string> terminal;
+  /// The trusted rows as on disk, newline-terminated, in file order.
+  std::string rows;
+  /// The trusted journal: its first campaign-begin line, then the keyed
+  /// lines of trusted trials. Keyless control lines (stop / abort / end,
+  /// checkpoint quarantines) and the blocks of untrusted rows are dropped:
+  /// the run that continues the campaign writes them afresh.
+  std::string journal;
+  bool has_journal = false;        // the scan found a journal file
+  bool journal_has_begin = false;  // `journal` kept a campaign-begin line
+};
+
+[[nodiscard]] TrustedState trusted_state(const RecoveredCheckpoint& checkpoint,
+                                         const JournalScan& journal);
+
+/// Rewrites both artifacts down to `state`, one atomic replace each (a
+/// crash mid-rewrite leaves the previous file whole): the checkpoint to
+/// `header_line` plus the trusted rows (skipped when `results_path` is
+/// empty), then the journal (skipped when the scan found none).
+void write_trusted_state(Store& store, const TrustedState& state,
+                         const std::string& results_path,
+                         const std::string& header_line,
+                         const std::string& journal_path);
 
 }  // namespace hbmrd::runner

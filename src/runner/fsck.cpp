@@ -1,7 +1,6 @@
 #include "runner/fsck.h"
 
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "runner/checkpoint.h"
@@ -31,9 +30,7 @@ FsckReport campaign_fsck(const FsckOptions& options) {
     add(report, csv_path, "checkpoint missing or unreadable");
     return report;
   }
-  const auto newline = contents->find('\n');
-  const std::string found_header =
-      newline == std::string::npos ? *contents : contents->substr(0, newline);
+  const std::string found_header = contents->substr(0, contents->find('\n'));
   const auto header_cells = util::split_csv_line(found_header);
   const bool header_shape =
       header_cells.size() >= 3 && header_cells.front() == "trial" &&
@@ -53,20 +50,10 @@ FsckReport campaign_fsck(const FsckOptions& options) {
   if (cp.tail_truncated) {
     add(report, csv_path, "torn trailing record (truncated write)");
   }
-  for (std::size_t i = 0; i < cp.corrupt_keys.size(); ++i) {
-    const auto& key = cp.corrupt_keys[i];
+  for (const auto& key : cp.corrupt_keys) {
     add(report, csv_path,
         "mid-file row failed its CRC check" +
             (key.empty() ? std::string() : " (key '" + key + "')"));
-  }
-  std::unordered_map<std::string, std::string> row_status;
-  std::vector<std::string> duplicate_keys;
-  for (std::size_t i = 0; i < cp.lines.size(); ++i) {
-    const auto cells = util::split_csv_line(cp.lines[i]);
-    if (!row_status.emplace(cp.keys[i], cells[1]).second) {
-      duplicate_keys.push_back(cp.keys[i]);
-      add(report, csv_path, "duplicate row for trial '" + cp.keys[i] + "'");
-    }
   }
 
   // -- Manifest.
@@ -87,125 +74,68 @@ FsckReport campaign_fsck(const FsckOptions& options) {
                                "campaign identity)");
   }
 
-  // -- Journal + cross-replay.
-  std::unordered_set<std::string> trusted;
+  // -- Journal.
   JournalScan js;
-  bool cross_check = false;
   if (!options.journal_path.empty()) {
     js = scan_journal(*store, options.journal_path);
     report.journal_lines = js.lines.size();
     if (!js.existed) {
       add(report, options.journal_path, "journal missing");
-    } else {
-      cross_check = true;
-      if (js.dropped != 0) {
-        add(report, options.journal_path,
-            std::to_string(js.dropped) +
-                " journal line(s) failed their CRC check (torn tail)");
-      }
-      if (!js.has_begin && !js.lines.empty()) {
-        add(report, options.journal_path, "no campaign-begin line survived");
-      }
-      // Terminal event per trial, with its recorded outcome.
-      std::unordered_map<std::string, std::string> terminal;
-      for (std::size_t i = 0; i < js.lines.size(); ++i) {
-        if (js.events[i] == "trial-ok" || js.events[i] == "quarantine") {
-          terminal[std::string(js.keys[i])] =
-              js.events[i] == "trial-ok" ? "ok" : "quarantined";
-        }
-      }
-      for (const auto& [key, status] : row_status) {
-        const auto it = terminal.find(key);
-        if (it == terminal.end()) {
-          add(report, csv_path,
-              "row '" + key + "' has no terminal journal event (the row "
-              "outran the journal; a resume would rerun it)");
-        } else if (it->second != status) {
-          add(report, csv_path,
-              "row '" + key + "' is '" + status +
-                  "' but the journal records '" + it->second + "'");
-        } else {
-          trusted.insert(key);
-        }
-      }
-      for (const auto& [key, status] : terminal) {
-        if (row_status.find(key) == row_status.end()) {
-          add(report, options.journal_path,
-              "journal block for '" + key +
-                  "' has no committed checkpoint row");
-        }
-      }
+    }
+    if (js.dropped != 0) {
+      add(report, options.journal_path,
+          std::to_string(js.dropped) +
+              " journal line(s) failed their CRC check (torn tail)");
+    }
+    if (!js.has_begin && !js.lines.empty()) {
+      add(report, options.journal_path, "no campaign-begin line survived");
     }
   }
-  if (!cross_check) {
-    for (const auto& [key, status] : row_status) trusted.insert(key);
-  }
-  report.trusted_rows = trusted.size();
 
-  // -- Repair: rewrite down to what a resume would trust.
+  // -- Cross-replay: the rule a resume applies, with one issue per row it
+  // would not trust and per journal block without a row.
+  const auto state = trusted_state(cp, js);
+  report.trusted_rows = state.committed.size();
+  std::string distrusted;  // verbatim, for the quarantine sidecar
+  for (std::size_t i = 0; i < cp.lines.size(); ++i) {
+    const auto& key = cp.keys[i];
+    switch (state.verdicts[i]) {
+      case RowTrust::kTrusted:
+        continue;
+      case RowTrust::kDuplicate:
+        add(report, csv_path, "duplicate row for trial '" + key + "'");
+        break;
+      case RowTrust::kNoTerminalEvent:
+        add(report, csv_path,
+            "row '" + key + "' has no terminal journal event (the row "
+            "outran the journal; a resume would rerun it)");
+        break;
+      case RowTrust::kStatusMismatch:
+        add(report, csv_path,
+            "row '" + key + "' contradicts the journal, which records '" +
+                state.terminal.at(key) + "'");
+        break;
+    }
+    distrusted += cp.lines[i];
+    distrusted += '\n';
+  }
+  const std::unordered_set<std::string> row_keys(cp.keys.begin(),
+                                                 cp.keys.end());
+  for (const auto& [key, status] : state.terminal) {
+    if (row_keys.count(key) == 0) {
+      add(report, options.journal_path,
+          "journal block for '" + key + "' has no committed checkpoint row");
+    }
+  }
+
+  // -- Repair: rewrite down to what a resume would trust, keeping every
+  // distrusted and damaged byte in the quarantine sidecar.
   if (options.repair && !report.clean()) {
-    // Quarantine sidecar keeps every byte fsck refuses to trust.
-    std::string quarantined;
-    for (std::size_t i = 0; i < cp.lines.size(); ++i) {
-      if (trusted.find(cp.keys[i]) == trusted.end()) {
-        quarantined += cp.lines[i];
-        quarantined += '\n';
-      }
+    if (!distrusted.empty() || !cp.damaged.empty()) {
+      store->atomic_replace(csv_path + ".quarantine", distrusted + cp.damaged);
     }
-    if (cp.corrupt_rows != 0 || cp.tail_truncated || !quarantined.empty()) {
-      // Re-scan raw lines so corrupt/torn originals land in the sidecar
-      // verbatim (load_checkpoint only returns the valid ones).
-      std::string raw_bad;
-      std::size_t begin = newline == std::string::npos ? contents->size()
-                                                       : newline + 1;
-      while (begin < contents->size()) {
-        const auto end = contents->find('\n', begin);
-        const auto line = contents->substr(
-            begin, end == std::string::npos ? std::string::npos
-                                            : end - begin);
-        std::string_view payload;
-        const bool valid =
-            util::verify_csv_row_crc(line, &payload) &&
-            util::split_csv_line(line).size() == header_cells.size();
-        if (!valid || end == std::string::npos) {
-          if (!line.empty()) {
-            raw_bad += line;
-            raw_bad += '\n';
-          }
-        }
-        if (end == std::string::npos) break;
-        begin = end + 1;
-      }
-      store->atomic_replace(csv_path + ".quarantine",
-                            quarantined + raw_bad);
-    }
-
-    std::string csv_content = found_header + "\n";
-    std::unordered_set<std::string> written;
-    for (std::size_t i = 0; i < cp.lines.size(); ++i) {
-      if (trusted.find(cp.keys[i]) == trusted.end()) continue;
-      if (!written.insert(cp.keys[i]).second) continue;
-      csv_content += cp.lines[i];
-      csv_content += '\n';
-    }
-    store->atomic_replace(csv_path, csv_content);
-
-    if (cross_check) {
-      std::string journal_content;
-      bool kept_begin = false;
-      for (std::size_t i = 0; i < js.lines.size(); ++i) {
-        if (js.events[i] == "campaign-begin") {
-          if (kept_begin) continue;
-          kept_begin = true;
-        } else if (js.keys[i].empty() ||
-                   trusted.find(js.keys[i]) == trusted.end()) {
-          continue;
-        }
-        journal_content += js.lines[i];
-        journal_content += '\n';
-      }
-      store->atomic_replace(options.journal_path, journal_content);
-    }
+    write_trusted_state(*store, state, csv_path, found_header,
+                        options.journal_path);
     report.repaired = true;
   }
   return report;

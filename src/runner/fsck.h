@@ -1,18 +1,20 @@
 // Offline verifier/repairer for campaign artifacts (tools/campaign_fsck).
 //
-// Replays the same record-level checks the runner's --resume path applies —
+// Replays the record-level checks the runner's --resume path applies —
 // CRC-trailed checkpoint rows, CRC-trailed journal lines, the manifest's
-// config digests — plus the cross-replay between the two artifacts: every
-// committed CSV row must have a complete journal block (terminal trial-ok /
-// quarantine event) with a matching status, and every complete block must
-// have its row. That intersection is exactly what a resume would trust, so
-// a clean fsck certifies that resuming cannot silently drop or duplicate a
-// trial.
+// config digests — and then applies the very rule resume applies to
+// decide which rows are committed (trusted_state() in runner/checkpoint.h:
+// a CRC-valid, first-of-its-key row whose terminal trial-ok / quarantine
+// journal event records its status). Every row that rule distrusts, and
+// every complete journal block without a row, is reported, so a clean
+// fsck certifies that resuming cannot silently drop or duplicate a trial.
 //
-// With `repair`, the artifacts are rewritten (atomically) down to the
-// verified state: torn tails truncated at the record boundary, corrupt rows
-// moved to a `<results>.quarantine` sidecar (never deleted), rows/blocks
-// outside the intersection dropped so the next resume reruns those trials.
+// With `repair`, the artifacts are rewritten (atomically) by the same code
+// resume uses, write_trusted_state(): torn tails truncated at the record
+// boundary, untrusted rows and their journal blocks dropped so the next
+// resume reruns those trials. Fsck adds only its `<results>.quarantine`
+// sidecar, which keeps every distrusted or damaged row (never deleted).
+// The supervisor repairs a dead worker's shard store through this path.
 #pragma once
 
 #include <cstdint>

@@ -34,34 +34,17 @@ MergeReport merge_shards(const MergeOptions& options) {
     add(report, index_path, "shard index corrupt (CRC or syntax)");
     return report;
   }
+  if (auto why = set->tiling_error(); !why.empty()) {
+    add(report, index_path, std::move(why));
+    return report;
+  }
   auto shards = set->shards;
   std::sort(shards.begin(), shards.end(),
             [](const ShardSpec& a, const ShardSpec& b) { return a.lo < b.lo; });
-
-  // Coverage: the shards must tile [0, trial_count) exactly.
-  std::uint64_t cursor = 0;
-  for (const auto& shard : shards) {
-    if (shard.lo != cursor || shard.hi <= shard.lo) {
-      add(report, index_path,
-          "shards do not tile the campaign: shard " +
-              std::to_string(shard.id) + " covers [" +
-              std::to_string(shard.lo) + ", " + std::to_string(shard.hi) +
-              "), expected lo " + std::to_string(cursor));
-      return report;
-    }
-    cursor = shard.hi;
-  }
-  if (cursor != set->trial_count) {
-    add(report, index_path,
-        "shards cover " + std::to_string(cursor) + " of " +
-            std::to_string(set->trial_count) + " trials");
-    return report;
-  }
   report.shards = shards.size();
 
   // -- Shard manifests: every shard must carry the same campaign identity.
   std::optional<Manifest> identity;
-  std::uint64_t incarnations = 0;
   for (const auto& shard : shards) {
     const auto csv_path = shard_artifact_path(options.results_path, shard.id);
     const auto manifest_path = Manifest::path_for(csv_path);
@@ -73,7 +56,6 @@ MergeReport merge_shards(const MergeOptions& options) {
       add(report, manifest_path, "shard manifest missing or corrupt");
       continue;
     }
-    incarnations += manifest->incarnations;
     if (!identity) {
       identity = *manifest;
       continue;
@@ -97,10 +79,13 @@ MergeReport merge_shards(const MergeOptions& options) {
     return report;
   }
 
-  // -- Shard checkpoints: complete, clean, and sharing one header.
+  // -- Shard stores: complete, clean, sharing one header and one
+  // campaign-begin line, and holding only rows a resume would trust.
   std::string header_line;
   std::size_t disk_width = 0;
   std::string csv_content;
+  std::string begin_line;
+  std::string blocks;
   for (const auto& shard : shards) {
     const auto csv_path = shard_artifact_path(options.results_path, shard.id);
     const auto contents = store->read(csv_path);
@@ -108,10 +93,7 @@ MergeReport merge_shards(const MergeOptions& options) {
       add(report, csv_path, "shard checkpoint missing or empty");
       continue;
     }
-    const auto newline = contents->find('\n');
-    const auto found_header = newline == std::string::npos
-                                  ? *contents
-                                  : contents->substr(0, newline);
+    const auto found_header = contents->substr(0, contents->find('\n'));
     if (header_line.empty()) {
       header_line = found_header;
       disk_width = util::split_csv_line(header_line).size();
@@ -135,9 +117,56 @@ MergeReport merge_shards(const MergeOptions& options) {
               std::to_string(shard.size()) + " rows committed");
       continue;
     }
+
+    JournalScan js;
+    if (!options.journal_path.empty()) {
+      const auto jsonl_path =
+          shard_artifact_path(options.journal_path, shard.id);
+      js = scan_journal(*store, jsonl_path);
+      if (!js.existed) {
+        add(report, jsonl_path, "shard journal missing");
+        continue;
+      }
+      if (js.dropped != 0) {
+        add(report, jsonl_path,
+            "shard journal not clean (" + std::to_string(js.dropped) +
+                " torn/corrupt line(s) at the tail)");
+        continue;
+      }
+      if (!js.has_begin) {
+        add(report, jsonl_path, "shard journal has no campaign-begin line");
+        continue;
+      }
+      for (std::size_t i = 0; i < js.lines.size(); ++i) {
+        if (js.events[i] == "campaign-begin") {
+          // Identical bytes in every shard: the begin line carries the
+          // campaign totals and the fault plan, never shard state.
+          if (begin_line.empty()) begin_line = js.lines[i];
+          if (js.lines[i] != begin_line) {
+            add(report, jsonl_path,
+                "campaign-begin line differs across shards");
+          }
+          continue;
+        }
+        // Keyed lines are per-trial blocks, already in canonical order
+        // within the shard. Keyless control lines (shard-local stop /
+        // abort / end events) are superseded by the merge, exactly as a
+        // resume supersedes them.
+        if (js.keys[i].empty()) continue;
+        blocks += js.lines[i];
+        blocks += '\n';
+      }
+    }
+    const auto state = trusted_state(cp, js);
+    if (state.committed.size() != cp.lines.size()) {
+      add(report, csv_path,
+          "shard checkpoint holds rows its journal does not vouch for; run "
+          "fsck --repair and resume the shard worker first");
+      continue;
+    }
+
     for (const auto& line : cp.lines) {
-      const auto cells = util::split_csv_line(line);
-      if (cells[1] == "quarantined") {
+      if (decode_checkpoint_row(line).status == TrialStatus::kQuarantined) {
         ++report.quarantined;
       } else {
         ++report.completed;
@@ -149,51 +178,8 @@ MergeReport merge_shards(const MergeOptions& options) {
   }
   if (!report.issues.empty()) return report;
 
-  // -- Journals: shared begin line, keyed per-trial blocks in shard order.
   std::string journal_content;
   if (!options.journal_path.empty()) {
-    std::string begin_line;
-    std::string blocks;
-    for (const auto& shard : shards) {
-      const auto jsonl_path =
-          shard_artifact_path(options.journal_path, shard.id);
-      const auto js = scan_journal(*store, jsonl_path);
-      if (!js.existed) {
-        add(report, jsonl_path, "shard journal missing");
-        continue;
-      }
-      if (js.dropped != 0) {
-        add(report, jsonl_path,
-            "shard journal not clean (" + std::to_string(js.dropped) +
-                " torn/corrupt line(s) at the tail)");
-        continue;
-      }
-      bool shard_has_begin = false;
-      for (std::size_t i = 0; i < js.lines.size(); ++i) {
-        if (js.events[i] == "campaign-begin") {
-          // Identical bytes in every shard: the begin line carries the
-          // campaign totals and the fault plan, never shard state.
-          if (begin_line.empty()) begin_line = js.lines[i];
-          if (js.lines[i] != begin_line) {
-            add(report, jsonl_path,
-                "campaign-begin line differs across shards");
-          }
-          shard_has_begin = true;
-          continue;
-        }
-        // Keyed lines are per-trial blocks, already in canonical order
-        // within the shard. Keyless control lines (shard-local stop /
-        // abort / end events) are superseded by the merge, exactly as a
-        // resume supersedes them.
-        if (js.keys[i].empty()) continue;
-        blocks += js.lines[i];
-        blocks += '\n';
-      }
-      if (!shard_has_begin) {
-        add(report, jsonl_path, "shard journal has no campaign-begin line");
-      }
-    }
-    if (!report.issues.empty()) return report;
     journal_content = begin_line + "\n" + blocks;
     {
       auto end_event = Journal::buffered(&journal_content, "campaign-end");
@@ -207,14 +193,16 @@ MergeReport merge_shards(const MergeOptions& options) {
   }
 
   // -- Publish. Atomic replaces, inputs untouched: rerunnable after any
-  // partial failure, producing the identical bytes.
+  // partial failure, producing the identical bytes. The manifest is the one
+  // a fresh unsharded run writes — how often the shard workers restarted
+  // or were split is supervision history, not campaign identity.
   store->atomic_replace(options.results_path, csv_content);
   if (!options.journal_path.empty()) {
     store->atomic_replace(options.journal_path, journal_content);
   }
   if (identity) {
     Manifest manifest = *identity;
-    manifest.incarnations = incarnations;
+    manifest.incarnations = 1;
     store->atomic_replace(Manifest::path_for(options.results_path),
                           manifest.serialize());
   }

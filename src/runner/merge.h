@@ -17,13 +17,18 @@
 //     recomputed from the merged rows. Keyless control lines in shard
 //     journals (shard-local stop/end events) are dropped, exactly as a
 //     resume drops superseded control lines;
-//   * manifest — the shards' common identity digests, incarnations summed.
+//   * manifest — what a fresh unsharded run writes: the shards' common
+//     identity digests with incarnations = 1. How often a shard's worker
+//     restarted or was split depends on crash and steal timing, so it
+//     stays in the shard manifests and out of the canonical one.
 //
 // The merge refuses (reports issues, writes nothing) unless every shard is
-// complete and clean: full row coverage of [0, trial_count), no torn tails,
-// agreeing manifests. All writes are atomic replaces and the inputs are
-// never modified, so the merge is idempotent — killed mid-merge (the
-// power-cut-during-merge case), a rerun produces the identical bytes.
+// complete and clean: shards tiling [0, trial_count) (ShardSet::
+// tiling_error), no torn tails, agreeing manifests, and every row one a
+// resume would trust (trusted_state() in runner/checkpoint.h). All writes
+// are atomic replaces and the inputs are never modified, so the merge is
+// idempotent — killed mid-merge (the power-cut-during-merge case), a rerun
+// produces the identical bytes.
 #pragma once
 
 #include <cstdint>

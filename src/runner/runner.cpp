@@ -7,7 +7,6 @@
 #include <optional>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "fault/faulty_store.h"
 #include "obs/instrumented_store.h"
@@ -24,14 +23,9 @@ namespace hbmrd::runner {
 
 namespace {
 
-struct CheckpointRow {
-  TrialStatus status = TrialStatus::kOkResumed;
-  std::vector<std::string> cells;
-};
-
 /// Everything the resume scan recovers before the campaign continues.
 struct Recovery {
-  std::unordered_map<std::string, CheckpointRow> committed;
+  std::unordered_map<std::string, TrialRecord> committed;
   bool journal_has_begin = false;
   std::uint64_t incarnations = 0;
 };
@@ -76,43 +70,13 @@ constexpr const char* kDeterministicCatalog[] = {
 
 std::string hex32(std::uint32_t value) { return util::crc32c_hex(value); }
 
-/// Scans checkpoint + journal + manifest, decides which trials are
-/// committed, and atomically rewrites both artifacts down to exactly that
-/// trusted state. The cross-check is an intersection: a trial counts as
-/// committed only when its CRC-valid CSV row AND its terminal journal
-/// event (trial-ok / quarantine) both survived — which is what keeps the
-/// final artifacts byte-identical to an uninterrupted run no matter where
-/// a crash tore them, in either direction. Throws CheckpointMismatchError
-/// when the artifacts belong to a different campaign configuration.
-Recovery recover(Store& store, const RunnerConfig& config,
-                 const std::string& header_line, std::size_t disk_width,
-                 const Manifest& expect, CampaignReport& report) {
-  Recovery rec;
-  const bool have_csv = !config.results_path.empty();
-  const bool have_journal = !config.journal_path.empty();
-
-  if (!have_csv) {
-    // No checkpoint: nothing is committed. A pre-existing journal is cut
-    // back to its begin line so the rerun cannot duplicate trial blocks.
-    if (have_journal) {
-      const auto js = scan_journal(store, config.journal_path);
-      if (js.existed) {
-        std::string keep;
-        for (std::size_t i = 0; i < js.lines.size(); ++i) {
-          if (js.events[i] == "campaign-begin") {
-            keep = js.lines[i] + "\n";
-            rec.journal_has_begin = true;
-            break;
-          }
-        }
-        store.atomic_replace(config.journal_path, keep);
-      }
-    }
-    return rec;
-  }
-
-  // -- Manifest: does this checkpoint belong to this campaign? A corrupt
-  // manifest parses to nullopt and is treated as missing, never trusted.
+/// Does the checkpoint at config.results_path belong to this campaign?
+/// Returns its manifest (nullopt = missing or corrupt: treated as missing,
+/// never trusted); throws CheckpointMismatchError when the manifest
+/// records a different campaign configuration.
+std::optional<Manifest> verified_manifest(Store& store,
+                                          const RunnerConfig& config,
+                                          const Manifest& expect) {
   std::optional<Manifest> manifest;
   if (const auto text = store.read(Manifest::path_for(config.results_path))) {
     manifest = Manifest::parse(*text);
@@ -152,106 +116,67 @@ Recovery recover(Store& store, const RunnerConfig& config,
           "cause: sweep parameters changed since the checkpoint was "
           "written; use a fresh --results path");
     }
-    rec.incarnations = manifest->incarnations;
   }
+  return manifest;
+}
 
-  auto cp = load_checkpoint(store, config.results_path, disk_width);
-  if (cp.existed && cp.found_header != header_line) {
-    if (manifest) {
-      // The manifest vouches for this campaign's configuration, so the
-      // damaged header is disk corruption: rebuild it from the config.
-      report.checkpoint_header_rebuilt = true;
-    } else {
-      throw CheckpointMismatchError(
-          "checkpoint mismatch in " + config.results_path +
-          ": header does not match this campaign's columns\n  expected: " +
-          header_line + "\n  found:    " + cp.found_header +
-          "\nlikely cause: --resume points at a checkpoint from a "
-          "different sweep (stale --results target); move the file aside "
-          "or use a fresh --results path");
+/// Scans checkpoint + journal + manifest, decides which trials are
+/// committed (trusted_state(): a CRC-valid row whose terminal journal event
+/// records its status), and atomically rewrites both artifacts down to
+/// exactly that trusted state. Keeping only what both artifacts vouch for
+/// is what keeps the final artifacts byte-identical to an uninterrupted
+/// run no matter where a crash tore them, in either direction. Throws
+/// CheckpointMismatchError when the artifacts belong to a different
+/// campaign configuration.
+Recovery recover(Store& store, const RunnerConfig& config,
+                 const std::string& header_line, std::size_t disk_width,
+                 const Manifest& expect, CampaignReport& report) {
+  Recovery rec;
+  RecoveredCheckpoint cp;
+  // Without a checkpoint nothing is committed: a pre-existing journal is
+  // cut back to its begin line so the rerun cannot duplicate trial blocks.
+  if (!config.results_path.empty()) {
+    const auto manifest = verified_manifest(store, config, expect);
+    if (manifest) rec.incarnations = manifest->incarnations;
+    cp = load_checkpoint(store, config.results_path, disk_width);
+    if (cp.existed && cp.found_header != header_line) {
+      if (manifest) {
+        // The manifest vouches for this campaign's configuration, so the
+        // damaged header is disk corruption: rebuild it from the config.
+        report.checkpoint_header_rebuilt = true;
+      } else {
+        throw CheckpointMismatchError(
+            "checkpoint mismatch in " + config.results_path +
+            ": header does not match this campaign's columns\n  expected: " +
+            header_line + "\n  found:    " + cp.found_header +
+            "\nlikely cause: --resume points at a checkpoint from a "
+            "different sweep (stale --results target); move the file aside "
+            "or use a fresh --results path");
+      }
     }
+    report.checkpoint_corrupt_rows = cp.corrupt_rows;
+    report.checkpoint_corrupt_keys = cp.corrupt_keys;
+    report.checkpoint_tail_truncated = cp.tail_truncated;
   }
-  report.checkpoint_corrupt_rows = cp.corrupt_rows;
-  report.checkpoint_corrupt_keys = cp.corrupt_keys;
-  report.checkpoint_tail_truncated = cp.tail_truncated;
 
-  // -- Journal cross-check. A trial's terminal event flushes strictly
-  // before its CSV row, but a power cut rolls each file back
-  // independently, so either artifact can be ahead of the other; only the
-  // intersection is safe to keep. The check applies only when the journal
-  // file exists — absent means the campaign never journaled (a config
-  // choice, not data loss).
+  // The journal cross-check applies only when the journal file exists —
+  // absent means the campaign never journaled (a config choice, not data
+  // loss).
   JournalScan js;
-  bool cross_check = false;
-  std::unordered_set<std::string> complete;
-  if (have_journal) {
+  if (!config.journal_path.empty()) {
     js = scan_journal(store, config.journal_path);
-    cross_check = js.existed;
-    for (std::size_t i = 0; i < js.lines.size(); ++i) {
-      if (js.events[i] == "trial-ok" || js.events[i] == "quarantine") {
-        complete.insert(js.keys[i]);
-      }
-    }
   }
-
-  std::vector<std::string> keep_lines;
-  for (std::size_t i = 0; i < cp.lines.size(); ++i) {
-    const auto& key = cp.keys[i];
-    if (cross_check && complete.find(key) == complete.end()) {
-      ++report.checkpoint_rolled_back;
-      continue;
-    }
-    const auto cells = util::split_csv_line(cp.lines[i]);
-    CheckpointRow row;
-    row.status = cells[1] == "quarantined" ? TrialStatus::kQuarantined
-                                           : TrialStatus::kOkResumed;
-    row.cells.assign(cells.begin() + 2, cells.end() - 1);
-    if (!rec.committed.emplace(key, std::move(row)).second) continue;
-    keep_lines.push_back(cp.lines[i]);
-  }
-
-  // -- Atomic rewrite: exactly the trusted state — torn tails, corrupt
-  // rows, rolled-back records and superseded control events all vanish in
-  // one rename each; a crash mid-rewrite leaves the previous file intact.
-  std::string csv_content = header_line + "\n";
-  for (const auto& line : keep_lines) {
-    csv_content += line;
-    csv_content += '\n';
-  }
-  store.atomic_replace(config.results_path, csv_content);
-
-  if (have_journal && js.existed) {
-    std::string journal_content;
-    for (std::size_t i = 0; i < js.lines.size(); ++i) {
-      if (js.events[i] == "campaign-begin") {
-        if (rec.journal_has_begin) continue;  // keep the first only
-        rec.journal_has_begin = true;
-      } else if (js.keys[i].empty() ||
-                 rec.committed.find(js.keys[i]) == rec.committed.end()) {
-        // Campaign-level control lines (stop/abort/end, checkpoint
-        // quarantines) are superseded by this resume; keyed lines without
-        // a committed row belong to trials that will rerun.
-        continue;
-      }
-      journal_content += js.lines[i];
-      journal_content += '\n';
-    }
-    store.atomic_replace(config.journal_path, journal_content);
-  }
+  auto state = trusted_state(cp, js);
+  report.checkpoint_rolled_back =
+      state.verdicts.size() - state.committed.size();
+  write_trusted_state(store, state, config.results_path, header_line,
+                      config.journal_path);
+  rec.committed = std::move(state.committed);
+  rec.journal_has_begin = state.journal_has_begin;
   return rec;
 }
 
 }  // namespace
-
-const char* to_string(TrialStatus status) {
-  switch (status) {
-    case TrialStatus::kOk: return "ok";
-    case TrialStatus::kOkResumed: return "ok";  // same on-disk status
-    case TrialStatus::kQuarantined: return "quarantined";
-    case TrialStatus::kNotRun: return "not-run";
-  }
-  return "unknown";
-}
 
 double CampaignReport::completion_rate() const {
   const auto attempted = completed + resumed + quarantined;

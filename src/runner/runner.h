@@ -38,6 +38,7 @@
 
 #include "bender/platform.h"
 #include "fault/faulty_chip.h"
+#include "runner/checkpoint.h"
 #include "runner/journal.h"
 #include "runner/retry_policy.h"
 #include "runner/shard.h"
@@ -50,25 +51,6 @@ class TraceRecorder;
 }  // namespace hbmrd::obs
 
 namespace hbmrd::runner {
-
-enum class TrialStatus {
-  kOk,           // completed this run
-  kOkResumed,    // found committed in the checkpoint, skipped
-  kQuarantined,  // persistent fault or retries exhausted; reported
-  kNotRun,       // campaign aborted before reaching this trial
-};
-
-[[nodiscard]] const char* to_string(TrialStatus status);
-
-struct TrialRecord {
-  std::string key;
-  TrialStatus status = TrialStatus::kNotRun;
-  int attempts = 0;
-  /// Result payload (one cell per configured result column); empty when
-  /// quarantined.
-  std::vector<std::string> cells;
-  std::string quarantine_reason;
-};
 
 struct GuardBandConfig {
   bool enabled = true;
@@ -168,8 +150,9 @@ struct CampaignReport {
   /// the trusted set and re-run), with their best-effort keys.
   std::uint64_t checkpoint_corrupt_rows = 0;
   std::vector<std::string> checkpoint_corrupt_keys;
-  /// CRC-valid rows dropped because the journal holds no complete block
-  /// for them (the row outran its journal events across a power cut).
+  /// CRC-valid rows the trust rule dropped (trusted_state()): no terminal
+  /// journal event (the row outran its journal block across a power cut),
+  /// a status that event contradicts, or a repeated key.
   std::uint64_t checkpoint_rolled_back = 0;
   /// A torn trailing record was truncated at the record boundary.
   bool checkpoint_tail_truncated = false;

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
@@ -182,6 +183,27 @@ std::optional<ShardSet> ShardSet::parse(std::string_view text) {
     return std::nullopt;
   }
   return set;
+}
+
+std::string ShardSet::tiling_error() const {
+  auto sorted = shards;
+  std::sort(sorted.begin(), sorted.end(),
+            [](const ShardSpec& a, const ShardSpec& b) { return a.lo < b.lo; });
+  std::uint64_t cursor = 0;
+  for (const auto& shard : sorted) {
+    if (shard.lo != cursor || shard.hi <= shard.lo) {
+      return "shards do not tile the campaign: shard " +
+             std::to_string(shard.id) + " covers [" +
+             std::to_string(shard.lo) + ", " + std::to_string(shard.hi) +
+             "), expected lo " + std::to_string(cursor);
+    }
+    cursor = shard.hi;
+  }
+  if (cursor != trial_count) {
+    return "shards cover " + std::to_string(cursor) + " of " +
+           std::to_string(trial_count) + " trials";
+  }
+  return {};
 }
 
 std::string shard_index_path(const std::string& results_path) {

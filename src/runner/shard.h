@@ -125,6 +125,9 @@ struct ShardSet {
   /// nullopt on any syntax or CRC failure — a corrupt index is never
   /// trusted (the supervisor repartitions; merge refuses).
   [[nodiscard]] static std::optional<ShardSet> parse(std::string_view text);
+  /// "" when the shards tile [0, trial_count) exactly (in any order, none
+  /// empty); otherwise what is wrong with the partition.
+  [[nodiscard]] std::string tiling_error() const;
 };
 
 /// `<results>.shards` next to the canonical checkpoint.

@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <chrono>
 #include <csignal>
+#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 #include <thread>
@@ -18,7 +19,6 @@
 #include "runner/checkpoint.h"
 #include "runner/fsck.h"
 #include "runner/merge.h"
-#include "util/csv.h"
 
 namespace hbmrd::runner {
 
@@ -44,19 +44,6 @@ struct WorkerSlot {
 
   double respawn_at_s = -1.0;      // >= 0: respawn scheduled
 };
-
-[[nodiscard]] bool tiles_campaign(std::vector<ShardSpec> shards,
-                                  std::uint64_t trial_count) {
-  if (shards.empty()) return trial_count == 0;
-  std::sort(shards.begin(), shards.end(),
-            [](const ShardSpec& a, const ShardSpec& b) { return a.lo < b.lo; });
-  std::uint64_t cursor = 0;
-  for (const auto& shard : shards) {
-    if (shard.lo != cursor || shard.hi <= shard.lo) return false;
-    cursor = shard.hi;
-  }
-  return cursor == trial_count;
-}
 
 /// The full orchestration state for one Supervisor::run() call.
 class SupervisorRun {
@@ -143,7 +130,7 @@ void SupervisorRun::adopt_or_partition() {
     if (const auto text = store_->read(shard_index_path(campaign_.results_path))) {
       if (auto set = ShardSet::parse(*text);
           set && set->trial_count == trial_count &&
-          tiles_campaign(set->shards, trial_count)) {
+          set->tiling_error().empty()) {
         specs = set->shards;
         // An operator resume clears quarantine: the shard gets a fresh
         // failure budget (its store resumes from the commit watermark).
@@ -234,48 +221,21 @@ void SupervisorRun::spawn(WorkerSlot& slot, bool resume) {
 
 void SupervisorRun::child_main(const WorkerSlot& slot, int write_fd,
                                bool resume, std::uint64_t incarnation) {
-  // The child must not inherit a pending stop, must honor its own SIGTERM
-  // gracefully, and must survive a supervisor death mid-write (EPIPE mutes
-  // the heartbeat emitter instead of SIGPIPE killing the worker).
+  // The child must not inherit a pending stop.
   reset_graceful_stop();
-  install_graceful_stop();
-  std::signal(SIGPIPE, SIG_IGN);
-
   if (!config_.worker_argv.empty()) {
     exec_worker(slot, write_fd, resume, incarnation);  // never returns
   }
-
-  int code = shard_exit::kError;
-  try {
-    RunnerConfig worker = campaign_;
-    worker.results_path = shard_csv_path(slot.spec);
-    worker.journal_path = shard_journal_path(slot.spec);
-    worker.resume = resume;
-    worker.shard.enabled = true;
-    worker.shard.lo = slot.spec.lo;
-    worker.shard.hi = slot.spec.hi;
-    worker.shard.heartbeat_fd = write_fd;
-    worker.shard.incarnation = incarnation;
-    // Observability sinks belong to the supervisor process; a forked
-    // worker writing to the parent's registries would be lost anyway.
-    worker.metrics = nullptr;
-    worker.trace = nullptr;
-    worker.progress = nullptr;
-
-    CampaignRunner runner(chip_, worker);
-    const auto report = runner.run(trials_);
-    if (!report.aborted) {
-      code = shard_exit::kComplete;
-    } else if (report.abort_reason == "signal") {
-      code = shard_exit::kStopped;
-    } else {
-      code = shard_exit::kAborted;
-    }
-  } catch (...) {
-    code = shard_exit::kError;
-  }
+  ShardAssignment assignment;
+  assignment.results_path = shard_csv_path(slot.spec);
+  assignment.journal_path = shard_journal_path(slot.spec);
+  assignment.resume = resume;
+  assignment.lo = slot.spec.lo;
+  assignment.hi = slot.spec.hi;
+  assignment.heartbeat_fd = write_fd;
+  assignment.incarnation = incarnation;
   // _Exit: no atexit handlers, no flushing parent-inherited streams.
-  std::_Exit(code);
+  std::_Exit(run_shard_worker(chip_, campaign_, trials_, assignment));
 }
 
 void SupervisorRun::exec_worker(const WorkerSlot& slot, int write_fd,
@@ -651,15 +611,9 @@ void SupervisorRun::finish(SupervisorReport& report) {
   // like the unsharded runner's.
   const auto cp = load_checkpoint(*store_, campaign_.results_path,
                                   disk_width_);
-  for (std::size_t i = 0; i < cp.lines.size(); ++i) {
-    const auto cells = util::split_csv_line(cp.lines[i]);
-    TrialRecord record;
-    record.key = cp.keys[i];
-    for (std::size_t c = 2; c + 1 < cells.size(); ++c) {
-      record.cells.emplace_back(cells[c]);
-    }
-    if (cells.size() > 1 && cells[1] == "quarantined") {
-      record.status = TrialStatus::kQuarantined;
+  for (const auto& line : cp.lines) {
+    auto record = decode_checkpoint_row(line);
+    if (record.status == TrialStatus::kQuarantined) {
       ++report.campaign.quarantined;
     } else {
       record.status = TrialStatus::kOk;
@@ -727,6 +681,40 @@ SupervisorReport SupervisorRun::run() {
 }
 
 }  // namespace
+
+int run_shard_worker(bender::HbmChip& chip, const RunnerConfig& campaign,
+                     const std::vector<CampaignRunner::Trial>& trials,
+                     const ShardAssignment& assignment) {
+  RunnerConfig worker = campaign;
+  worker.results_path = assignment.results_path;
+  worker.journal_path = assignment.journal_path;
+  worker.resume = assignment.resume;
+  worker.shard.enabled = true;
+  worker.shard.lo = assignment.lo;
+  worker.shard.hi = assignment.hi;
+  worker.shard.heartbeat_fd = assignment.heartbeat_fd;
+  worker.shard.incarnation = assignment.incarnation;
+  // Observability sinks belong to the supervisor process: a worker writing
+  // to the parent's registries would be lost anyway, and a re-executed
+  // harness's stdout already lands in the per-shard log.
+  worker.metrics = nullptr;
+  worker.trace = nullptr;
+  worker.progress = nullptr;
+
+  install_graceful_stop();        // SIGTERM = checkpoint-flush and exit
+  std::signal(SIGPIPE, SIG_IGN);  // dead supervisor mutes the heartbeat
+  try {
+    CampaignRunner runner(chip, worker);
+    const auto report = runner.run(trials);
+    if (!report.aborted) return shard_exit::kComplete;
+    return report.abort_reason == "signal" ? shard_exit::kStopped
+                                           : shard_exit::kAborted;
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "shard worker: %s\n", error.what());
+  } catch (...) {
+  }
+  return shard_exit::kError;
+}
 
 Supervisor::Supervisor(bender::HbmChip& chip, RunnerConfig campaign,
                        SupervisorConfig config)

@@ -98,6 +98,31 @@ struct SupervisorReport {
   std::vector<std::string> quarantined_shards;
 };
 
+/// One shard worker's assignment: its shard store and its slice of the
+/// campaign. The supervisor's fork-mode child fills it from the shard spec;
+/// a re-executed harness fills it from the `--shard-*` flags.
+struct ShardAssignment {
+  std::string results_path;  // the shard checkpoint (`<results>.shard<id>`)
+  std::string journal_path;  // the shard journal ("" = none)
+  bool resume = false;       // continue the shard store's checkpoint
+  std::uint64_t lo = 0;      // half-open global trial range
+  std::uint64_t hi = 0;
+  int heartbeat_fd = -1;     // write end of the supervisor's pipe
+  std::uint64_t incarnation = 0;  // supervisor restart count of the shard
+};
+
+/// The shard-worker process body, shared by both entry points: runs the
+/// assigned slice of `campaign` in shard mode against the shard store
+/// (observability sinks belong to the supervisor and are dropped), with
+/// the graceful-stop handler installed and SIGPIPE ignored (a dead
+/// supervisor mutes the heartbeat instead of killing the worker). Returns
+/// the shard_exit code the process must exit with; an exception is
+/// reported on stderr and maps to kError.
+[[nodiscard]] int run_shard_worker(
+    bender::HbmChip& chip, const RunnerConfig& campaign,
+    const std::vector<CampaignRunner::Trial>& trials,
+    const ShardAssignment& assignment);
+
 class Supervisor {
  public:
   /// `campaign` must name a results_path (shard stores and the shard index

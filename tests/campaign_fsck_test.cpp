@@ -49,7 +49,9 @@ void run_campaign(const Artifacts& artifacts, int n_trials = 4,
                   std::shared_ptr<util::Store> store = nullptr) {
   std::vector<CampaignRunner::Trial> trials;
   for (int t = 0; t < n_trials; ++t) {
-    trials.push_back({"t" + std::to_string(t),
+    std::string key = "t";
+    key += std::to_string(t);
+    trials.push_back({std::move(key),
                       [t](bender::ChipSession&) -> std::vector<std::string> {
                         return {std::to_string(10 * t)};
                       }});
@@ -177,30 +179,44 @@ TEST(CampaignFsck, CorruptMidFileRowIsQuarantinedByRepair) {
 TEST(CampaignFsck, CrossReplayCatchesFabricatedAndMislabeledRows) {
   Artifacts artifacts("replay");
   run_campaign(artifacts);
+  const auto uninterrupted_csv = slurp(artifacts.csv);
+  const auto uninterrupted_jsonl = slurp(artifacts.jsonl);
 
   // Fabricate a CRC-valid row for a trial the journal never finished, and
-  // flip a real row's status: both self-consistent, both lies.
-  auto text = slurp(artifacts.csv);
-  std::string forged = "t9,ok,42";
-  text += forged + "," + util::crc32c_hex(util::crc32c(forged)) + "\n";
-  const auto begin = text.find("\nt2,ok,") + 1;
+  // flip the last real row's status: both self-consistent, both lies.
+  auto text = uninterrupted_csv;
+  const auto begin = text.find("\nt3,ok,") + 1;
   const auto end = text.find('\n', begin);
-  std::string mislabeled = "t2,quarantined,";
+  std::string mislabeled = "t3,quarantined,";
+  std::string forged = "t9,ok,42";
   util::default_store()->atomic_replace(
-      artifacts.csv, text.substr(0, begin) + mislabeled + "," +
-                         util::crc32c_hex(util::crc32c(mislabeled)) + "\n" +
-                         text.substr(end + 1));
+      artifacts.csv,
+      text.substr(0, begin) + mislabeled + "," +
+          util::crc32c_hex(util::crc32c(mislabeled)) + "\n" +
+          text.substr(end + 1) + forged + "," +
+          util::crc32c_hex(util::crc32c(forged)) + "\n");
 
   const auto report = fsck(artifacts);
   EXPECT_FALSE(report.clean());
   bool saw_forged = false, saw_mislabeled = false;
   for (const auto& issue : report.issues) {
     if (issue.what.find("t9") != std::string::npos) saw_forged = true;
-    if (issue.what.find("t2") != std::string::npos) saw_mislabeled = true;
+    if (issue.what.find("t3") != std::string::npos) saw_mislabeled = true;
   }
   EXPECT_TRUE(saw_forged);
   EXPECT_TRUE(saw_mislabeled);
-  EXPECT_EQ(report.trusted_rows, 3u);  // t0, t1, t3
+  EXPECT_EQ(report.trusted_rows, 3u);  // t0, t1, t2
+
+  // A resume trusts exactly what fsck trusts: both lies are dropped and t3
+  // is re-measured, so the artifacts end as the uninterrupted run's bytes
+  // and verify clean.
+  run_campaign(artifacts, 4, /*resume=*/true);
+  EXPECT_EQ(slurp(artifacts.csv), uninterrupted_csv);
+  EXPECT_EQ(slurp(artifacts.jsonl), uninterrupted_jsonl);
+  const auto again = fsck(artifacts);
+  EXPECT_TRUE(again.clean()) << (again.issues.empty()
+                                     ? "?"
+                                     : again.issues.front().what);
 }
 
 }  // namespace

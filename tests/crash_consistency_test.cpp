@@ -6,7 +6,9 @@
 // k-th operation — tearing the in-flight write and rolling every file's
 // un-synced tail back to a seeded offset — and resumed once on a healthy
 // store. The final checkpoint CSV and journal must be byte-identical to the
-// uninterrupted run's, for the serial runner and for --jobs 4.
+// uninterrupted run's, for the serial runner and for --jobs 4. A copy of
+// each torn state is first repaired offline with campaign_fsck and then
+// resumed: it must end on the same bytes, since both apply one trust rule.
 //
 // Around the sweep: crash-during-recovery (the resume path's own atomic
 // rewrite is interrupted and the next resume still converges), repeated
@@ -19,11 +21,13 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bender/platform.h"
 #include "fault/faulty_store.h"
 #include "runner/checkpoint.h"
+#include "runner/fsck.h"
 #include "runner/runner.h"
 #include "util/crc32c.h"
 #include "util/csv.h"
@@ -80,7 +84,8 @@ struct Artifacts {
   }
   ~Artifacts() { reset(); }
   void reset() const {
-    for (const auto& path : {csv, jsonl, csv + ".manifest"}) {
+    for (const auto& path :
+         {csv, jsonl, csv + ".manifest", csv + ".quarantine"}) {
       std::remove(path.c_str());
     }
   }
@@ -102,26 +107,50 @@ std::string slurp(const std::string& path) {
 }
 
 /// Runs the campaign with an injected crash at the given operation index,
-/// expecting the simulated power loss, then resumes once on a healthy
-/// store and returns the resume report.
-CampaignReport crash_then_resume(const Artifacts& artifacts,
-                                 const std::vector<CampaignRunner::Trial>& trials,
-                                 fault::StoreFaultConfig crash, int jobs,
-                                 std::uint64_t fsync_every,
-                                 std::uint64_t crash_seed) {
-  {
-    auto chip = fresh_chip();
-    auto config = base_config(artifacts, jobs, fsync_every);
-    config.store = std::make_shared<fault::FaultyStore>(
-        util::default_store(), crash_seed, crash);
-    CampaignRunner campaign(chip, config);
-    EXPECT_THROW((void)campaign.run(trials), fault::StoreCrashError);
-  }
+/// expecting the simulated power loss.
+void crash_campaign(const Artifacts& artifacts,
+                    const std::vector<CampaignRunner::Trial>& trials,
+                    fault::StoreFaultConfig crash, int jobs,
+                    std::uint64_t fsync_every, std::uint64_t crash_seed) {
+  auto chip = fresh_chip();
+  auto config = base_config(artifacts, jobs, fsync_every);
+  config.store = std::make_shared<fault::FaultyStore>(util::default_store(),
+                                                      crash_seed, crash);
+  CampaignRunner campaign(chip, config);
+  EXPECT_THROW((void)campaign.run(trials), fault::StoreCrashError);
+}
+
+/// Resumes the campaign once on a healthy store.
+CampaignReport resume_campaign(const Artifacts& artifacts,
+                               const std::vector<CampaignRunner::Trial>& trials,
+                               int jobs, std::uint64_t fsync_every) {
   auto chip = fresh_chip();
   auto config = base_config(artifacts, jobs, fsync_every);
   config.resume = true;
   CampaignRunner campaign(chip, config);
   return campaign.run(trials);
+}
+
+/// Crashes the campaign at the given operation index, then resumes it once
+/// and returns the resume report.
+CampaignReport crash_then_resume(const Artifacts& artifacts,
+                                 const std::vector<CampaignRunner::Trial>& trials,
+                                 fault::StoreFaultConfig crash, int jobs,
+                                 std::uint64_t fsync_every,
+                                 std::uint64_t crash_seed) {
+  crash_campaign(artifacts, trials, crash, jobs, fsync_every, crash_seed);
+  return resume_campaign(artifacts, trials, jobs, fsync_every);
+}
+
+/// Copies the torn artifacts byte for byte, including which are missing.
+void copy_artifacts(const Artifacts& from, const Artifacts& to) {
+  auto store = util::default_store();
+  to.reset();
+  for (const auto& [src, dst] :
+       {std::pair{from.csv, to.csv}, std::pair{from.jsonl, to.jsonl},
+        std::pair{from.csv + ".manifest", to.csv + ".manifest"}}) {
+    if (const auto bytes = store->read(src)) store->atomic_replace(dst, *bytes);
+  }
 }
 
 class CrashSweep : public ::testing::TestWithParam<int> {};
@@ -150,15 +179,30 @@ TEST_P(CrashSweep, EveryCrashPointRecoversByteIdentically) {
   ASSERT_GE(total_writes, 8u);  // manifest + header + begin + per-trial I/O
 
   Artifacts artifacts("sweep_j" + std::to_string(jobs));
+  Artifacts repaired("sweep_fsck_j" + std::to_string(jobs));
   for (std::uint64_t k = 1; k <= total_writes; ++k) {
     artifacts.reset();
     fault::StoreFaultConfig crash;
     crash.crash_at_write = k;
-    const auto report =
-        crash_then_resume(artifacts, trials, crash, jobs, 0, 1000 + k);
+    crash_campaign(artifacts, trials, crash, jobs, 0, 1000 + k);
+    copy_artifacts(artifacts, repaired);
+    const auto report = resume_campaign(artifacts, trials, jobs, 0);
     EXPECT_FALSE(report.aborted) << "crash point " << k;
     EXPECT_EQ(slurp(artifacts.csv), ref_csv) << "crash point " << k;
     EXPECT_EQ(slurp(artifacts.jsonl), ref_jsonl) << "crash point " << k;
+
+    // Offline repair applies the rule resume applies: "fsck --repair, then
+    // resume" ends on the same bytes as "resume alone".
+    FsckOptions fsck;
+    fsck.results_path = repaired.csv;
+    fsck.journal_path = repaired.jsonl;
+    fsck.repair = true;
+    (void)campaign_fsck(fsck);
+    EXPECT_FALSE(resume_campaign(repaired, trials, jobs, 0).aborted)
+        << "crash point " << k;
+    EXPECT_EQ(slurp(repaired.csv), slurp(artifacts.csv)) << "crash point " << k;
+    EXPECT_EQ(slurp(repaired.jsonl), slurp(artifacts.jsonl))
+        << "crash point " << k;
   }
 }
 

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "bender/platform.h"
+#include "runner/checkpoint.h"
 #include "runner/fsck.h"
 #include "runner/merge.h"
 #include "runner/shard.h"
@@ -368,6 +369,58 @@ TEST(SupervisorTest, KillDuringMergeIsRerunnable) {
           << shards << " shards";
     }
   }
+}
+
+TEST(MergeTest, ManifestIsTheUnshardedRunsWhateverTheShardIncarnations) {
+  // Shard manifests count their worker's restarts, which depend on crash
+  // and steal timing; the merged manifest must not.
+  reset_graceful_stop();
+  const auto trials = make_trials(6);
+  auto golden_config = base_config("merge_manifest_golden");
+  (void)golden_run("merge_manifest_golden", trials);
+  const auto golden_manifest =
+      slurp(Manifest::path_for(golden_config.results_path));
+
+  auto config = base_config("merge_manifest");
+  clear_artifacts(config, 2);
+  ShardSet set;
+  set.trial_count = trials.size();
+  const auto run_shard = [&](std::uint64_t id, bool resume) {
+    ShardAssignment assignment;
+    assignment.results_path = shard_artifact_path(config.results_path, id);
+    assignment.journal_path = shard_artifact_path(config.journal_path, id);
+    assignment.resume = resume;
+    assignment.lo = 3 * id;
+    assignment.hi = 3 * id + 3;
+    auto chip = fresh_chip();
+    EXPECT_EQ(run_shard_worker(chip, config, trials, assignment),
+              shard_exit::kComplete);
+  };
+  for (std::uint64_t id = 0; id < 2; ++id) {
+    run_shard(id, /*resume=*/false);
+    set.shards.push_back({id, 3 * id, 3 * id + 3, ShardSpec::Status::kDone});
+  }
+  util::default_store()->atomic_replace(
+      shard_index_path(config.results_path), set.serialize());
+
+  MergeOptions merge;
+  merge.results_path = config.results_path;
+  merge.journal_path = config.journal_path;
+  ASSERT_TRUE(merge_shards(merge).ok);
+  const auto merged_manifest = slurp(Manifest::path_for(config.results_path));
+  EXPECT_EQ(merged_manifest, golden_manifest);
+
+  // A second incarnation of shard 1 (a restart that found it complete)
+  // changes only its manifest's incarnation count.
+  const auto shard1_manifest =
+      Manifest::path_for(shard_artifact_path(config.results_path, 1));
+  const auto before = Manifest::parse(slurp(shard1_manifest));
+  run_shard(1, /*resume=*/true);
+  const auto after = Manifest::parse(slurp(shard1_manifest));
+  ASSERT_TRUE(before && after);
+  EXPECT_EQ(after->incarnations, before->incarnations + 1);
+  ASSERT_TRUE(merge_shards(merge).ok);
+  EXPECT_EQ(slurp(Manifest::path_for(config.results_path)), merged_manifest);
 }
 
 TEST(SupervisorTest, WorkStealingSplitsTheStraggler) {
