@@ -266,10 +266,10 @@ int main(int argc, char** argv) {
   storage_table.print(std::cout);
 
   // -- Process-supervision ablation: the same campaign sharded across
-  // supervised worker processes (fork-mode), with worker crashes, hangs
-  // and heartbeat drops injected. The supervisor must restart/handoff the
-  // shards and the merged artifacts must be byte-identical to the
-  // uninterrupted single-process reference above.
+  // supervised worker processes, with worker crashes, hangs and heartbeat
+  // drops injected. The supervisor must restart/handoff the shards and the
+  // merged artifacts must be byte-identical to the uninterrupted
+  // single-process reference above.
   ctx.banner("Process supervision: sharded workers, injected crash/hang");
   struct ChaosScenario {
     std::string label;

@@ -122,7 +122,6 @@ int main(int argc, char** argv) {
       }
     }
     const auto report = bench::run_campaign_or_die(ctx, campaign, trials);
-    if (report.aborted && report.abort_reason == "shard-skip") continue;
 
     if (obs.metrics() != nullptr) {
       arena::fold_metrics(*obs.metrics(), report.records);
@@ -198,10 +197,6 @@ int main(int argc, char** argv) {
     if (report.aborted) return 2;
   }
 
-  if (ctx.cli().has("--shard-worker")) {
-    std::cerr << "shard worker: no campaign matched --shard-campaign\n";
-    return runner::shard_exit::kError;
-  }
   obs.finish();
   return 0;
 }

@@ -54,8 +54,6 @@ Sharded campaign flags (process supervision; see docs/RESILIENCE.md):
                             trials (the watchdog must reap it)
   --worker-crash-repeats N  injected worker faults fire for the first N
                             incarnations of the shard (default 1)
-  (--shard-worker and the other --shard-* flags are spawned by the
-   supervisor itself and are not meant to be passed by hand)
 
 Storage flags (campaign persistence; see docs/RESILIENCE.md):
   --durable-every N  fsync journal + checkpoint every N committed trials
@@ -75,7 +73,6 @@ Observability flags (see docs/OBSERVABILITY.md):
 
 BenchContext::BenchContext(int argc, char** argv, const std::string& title)
     : cli_(argc, argv),
-      argv_(argv, argv + argc),
       title_(title),
       platform_(static_cast<std::uint64_t>(cli_.get_int(
           "--seed", static_cast<std::int64_t>(dram::kDefaultPlatformSeed)))) {
@@ -226,35 +223,6 @@ runner::RunnerConfig campaign_config(const util::Cli& cli,
 
 namespace {
 
-/// `--shard-worker` mode: the supervisor re-invoked this harness to run
-/// one shard of one campaign. If `campaign` is the one named by
-/// `--shard-campaign`, run its [--shard-lo, --shard-hi) slice against the
-/// per-shard store and exit with the shard_exit verdict; otherwise return
-/// a "shard-skip" report so a multi-campaign harness (fig06's per-chip
-/// loop) can move on to the campaign the supervisor meant.
-runner::CampaignReport run_shard_worker(
-    const util::Cli& cli, runner::CampaignRunner& campaign,
-    const std::vector<runner::CampaignRunner::Trial>& trials) {
-  if (campaign.config().results_path !=
-      cli.get_string("--shard-campaign", "")) {
-    runner::CampaignReport skip;
-    skip.aborted = true;
-    skip.abort_reason = "shard-skip";
-    return skip;
-  }
-  runner::ShardAssignment assignment;
-  assignment.results_path = cli.get_string("--shard-results", "");
-  assignment.journal_path = cli.get_string("--shard-journal", "");
-  assignment.resume = cli.has("--shard-resume");
-  assignment.lo = static_cast<std::uint64_t>(cli.get_int("--shard-lo", 0));
-  assignment.hi = static_cast<std::uint64_t>(cli.get_int("--shard-hi", 0));
-  assignment.heartbeat_fd = static_cast<int>(cli.get_int("--shard-fd", -1));
-  assignment.incarnation =
-      static_cast<std::uint64_t>(cli.get_int("--shard-incarnation", 0));
-  std::exit(runner::run_shard_worker(campaign.chip(), campaign.config(),
-                                     trials, assignment));
-}
-
 /// `--export-index F`: derive a .hbmidx query index (docs/SERVING.md)
 /// from the campaign's committed results CSV. Rung-1 (HC_first) data
 /// comes straight from the fig07-style columns; the index identity is
@@ -317,15 +285,13 @@ runner::CampaignReport or_die(Run&& run) {
 }
 
 runner::CampaignReport run_supervised(
-    BenchContext& ctx, runner::CampaignRunner& campaign,
+    const util::Cli& cli, runner::CampaignRunner& campaign,
     const std::vector<runner::CampaignRunner::Trial>& trials,
     std::uint64_t shards) {
-  const auto& cli = ctx.cli();
   runner::SupervisorConfig config;
   config.shards = shards;
   config.hang_timeout_s = cli.get_double("--hang-timeout", 30.0);
   config.max_restarts = static_cast<int>(cli.get_int("--max-restarts", 5));
-  config.worker_argv = ctx.argv();
   // Export from the post-merge hook: the canonical CSV exists and just
   // passed the merge's completeness checks when this runs.
   const auto results_path = campaign.config().results_path;
@@ -345,14 +311,11 @@ runner::CampaignReport run_campaign_or_die(
     const std::vector<runner::CampaignRunner::Trial>& trials) {
   const auto& cli = ctx.cli();
   try {
-    if (cli.has("--shard-worker")) {
-      return run_shard_worker(cli, campaign, trials);
-    }
     const auto shards =
         static_cast<std::uint64_t>(cli.get_int("--shards", 1));
     if (shards > 1) {
       return or_die([&] {
-        return run_supervised(ctx, campaign, trials, shards);
+        return run_supervised(cli, campaign, trials, shards);
       });
     }
     const auto report = run_campaign_or_die(campaign, trials);

@@ -33,11 +33,6 @@ class BenchContext {
   [[nodiscard]] bender::Platform& platform() { return platform_; }
   [[nodiscard]] const util::Cli& cli() const { return cli_; }
 
-  /// The harness's own argv, verbatim. The campaign supervisor re-invokes
-  /// the harness with these plus `--shard-worker ...` flags appended to
-  /// spawn process-isolated shard workers.
-  [[nodiscard]] const std::vector<std::string>& argv() const { return argv_; }
-
   /// True when --full was passed: run at paper scale.
   [[nodiscard]] bool full() const { return cli_.has("--full"); }
 
@@ -68,7 +63,6 @@ class BenchContext {
 
  private:
   util::Cli cli_;
-  std::vector<std::string> argv_;
   std::string title_;
   bender::Platform platform_;
   std::vector<std::unique_ptr<study::AddressMap>> maps_;
@@ -130,7 +124,7 @@ class CampaignObservability {
 ///   --worker-crash-trial K / --worker-hang-trial K /
 ///   --worker-heartbeat-drop K / --worker-crash-repeats N
 ///                      injected worker-process fault schedule (fires in
-///                      shard-worker mode only; fault::WorkerFaultConfig)
+///                      supervised workers only; fault::WorkerFaultConfig)
 ///   --durable-every N  fsync journal + checkpoint every N trials
 ///   --store-fault-rate R   injected I/O error probability per write
 ///   --store-crash-write N  simulate power loss at the Nth write
@@ -151,18 +145,12 @@ class CampaignObservability {
 
 /// The context-aware variant used by the sharded campaign harnesses
 /// (fig06/fig07/fig14): in addition to the above,
-///   * `--shards N` (N > 1) runs the campaign under the process
-///     supervisor (runner/supervisor.h): the harness binary is re-invoked
-///     per shard in `--shard-worker` mode, crashed/hung workers are
-///     restarted from their shard checkpoint, and the merged artifacts
-///     are byte-identical to the unsharded run. `--hang-timeout S` and
-///     `--max-restarts N` tune the watchdog;
-///   * `--shard-worker` (set by the supervisor, not by hand) runs just
-///     this campaign's [--shard-lo, --shard-hi) slice against the
-///     per-shard store and exits with a runner::shard_exit code. When the
-///     harness runs several campaigns (fig06's per-chip loop) the
-///     non-matching ones return a report aborted with reason
-///     "shard-skip" — the caller must skip it and continue.
+///   `--shards N` (N > 1) runs the campaign under the process supervisor
+///   (runner/supervisor.h): each shard is a forked worker process whose
+///   output goes to `<shard>.log`, crashed/hung workers are restarted
+///   from their shard checkpoint, and the merged artifacts are
+///   byte-identical to the unsharded run. `--hang-timeout S` and
+///   `--max-restarts N` tune the watchdog.
 [[nodiscard]] runner::CampaignReport run_campaign_or_die(
     BenchContext& ctx, runner::CampaignRunner& campaign,
     const std::vector<runner::CampaignRunner::Trial>& trials);

@@ -66,11 +66,6 @@ int main(int argc, char** argv) {
       }
     }
     const auto report = bench::run_campaign_or_die(ctx, campaign, trials);
-    if (report.aborted && report.abort_reason == "shard-skip") {
-      // A --shard-worker invocation targeting another chip's campaign;
-      // keep walking the per-chip loop until the target runs (and exits).
-      continue;
-    }
 
     util::Table table({"Channel", "die", "mean BER", "max BER"});
     std::vector<double> channel_means;
@@ -114,13 +109,6 @@ int main(int argc, char** argv) {
                                                   1e-9),
                                      2)
               << "x, spread " << bench::ber_pct(spread) << "\n";
-  }
-
-  if (ctx.cli().has("--shard-worker")) {
-    // A worker that fell through the loop never found its target
-    // campaign: a supervisor/harness path mismatch, not shard work done.
-    std::cerr << "shard worker: no campaign matched --shard-campaign\n";
-    return runner::shard_exit::kError;
   }
 
   ctx.banner("Paper reference points (Obsv. 8, 10, 11, Takeaway 3)");

@@ -138,7 +138,7 @@ struct FaultPlanConfig {
   StoreFaultConfig store;
 
   /// Process-level faults against sharded campaign workers (fire only when
-  /// the runner executes in shard-worker mode).
+  /// the runner executes in shard mode, inside a supervised worker).
   WorkerFaultConfig worker;
 
   [[nodiscard]] bool fault_free() const {

@@ -69,8 +69,6 @@ class SupervisorRun {
   void spawn(WorkerSlot& slot, bool resume);
   [[noreturn]] void child_main(const WorkerSlot& slot, int write_fd,
                                bool resume, std::uint64_t incarnation);
-  [[noreturn]] void exec_worker(const WorkerSlot& slot, int write_fd,
-                                bool resume, std::uint64_t incarnation);
   void close_pipe(WorkerSlot& slot);
 
   // -- Event loop.
@@ -193,6 +191,12 @@ void SupervisorRun::spawn(WorkerSlot& slot, bool resume) {
   ::fcntl(fds[0], F_SETFD, FD_CLOEXEC);
 
   const auto incarnation = slot.spawn_count;
+  // Fork without exec: the child runs its shard on a copy of this
+  // process. That is safe because the process is single-threaded here —
+  // the only threads a campaign starts are the OrderedShardPool workers,
+  // joined before CampaignRunner::run returns. Buffered output is flushed
+  // first so the child cannot replay it into its shard log.
+  std::fflush(nullptr);
   const auto pid = ::fork();
   if (pid < 0) {
     ::close(fds[0]);
@@ -223,23 +227,6 @@ void SupervisorRun::child_main(const WorkerSlot& slot, int write_fd,
                                bool resume, std::uint64_t incarnation) {
   // The child must not inherit a pending stop.
   reset_graceful_stop();
-  if (!config_.worker_argv.empty()) {
-    exec_worker(slot, write_fd, resume, incarnation);  // never returns
-  }
-  ShardAssignment assignment;
-  assignment.results_path = shard_csv_path(slot.spec);
-  assignment.journal_path = shard_journal_path(slot.spec);
-  assignment.resume = resume;
-  assignment.lo = slot.spec.lo;
-  assignment.hi = slot.spec.hi;
-  assignment.heartbeat_fd = write_fd;
-  assignment.incarnation = incarnation;
-  // _Exit: no atexit handlers, no flushing parent-inherited streams.
-  std::_Exit(run_shard_worker(chip_, campaign_, trials_, assignment));
-}
-
-void SupervisorRun::exec_worker(const WorkerSlot& slot, int write_fd,
-                                bool resume, std::uint64_t incarnation) {
   // Worker stdout/stderr land in a per-shard log (appended across
   // incarnations) so crash output survives for the operator.
   const auto log_path = shard_csv_path(slot.spec) + ".log";
@@ -250,33 +237,19 @@ void SupervisorRun::exec_worker(const WorkerSlot& slot, int write_fd,
     ::dup2(log_fd, 2);
     if (log_fd > 2) ::close(log_fd);
   }
-
-  std::vector<std::string> args = config_.worker_argv;
-  args.emplace_back("--shard-worker");
-  args.emplace_back("--shard-campaign");
-  args.push_back(campaign_.results_path);
-  args.emplace_back("--shard-lo");
-  args.push_back(std::to_string(slot.spec.lo));
-  args.emplace_back("--shard-hi");
-  args.push_back(std::to_string(slot.spec.hi));
-  args.emplace_back("--shard-results");
-  args.push_back(shard_csv_path(slot.spec));
-  if (!campaign_.journal_path.empty()) {
-    args.emplace_back("--shard-journal");
-    args.push_back(shard_journal_path(slot.spec));
-  }
-  args.emplace_back("--shard-fd");
-  args.push_back(std::to_string(write_fd));
-  args.emplace_back("--shard-incarnation");
-  args.push_back(std::to_string(incarnation));
-  if (resume) args.emplace_back("--shard-resume");
-
-  std::vector<char*> argv;
-  argv.reserve(args.size() + 1);
-  for (auto& arg : args) argv.push_back(arg.data());
-  argv.push_back(nullptr);
-  ::execvp(argv[0], argv.data());
-  std::_Exit(127);
+  ShardAssignment assignment;
+  assignment.results_path = shard_csv_path(slot.spec);
+  assignment.journal_path = shard_journal_path(slot.spec);
+  assignment.resume = resume;
+  assignment.lo = slot.spec.lo;
+  assignment.hi = slot.spec.hi;
+  assignment.heartbeat_fd = write_fd;
+  assignment.incarnation = incarnation;
+  const int code = run_shard_worker(chip_, campaign_, trials_, assignment);
+  // _Exit: no atexit handlers or parent-owned destructors; the worker's
+  // own log output is flushed first.
+  std::fflush(nullptr);
+  std::_Exit(code);
 }
 
 void SupervisorRun::poll_pipes() {
@@ -695,8 +668,7 @@ int run_shard_worker(bender::HbmChip& chip, const RunnerConfig& campaign,
   worker.shard.heartbeat_fd = assignment.heartbeat_fd;
   worker.shard.incarnation = assignment.incarnation;
   // Observability sinks belong to the supervisor process: a worker writing
-  // to the parent's registries would be lost anyway, and a re-executed
-  // harness's stdout already lands in the per-shard log.
+  // to the parent's registries would be lost anyway.
   worker.metrics = nullptr;
   worker.trace = nullptr;
   worker.progress = nullptr;

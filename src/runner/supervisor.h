@@ -7,11 +7,10 @@
 // supervisor:
 //
 //   * partitions the canonical trial list into contiguous shards and
-//     spawns one worker process per shard — either fork-only workers that
-//     run the campaign in the child (tests), or fork+exec of the harness
-//     binary in `--shard-worker` mode (benches) — each writing its own
-//     `util::Store` artifact set (`<results>.shard<id>` + manifest +
-//     optional journal shard);
+//     forks one worker process per shard; the child runs its slice of the
+//     campaign in place, writes its own `util::Store` artifact set
+//     (`<results>.shard<id>` + manifest + optional journal shard) and
+//     sends its stdout/stderr to `<results>.shard<id>.log`;
 //   * listens on a per-worker heartbeat pipe (runner/shard.h protocol);
 //     a worker that stops beating past the hang deadline is SIGKILLed;
 //   * detects crashes (signal death, nonzero exit, incomplete shard rows
@@ -68,11 +67,6 @@ struct SupervisorConfig {
   std::uint64_t steal_min_remaining = 4;
   /// Supervisor poll granularity (heartbeats, reaping, deadlines).
   int poll_interval_ms = 25;
-  /// Worker argv for fork+exec mode: the harness's own argv, re-run with
-  /// `--shard-worker` flags appended (bench/common.cpp builds this; the
-  /// worker's stdout/stderr land in `<results>.shard<id>.log`). Empty =
-  /// fork-only workers executing the trial list in the child process.
-  std::vector<std::string> worker_argv;
   /// Forwarded to MergeOptions::on_merged: runs once after the canonical
   /// artifacts were merged and verified (the export-index hook).
   std::function<void(const MergeReport&)> on_merged;
@@ -99,8 +93,7 @@ struct SupervisorReport {
 };
 
 /// One shard worker's assignment: its shard store and its slice of the
-/// campaign. The supervisor's fork-mode child fills it from the shard spec;
-/// a re-executed harness fills it from the `--shard-*` flags.
+/// campaign. The supervisor's forked child fills it from the shard spec.
 struct ShardAssignment {
   std::string results_path;  // the shard checkpoint (`<results>.shard<id>`)
   std::string journal_path;  // the shard journal ("" = none)
@@ -111,10 +104,10 @@ struct ShardAssignment {
   std::uint64_t incarnation = 0;  // supervisor restart count of the shard
 };
 
-/// The shard-worker process body, shared by both entry points: runs the
-/// assigned slice of `campaign` in shard mode against the shard store
-/// (observability sinks belong to the supervisor and are dropped), with
-/// the graceful-stop handler installed and SIGPIPE ignored (a dead
+/// The body of a shard worker process (the supervisor's forked child):
+/// runs the assigned slice of `campaign` in shard mode against the shard
+/// store (observability sinks belong to the supervisor and are dropped),
+/// with the graceful-stop handler installed and SIGPIPE ignored (a dead
 /// supervisor mutes the heartbeat instead of killing the worker). Returns
 /// the shard_exit code the process must exit with; an exception is
 /// reported on stderr and maps to kError.
@@ -127,7 +120,7 @@ class Supervisor {
  public:
   /// `campaign` must name a results_path (shard stores and the shard index
   /// derive from it); observability sinks attach to the supervisor side
-  /// only (workers run clean). The chip is the template for fork-mode
+  /// only (workers run clean). The chip is the template for the forked
   /// workers' private sessions, exactly as in CampaignRunner.
   Supervisor(bender::HbmChip& chip, RunnerConfig campaign,
              SupervisorConfig config);

@@ -44,9 +44,12 @@ CampaignExportReport export_campaign_csv(util::Store& store,
   const auto header_cells =
       util::split_csv_line(contents->substr(0, newline));
 
+  // Payload column index: the header names "trial" and "status" first and
+  // the CRC trailer last, which decode_checkpoint_row strips from a row.
+  constexpr std::size_t kKeyColumns = 2;
   const auto column = [&](std::string_view name) -> std::optional<int> {
-    for (std::size_t i = 0; i < header_cells.size(); ++i) {
-      if (header_cells[i] == name) return static_cast<int>(i);
+    for (std::size_t i = kKeyColumns; i + 1 < header_cells.size(); ++i) {
+      if (header_cells[i] == name) return static_cast<int>(i - kKeyColumns);
     }
     return std::nullopt;
   };
@@ -68,13 +71,14 @@ CampaignExportReport export_campaign_csv(util::Store& store,
   const auto checkpoint =
       runner::load_checkpoint(store, csv_path, header_cells.size());
   for (const auto& line : checkpoint.lines) {
-    const auto cells = util::split_csv_line(line);
-    if (cells.size() != header_cells.size() || cells[1] != "ok") {
+    const auto record = runner::decode_checkpoint_row(line);
+    if (record.status != runner::TrialStatus::kOkResumed) {
       ++report.rows_skipped;
       continue;
     }
     const auto cell = [&](const std::optional<int>& col) -> std::string_view {
-      return col ? std::string_view(cells[static_cast<std::size_t>(*col)])
+      return col ? std::string_view(
+                       record.cells[static_cast<std::size_t>(*col)])
                  : std::string_view();
     };
 

@@ -22,6 +22,8 @@
 #include "serve/export.h"
 #include "serve/index.h"
 #include "study/address_map.h"
+#include "util/csv.h"
+#include "util/store.h"
 
 namespace hbmrd::serve {
 namespace {
@@ -301,6 +303,48 @@ TEST_F(EngineFixture, IndexHitIsAtLeastTenTimesFasterThanSimulation) {
   EXPECT_GE(static_cast<double>(miss_ns), 10.0 * hit_per_query)
       << "hit " << hit_per_query << " ns/query vs simulate " << miss_ns
       << " ns";
+}
+
+// export_campaign_csv ingests only `ok` checkpoint rows whose cells parse:
+// a quarantined row and an out-of-range channel are skipped, and an empty
+// hc_first records kNoFlip.
+TEST(ExportCampaignCsv, IngestsOkRowsAndSkipsTheRest) {
+  const auto path = ::testing::TempDir() + "serve_engine_test_export.csv";
+  {
+    util::CsvWriter::Options options;
+    options.row_crc = true;
+    util::CsvWriter csv(path, {"trial", "status", "channel", "row",
+                               "hc_first"}, options);
+    csv.row({"t0", "ok", "0", "100", "5000"});
+    csv.row({"t1", "quarantined", "", "", ""});
+    csv.row({"t2", "ok", "1", "102", ""});
+    csv.row({"t3", "ok", "99", "103", "7000"});
+    csv.flush();
+  }
+  ExportSpec spec;
+  spec.chip_index = 2;
+  spec.hc_depth = 1;
+  IndexBuilder builder(manifest_for(spec));
+  const auto report =
+      export_campaign_csv(*util::default_store(), path, builder);
+  EXPECT_EQ(report.rows_ingested, 2u);
+  EXPECT_EQ(report.rows_skipped, 2u);
+
+  const auto index = Index::parse(builder.serialize(), "mem");
+  const auto rung = [&](std::uint32_t channel,
+                        std::uint32_t row) -> std::uint64_t {
+    PopulationKey key;
+    key.channel = channel;
+    key.pattern_id =
+        static_cast<std::uint32_t>(study::DataPattern::kCheckered0);
+    const auto* population = index.find(key);
+    EXPECT_NE(population, nullptr) << "channel " << channel;
+    if (population == nullptr || !population->covers(row)) return 0;
+    return index.record(*population, row).rung(1);
+  };
+  EXPECT_EQ(rung(0, 100), 5000u);
+  EXPECT_EQ(rung(1, 102), kNoFlip);
+  EXPECT_EQ(index.populations().size(), 2u);
 }
 
 }  // namespace

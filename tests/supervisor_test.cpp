@@ -100,6 +100,7 @@ void clear_artifacts(const RunnerConfig& config, std::uint64_t max_shards) {
       store->remove(shard_artifact_path(base, id));
       store->remove(shard_artifact_path(base, id) + ".manifest");
       store->remove(shard_artifact_path(base, id) + ".quarantine");
+      store->remove(shard_artifact_path(base, id) + ".log");
     }
   }
   store->remove(shard_index_path(config.results_path));
@@ -125,7 +126,7 @@ Golden golden_run(const std::string& tag,
   return {slurp(config.results_path), slurp(config.journal_path)};
 }
 
-/// Supervised fork-mode run; quick watchdog/backoff so injected hangs
+/// Supervised run; quick watchdog/backoff so injected hangs
 /// cost tenths of a second, not the production 30 s deadline.
 SupervisorConfig quick_supervision(std::uint64_t shards) {
   SupervisorConfig config;
@@ -193,6 +194,11 @@ TEST(SupervisorTest, CleanShardedRunMatchesSerial) {
     EXPECT_EQ(slurp(config.results_path), golden.csv) << shards << " shards";
     EXPECT_EQ(slurp(config.journal_path), golden.journal)
         << shards << " shards";
+    // Every forked worker's stdout/stderr goes to its shard log.
+    for (std::uint64_t id = 0; id < shards; ++id) {
+      const auto log = shard_artifact_path(config.results_path, id) + ".log";
+      EXPECT_TRUE(util::default_store()->read(log).has_value()) << log;
+    }
   }
 }
 
