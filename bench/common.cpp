@@ -200,7 +200,7 @@ runner::RunnerConfig campaign_config(const util::Cli& cli,
   config.faults.seed = static_cast<std::uint64_t>(
       cli.get_int("--fault-seed",
                   static_cast<std::int64_t>(config.faults.seed)));
-  config.guard.enabled = !cli.has("--no-guard");
+  config.guard_band = !cli.has("--no-guard");
   config.jobs = static_cast<int>(cli.get_int("--jobs", 1));
   config.fsync_every_trials =
       static_cast<std::uint64_t>(cli.get_int("--durable-every", 0));

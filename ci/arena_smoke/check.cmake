@@ -7,29 +7,12 @@
 #
 # Usage: cmake -DARENA=<binary> -DWORK_DIR=<dir> -P check.cmake
 cmake_minimum_required(VERSION 3.19)
+include(${CMAKE_CURRENT_LIST_DIR}/../common.cmake)
 
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 set(j1 "${WORK_DIR}/arena_j1")
 set(j4 "${WORK_DIR}/arena_j4")
-
-# Runs COMMAND ARGN and fails the test unless it exits 0.
-function(run what)
-  execute_process(COMMAND ${ARGN} RESULT_VARIABLE rc
-                  OUTPUT_QUIET ERROR_QUIET)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "${what} exited with ${rc}")
-  endif()
-endfunction()
-
-# Fails the test unless files A and B are byte-identical.
-function(compare a b)
-  execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files "${a}" "${b}"
-                  RESULT_VARIABLE differs)
-  if(differs)
-    message(FATAL_ERROR "${b} differs from ${a}")
-  endif()
-endfunction()
 
 set(match --chip 2 --windows 48 --benign-acts 2000 --fuzz 2
     --threshold 2000 --trust-map)

@@ -8,6 +8,7 @@
 # Usage: cmake -DFIG06=<binary> -DFSCK=<binary> -DWORK_DIR=<dir>
 #              -P check.cmake
 cmake_minimum_required(VERSION 3.19)
+include(${CMAKE_CURRENT_LIST_DIR}/../common.cmake)
 
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
@@ -23,14 +24,8 @@ function(fsck)
   set(rc "${code}" PARENT_SCOPE)
 endfunction()
 
-execute_process(
-  COMMAND "${FIG06}" --rows 2 --channels 1 --chip 2 --trust-map
-          --results "${WORK_DIR}/smoke.csv" --journal "${WORK_DIR}/smoke.jsonl"
-  RESULT_VARIABLE rc
-  OUTPUT_QUIET)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "fig06 exited with ${rc}")
-endif()
+run("fig06" "${FIG06}" --rows 2 --channels 1 --chip 2 --trust-map
+    --results "${WORK_DIR}/smoke.csv" --journal "${WORK_DIR}/smoke.jsonl")
 
 fsck()
 if(NOT rc EQUAL 0)

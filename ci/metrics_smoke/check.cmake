@@ -10,29 +10,12 @@
 # Usage: cmake -DFIG07=<binary> -DFSCK=<binary> -DWORK_DIR=<dir>
 #              -P check.cmake
 cmake_minimum_required(VERSION 3.19)
+include(${CMAKE_CURRENT_LIST_DIR}/../common.cmake)
 
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 set(j1 "${WORK_DIR}/obs_j1")
 set(j4 "${WORK_DIR}/obs_j4")
-
-# Runs COMMAND ARGN and fails the test unless it exits 0.
-function(run what)
-  execute_process(COMMAND ${ARGN} RESULT_VARIABLE rc
-                  OUTPUT_QUIET ERROR_QUIET)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "${what} exited with ${rc}")
-  endif()
-endfunction()
-
-# Fails the test unless files A and B are byte-identical.
-function(compare a b)
-  execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files "${a}" "${b}"
-                  RESULT_VARIABLE differs)
-  if(differs)
-    message(FATAL_ERROR "${b} differs from ${a}")
-  endif()
-endfunction()
 
 set(sweep --rows 2 --channels 1 --trust-map)
 run("fig07 --jobs 1" "${FIG07}" ${sweep} --results "${j1}.csv"

@@ -11,29 +11,20 @@
 # Usage: cmake -DFIG07=<binary> -DGOLDEN_DIR=<dir> -DWORK_DIR=<dir>
 #              -P check.cmake
 cmake_minimum_required(VERSION 3.19)  # string(JSON)
+include(${CMAKE_CURRENT_LIST_DIR}/../common.cmake)
 
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 
 foreach(jobs 1 4)
   set(out "${WORK_DIR}/j${jobs}")
-  execute_process(
-    COMMAND "${FIG07}" --rows 2 --channels 1 --trust-map --jobs ${jobs}
-            --results "${out}.csv" --journal "${out}.jsonl"
-            --metrics-out "${out}.json"
-    RESULT_VARIABLE rc
-    OUTPUT_QUIET)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "fig07 --jobs ${jobs} exited with ${rc}")
-  endif()
+  run("fig07 --jobs ${jobs}"
+      "${FIG07}" --rows 2 --channels 1 --trust-map --jobs ${jobs}
+      --results "${out}.csv" --journal "${out}.jsonl"
+      --metrics-out "${out}.json")
   foreach(ext csv jsonl)
-    execute_process(
-      COMMAND "${CMAKE_COMMAND}" -E compare_files
-              "${GOLDEN_DIR}/golden.${ext}" "${out}.${ext}"
-      RESULT_VARIABLE differs)
-    if(differs)
-      message(FATAL_ERROR "${out}.${ext} differs from golden.${ext}")
-    endif()
+    compare("${GOLDEN_DIR}/golden.${ext}" "${out}.${ext}"
+            "${out}.${ext} differs from golden.${ext}")
   endforeach()
   file(READ "${out}.json" metrics)
   string(JSON deterministic_${jobs} GET "${metrics}" deterministic)

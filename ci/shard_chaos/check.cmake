@@ -16,30 +16,18 @@
 # Usage: cmake -DFIG06=<binary> -DFIG07=<binary> -DFSCK=<binary>
 #              -DWORK_DIR=<dir> -P check.cmake
 cmake_minimum_required(VERSION 3.19)
+include(${CMAKE_CURRENT_LIST_DIR}/../common.cmake)
 
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 set(serial "${WORK_DIR}/chaos_serial")
 set(sharded "${WORK_DIR}/chaos")
 
-# Runs COMMAND ARGN and fails the test unless it exits 0.
-function(run what)
-  execute_process(COMMAND ${ARGN} RESULT_VARIABLE rc OUTPUT_QUIET)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "${what} exited with ${rc}")
-  endif()
-endfunction()
-
 # Fails the test unless the sharded artifacts equal the serial ones.
 function(compare_with_serial when)
   foreach(ext csv jsonl csv.manifest)
-    execute_process(
-      COMMAND "${CMAKE_COMMAND}" -E compare_files
-              "${serial}.${ext}" "${sharded}.${ext}"
-      RESULT_VARIABLE differs)
-    if(differs)
-      message(FATAL_ERROR "${when}: chaos.${ext} differs from the serial run")
-    endif()
+    compare("${serial}.${ext}" "${sharded}.${ext}"
+            "${when}: chaos.${ext} differs from the serial run")
   endforeach()
 endfunction()
 
@@ -77,14 +65,8 @@ run("sharded fig06" "${FIG06}" ${sweep} --shards 2
     --results "${sharded}.csv" --journal "${sharded}.jsonl")
 foreach(chip 0 1 4 5)
   foreach(ext csv jsonl csv.manifest)
-    execute_process(
-      COMMAND "${CMAKE_COMMAND}" -E compare_files
-              "${serial}.chip${chip}.${ext}" "${sharded}.chip${chip}.${ext}"
-      RESULT_VARIABLE differs)
-    if(differs)
-      message(FATAL_ERROR
-              "fig06.chip${chip}.${ext} differs from the serial run")
-    endif()
+    compare("${serial}.chip${chip}.${ext}" "${sharded}.chip${chip}.${ext}"
+            "fig06.chip${chip}.${ext} differs from the serial run")
   endforeach()
 endforeach()
 

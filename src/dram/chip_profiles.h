@@ -36,6 +36,12 @@ struct ChipProfile {
     return temperature_controlled ? target_temperature_c
                                   : ambient_temperature_c;
   }
+  /// Half-width of the band around setpoint_c() a trial may start in:
+  /// 1 C for temperature-controlled chips (paper Sec. 3), 3 C for ambient
+  /// chips (diurnal drift + sensor noise).
+  [[nodiscard]] double guard_band_c() const {
+    return temperature_controlled ? 1.0 : 3.0;
+  }
 };
 
 /// The six chip profiles, derived deterministically from the platform seed.

@@ -14,6 +14,9 @@ constexpr std::uint64_t kSaltThermalSign = 0xfa17'0004;
 constexpr std::uint64_t kSaltTransient = 0xfa17'0005;
 constexpr std::uint64_t kSaltKind = 0xfa17'0006;
 
+/// Magnitude of injected thermal excursions (sign drawn per trial).
+constexpr double kExcursionDeltaC = 6.0;
+
 constexpr FaultKind kTransientKinds[] = {
     FaultKind::kReadoutBitCorrupt, FaultKind::kReadoutWordCorrupt,
     FaultKind::kReadoutTruncation, FaultKind::kCommandTimeout,
@@ -77,8 +80,7 @@ FaultPlan::AttemptSchedule FaultPlan::attempt(
   if (attempt == 1 &&
       util::uniform(seed, trial, kSaltThermal) < config_.thermal_rate) {
     const bool hot = util::uniform(seed, trial, kSaltThermalSign) < 0.5;
-    schedule.excursion_delta_c =
-        hot ? config_.excursion_delta_c : -config_.excursion_delta_c;
+    schedule.excursion_c = hot ? kExcursionDeltaC : -kExcursionDeltaC;
   }
 
   // Per-attempt draw: transient faults are independent across retries.

@@ -128,11 +128,6 @@ struct FaultPlanConfig {
   /// P(the host crashes at a trial: the campaign aborts and must resume).
   double fatal_rate = 0.0;
 
-  /// Magnitude of injected thermal excursions (sign drawn per trial).
-  double excursion_delta_c = 6.0;
-  /// Simulated time a hung session burns before the watchdog kills it.
-  double watchdog_s = 30.0;
-
   /// I/O faults against the campaign's storage backend (seeded from the
   /// same plan seed; see fault::FaultyStore).
   StoreFaultConfig store;
@@ -159,7 +154,7 @@ class FaultPlan {
     FaultKind kind = FaultKind::kNone;
     /// Thermal excursion to push into the rig when the attempt begins
     /// (0 = none; only ever non-zero on a trial's first attempt).
-    double excursion_delta_c = 0.0;
+    double excursion_c = 0.0;
   };
 
   /// The schedule for one (trial, attempt); attempts are 1-based.

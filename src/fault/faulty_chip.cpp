@@ -7,6 +7,8 @@ namespace hbmrd::fault {
 namespace {
 
 constexpr std::uint64_t kSaltCorrupt = 0xfa17'0101;
+/// Simulated time a hung session burns before the watchdog kills it.
+constexpr double kWatchdogS = 30.0;
 
 [[nodiscard]] bool needs_readout(FaultKind kind) {
   switch (kind) {
@@ -30,8 +32,8 @@ void FaultyChip::begin_attempt(std::uint64_t trial, int attempt) {
   attempt_ = attempt;
   schedule_ = plan_.attempt(trial, attempt, incarnation_);
   armed_ = schedule_.kind != FaultKind::kNone;
-  if (schedule_.excursion_delta_c != 0.0) {
-    chip_.rig().inject_disturbance(schedule_.excursion_delta_c);
+  if (schedule_.excursion_c != 0.0) {
+    chip_.rig().inject_disturbance(schedule_.excursion_c);
     ++stats_.thermal_excursions;
   }
 }
@@ -50,7 +52,7 @@ void FaultyChip::inject(FaultKind kind, bender::ExecutionResult* readout) {
       // The session hangs mid-program; the host watchdog burns its budget,
       // then kills and restarts the session (the board comes back with
       // power-on DRAM contents, like a real DRAM Bender reconnect).
-      chip_.idle(plan_.config().watchdog_s);
+      chip_.idle(kWatchdogS);
       chip_.reset();
       break;
     case FaultKind::kSessionReset:

@@ -61,7 +61,6 @@ std::string Manifest::serialize() const {
   line += ',' + std::to_string(fault_seed);
   line += ',' + std::to_string(trial_count);
   line += ',' + util::crc32c_hex(trials_crc);
-  line += ',' + std::to_string(incarnations);
   line += ',' + util::crc32c_hex(util::crc32c(line));
   line += '\n';
   return line;
@@ -73,7 +72,7 @@ std::optional<Manifest> Manifest::parse(std::string_view text) {
   std::string_view payload;
   if (!util::verify_csv_row_crc(text, &payload)) return std::nullopt;
   const auto cells = util::split_csv_line(payload);
-  if (cells.size() != 7 || cells[0] != "hbmrd-manifest" ||
+  if (cells.size() != 6 || cells[0] != "hbmrd-manifest" ||
       cells[1] != version_cell()) {
     return std::nullopt;
   }
@@ -87,9 +86,6 @@ std::optional<Manifest> Manifest::parse(std::string_view text) {
   m.fault_seed = *fault_seed;
   m.trial_count = *trial_count;
   if (!util::parse_crc32c_hex(cells[5], &m.trials_crc)) return std::nullopt;
-  const auto incarnations = util::parse_u64(cells[6]);
-  if (!incarnations) return std::nullopt;
-  m.incarnations = *incarnations;
   return m;
 }
 

@@ -71,15 +71,16 @@ class CheckpointMismatchError : public std::runtime_error {
 };
 
 /// One line of campaign identity, stored next to the checkpoint
-/// (`<results>.manifest`) and rewritten atomically on every run.
+/// (`<results>.manifest`) and rewritten atomically on every run. It is a
+/// pure function of the campaign, so a resumed or merged campaign carries
+/// the uninterrupted run's manifest bytes.
 struct Manifest {
-  static constexpr int kVersion = 1;
+  static constexpr int kVersion = 2;
 
   std::uint32_t header_crc = 0;   // CRC32C of the checkpoint header line
   std::uint64_t fault_seed = 0;   // fault-plan seed the rows were drawn with
   std::uint64_t trial_count = 0;  // number of trials in the campaign list
   std::uint32_t trials_crc = 0;   // CRC32C over trial keys joined with '\n'
-  std::uint64_t incarnations = 0; // how many runs have opened this campaign
 
   /// Single self-CRC'd line (newline-terminated).
   [[nodiscard]] std::string serialize() const;

@@ -193,18 +193,15 @@ MergeReport merge_shards(const MergeOptions& options) {
   }
 
   // -- Publish. Atomic replaces, inputs untouched: rerunnable after any
-  // partial failure, producing the identical bytes. The manifest is the one
-  // a fresh unsharded run writes — how often the shard workers restarted
-  // or were split is supervision history, not campaign identity.
+  // partial failure, producing the identical bytes. The manifest is the
+  // shards' common campaign identity: the one the unsharded run writes.
   store->atomic_replace(options.results_path, csv_content);
   if (!options.journal_path.empty()) {
     store->atomic_replace(options.journal_path, journal_content);
   }
   if (identity) {
-    Manifest manifest = *identity;
-    manifest.incarnations = 1;
     store->atomic_replace(Manifest::path_for(options.results_path),
-                          manifest.serialize());
+                          identity->serialize());
   }
   report.ok = true;
   if (options.on_merged) options.on_merged(report);

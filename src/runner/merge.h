@@ -17,10 +17,8 @@
 //     recomputed from the merged rows. Keyless control lines in shard
 //     journals (shard-local stop/end events) are dropped, exactly as a
 //     resume drops superseded control lines;
-//   * manifest — what a fresh unsharded run writes: the shards' common
-//     identity digests with incarnations = 1. How often a shard's worker
-//     restarted or was split depends on crash and steal timing, so it
-//     stays in the shard manifests and out of the canonical one.
+//   * manifest — the shards' common identity digests, which is exactly
+//     what the unsharded run writes (a manifest records no run history).
 //
 // The merge refuses (reports issues, writes nothing) unless every shard is
 // complete and clean: shards tiling [0, trial_count) (ShardSet::

@@ -27,7 +27,6 @@ namespace {
 struct Recovery {
   std::unordered_map<std::string, TrialRecord> committed;
   bool journal_has_begin = false;
-  std::uint64_t incarnations = 0;
 };
 
 void accumulate(dram::BankCounters& into, const dram::BankCounters& delta) {
@@ -137,7 +136,6 @@ Recovery recover(Store& store, const RunnerConfig& config,
   // cut back to its begin line so the rerun cannot duplicate trial blocks.
   if (!config.results_path.empty()) {
     const auto manifest = verified_manifest(store, config, expect);
-    if (manifest) rec.incarnations = manifest->incarnations;
     cp = load_checkpoint(store, config.results_path, disk_width);
     if (cp.existed && cp.found_header != header_line) {
       if (manifest) {
@@ -264,10 +262,9 @@ CampaignReport CampaignRunner::run(const std::vector<Trial>& trials) {
   }
 
   if (have_csv) {
-    Manifest manifest = expect;
-    manifest.incarnations = rec.incarnations + 1;
+    // Rewritten even on resume: a missing or damaged manifest is restored.
     store->atomic_replace(Manifest::path_for(config_.results_path),
-                          manifest.serialize());
+                          expect.serialize());
   }
 
   std::unique_ptr<util::CsvWriter> csv;
@@ -296,7 +293,7 @@ CampaignReport CampaignRunner::run(const std::vector<Trial>& trials) {
         .field("persistent_rate", faults.persistent_rate, 4)
         .field("fatal_rate", faults.fatal_rate, 4)
         .field("setpoint_c", chip_.profile().setpoint_c(), 1)
-        .field("band_c", config_.guard.band_for(chip_.profile()), 2);
+        .field("band_c", chip_.profile().guard_band_c(), 2);
   }
   // Surface recovery findings before the campaign continues; these are
   // campaign-level lines ("key", not "trial") and a later resume drops
@@ -503,6 +500,14 @@ CampaignReport CampaignRunner::run(const std::vector<Trial>& trials) {
         trial_no > worker_faults.drop_heartbeats_after) {
       heartbeat_muted = true;
     }
+    const auto& trial = trials[i];
+    const auto it = committed.find(trial.key);
+    // An injected hang wedges the worker as it reaches the trial, even
+    // with a stop pending: only the supervisor's watchdog ends it.
+    if (worker_faults_armed && worker_faults.hang_at_trial == trial_no &&
+        it == committed.end()) {
+      wedge_forever();
+    }
     if (graceful_stop_requested()) {
       // Operator SIGTERM/SIGINT (or a supervisor reclaiming the shard):
       // stop at this commit boundary with the artifacts flushed — the
@@ -514,8 +519,7 @@ CampaignReport CampaignRunner::run(const std::vector<Trial>& trials) {
           .field("processed", processed);
       break;
     }
-    const auto& trial = trials[i];
-    if (auto it = committed.find(trial.key); it != committed.end()) {
+    if (it != committed.end()) {
       TrialRecord record;
       record.key = trial.key;
       record.status = it->second.status;
@@ -528,9 +532,6 @@ CampaignReport CampaignRunner::run(const std::vector<Trial>& trials) {
       // incarnation is then simply "committed rows in range".
       if (!heartbeat_muted) heartbeat.progress(static_cast<std::uint64_t>(i));
       continue;
-    }
-    if (worker_faults_armed && worker_faults.hang_at_trial == trial_no) {
-      wedge_forever();
     }
     if (next_shard >= pending.size()) {
       // The stop-after budget truncated `pending` exactly here.

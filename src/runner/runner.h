@@ -40,7 +40,6 @@
 #include "fault/faulty_chip.h"
 #include "runner/checkpoint.h"
 #include "runner/journal.h"
-#include "runner/retry_policy.h"
 #include "runner/shard.h"
 #include "runner/store.h"
 
@@ -52,33 +51,12 @@ class TraceRecorder;
 
 namespace hbmrd::runner {
 
-struct GuardBandConfig {
-  bool enabled = true;
-  /// Half-width of the allowed band around the profile's setpoint.
-  /// 0 = auto: 1.0 C for temperature-controlled chips (paper Sec. 3),
-  /// 3.0 C for ambient chips (diurnal drift + sensor noise).
-  double band_c = 0.0;
-  /// Idle step between guard polls (simulated seconds).
-  double poll_s = 2.0;
-  /// Give up waiting after this long; the attempt counts as faulted.
-  double max_wait_s = 900.0;
-
-  /// The effective band half-width for `profile` (resolves band_c = 0).
-  [[nodiscard]] double band_for(const dram::ChipProfile& profile) const {
-    if (band_c > 0.0) return band_c;
-    return profile.temperature_controlled ? 1.0 : 3.0;
-  }
-};
-
 struct RunnerConfig {
   /// Fault injection plan; default = fault-free substrate.
   fault::FaultPlanConfig faults;
-  RetryPolicy retry;
-  GuardBandConfig guard;
-  /// Attempts consuming more simulated time than this are discarded and
-  /// retried (0 = disabled; injected hangs are already bounded by the
-  /// fault plan's watchdog).
-  double trial_timeout_s = 0.0;
+  /// Hold each trial until the rig sensor sits inside the profile's guard
+  /// band (dram::ChipProfile::guard_band_c()).
+  bool guard_band = true;
   /// Checkpointed results CSV ("" = keep results in memory only).
   std::string results_path;
   /// JSONL event journal ("" = disabled).

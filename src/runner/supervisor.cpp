@@ -24,6 +24,20 @@ namespace hbmrd::runner {
 
 namespace {
 
+/// Supervisor poll granularity (heartbeats, reaping, deadlines).
+constexpr int kPollIntervalMs = 25;
+/// Work stealing does not split a shard with fewer trials left than this.
+constexpr std::uint64_t kStealMinRemaining = 4;
+
+/// Blocks or unblocks (`how`) SIGTERM in this process; `saved` receives
+/// the previous signal mask.
+void mask_sigterm(int how, sigset_t* saved = nullptr) {
+  sigset_t term;
+  sigemptyset(&term);
+  sigaddset(&term, SIGTERM);
+  ::sigprocmask(how, &term, saved);
+}
+
 /// Supervisor-side state for one shard's worker process. The spec is the
 /// authoritative partition entry; everything else is incarnation-local.
 struct WorkerSlot {
@@ -197,15 +211,21 @@ void SupervisorRun::spawn(WorkerSlot& slot, bool resume) {
   // joined before CampaignRunner::run returns. Buffered output is flushed
   // first so the child cannot replay it into its shard log.
   std::fflush(nullptr);
+  // SIGTERM stays blocked in the child until run_shard_worker has
+  // installed the graceful-stop handler: a steal request that reaches a
+  // worker before then stops it at a commit boundary instead of killing it.
+  sigset_t saved;
+  mask_sigterm(SIG_BLOCK, &saved);
   const auto pid = ::fork();
+  if (pid == 0) {
+    ::close(fds[0]);
+    child_main(slot, fds[1], resume, incarnation);  // never returns
+  }
+  ::sigprocmask(SIG_SETMASK, &saved, nullptr);
   if (pid < 0) {
     ::close(fds[0]);
     ::close(fds[1]);
     throw std::runtime_error("supervisor: fork() failed");
-  }
-  if (pid == 0) {
-    ::close(fds[0]);
-    child_main(slot, fds[1], resume, incarnation);  // never returns
   }
   ::close(fds[1]);
 
@@ -237,15 +257,12 @@ void SupervisorRun::child_main(const WorkerSlot& slot, int write_fd,
     ::dup2(log_fd, 2);
     if (log_fd > 2) ::close(log_fd);
   }
-  ShardAssignment assignment;
-  assignment.results_path = shard_csv_path(slot.spec);
-  assignment.journal_path = shard_journal_path(slot.spec);
-  assignment.resume = resume;
-  assignment.lo = slot.spec.lo;
-  assignment.hi = slot.spec.hi;
-  assignment.heartbeat_fd = write_fd;
-  assignment.incarnation = incarnation;
-  const int code = run_shard_worker(chip_, campaign_, trials_, assignment);
+  RunnerConfig worker = campaign_;
+  worker.results_path = shard_csv_path(slot.spec);
+  worker.journal_path = shard_journal_path(slot.spec);
+  worker.resume = resume;
+  worker.shard = {true, slot.spec.lo, slot.spec.hi, write_fd, incarnation};
+  const int code = run_shard_worker(chip_, std::move(worker), trials_);
   // _Exit: no atexit handlers or parent-owned destructors; the worker's
   // own log output is flushed first.
   std::fflush(nullptr);
@@ -263,7 +280,7 @@ void SupervisorRun::poll_pipes() {
   }
   const int ready = ::poll(fds.empty() ? nullptr : fds.data(),
                            static_cast<nfds_t>(fds.size()),
-                           config_.poll_interval_ms);
+                           kPollIntervalMs);
   if (ready <= 0) return;
   for (std::size_t i = 0; i < fds.size(); ++i) {
     if (fds[i].revents & (POLLIN | POLLHUP | POLLERR)) {
@@ -468,15 +485,14 @@ std::uint64_t SupervisorRun::shard_rows(const ShardSpec& spec) const {
 }
 
 void SupervisorRun::maybe_steal() {
-  if (!config_.work_stealing || stopped_) return;
+  if (stopped_) return;
   WorkerSlot* victim = nullptr;
   std::uint64_t best_remaining = 0;
   for (auto& slot : workers_) {
     if (!slot.running || slot.steal_pending || slot.kill_sent) continue;
     const auto done = std::min(slot.progress, slot.spec.size());
     const auto remaining = slot.spec.size() - done;
-    if (remaining >= config_.steal_min_remaining &&
-        remaining > best_remaining) {
+    if (remaining >= kStealMinRemaining && remaining > best_remaining) {
       best_remaining = remaining;
       victim = &slot;
     }
@@ -655,18 +671,8 @@ SupervisorReport SupervisorRun::run() {
 
 }  // namespace
 
-int run_shard_worker(bender::HbmChip& chip, const RunnerConfig& campaign,
-                     const std::vector<CampaignRunner::Trial>& trials,
-                     const ShardAssignment& assignment) {
-  RunnerConfig worker = campaign;
-  worker.results_path = assignment.results_path;
-  worker.journal_path = assignment.journal_path;
-  worker.resume = assignment.resume;
-  worker.shard.enabled = true;
-  worker.shard.lo = assignment.lo;
-  worker.shard.hi = assignment.hi;
-  worker.shard.heartbeat_fd = assignment.heartbeat_fd;
-  worker.shard.incarnation = assignment.incarnation;
+int run_shard_worker(bender::HbmChip& chip, RunnerConfig worker,
+                     const std::vector<CampaignRunner::Trial>& trials) {
   // Observability sinks belong to the supervisor process: a worker writing
   // to the parent's registries would be lost anyway.
   worker.metrics = nullptr;
@@ -675,8 +681,9 @@ int run_shard_worker(bender::HbmChip& chip, const RunnerConfig& campaign,
 
   install_graceful_stop();        // SIGTERM = checkpoint-flush and exit
   std::signal(SIGPIPE, SIG_IGN);  // dead supervisor mutes the heartbeat
+  mask_sigterm(SIG_UNBLOCK);       // blocked across the supervisor's fork
   try {
-    CampaignRunner runner(chip, worker);
+    CampaignRunner runner(chip, std::move(worker));
     const auto report = runner.run(trials);
     if (!report.aborted) return shard_exit::kComplete;
     return report.abort_reason == "signal" ? shard_exit::kStopped

@@ -11,18 +11,20 @@
 //     campaign in place, writes its own `util::Store` artifact set
 //     (`<results>.shard<id>` + manifest + optional journal shard) and
 //     sends its stdout/stderr to `<results>.shard<id>.log`;
-//   * listens on a per-worker heartbeat pipe (runner/shard.h protocol);
-//     a worker that stops beating past the hang deadline is SIGKILLed;
+//   * listens on a per-worker heartbeat pipe (runner/shard.h protocol,
+//     polled every 25 ms); a worker that stops beating past the hang
+//     deadline is SIGKILLed;
 //   * detects crashes (signal death, nonzero exit, incomplete shard rows
 //     behind a clean exit code), fsck-verifies the dead worker's partial
 //     shard store (truncating to the fsync/commit watermark with repair),
 //     and respawns a fresh worker that resumes the shard checkpoint with
 //     retry_policy exponential backoff; consecutive no-progress failures
 //     beyond max_restarts quarantine the shard;
-//   * re-shards stragglers (work stealing): when a shard finishes, the
-//     slowest running shard is asked (SIGTERM -> graceful stop) to hand
-//     back the untouched half of its remaining range, which becomes a new
-//     shard — one wedged-but-slow board cannot stall the campaign;
+//   * re-shards stragglers (work stealing, always on): when a shard
+//     finishes, the running shard with the most trials left (at least 4)
+//     is asked (SIGTERM -> graceful stop) to hand back the untouched half
+//     of its remaining range, which becomes a new shard — one
+//     wedged-but-slow board cannot stall the campaign;
 //   * merges the finished shard stores (runner/merge.h) into the canonical
 //     CSV + journal, byte-identical to the unsharded run for any shard
 //     count and any failure schedule.
@@ -60,13 +62,6 @@ struct SupervisorConfig {
   /// Backoff between a crash and the shard's respawn (base/max delays;
   /// max_attempts is not consulted — quarantine is governed above).
   RetryPolicy restart_backoff{5, 0.2, 5.0};
-  /// Steal the untouched half of the slowest shard's remaining range when
-  /// another shard finishes.
-  bool work_stealing = true;
-  /// Do not bother stealing fewer trials than this.
-  std::uint64_t steal_min_remaining = 4;
-  /// Supervisor poll granularity (heartbeats, reaping, deadlines).
-  int poll_interval_ms = 25;
   /// Forwarded to MergeOptions::on_merged: runs once after the canonical
   /// artifacts were merged and verified (the export-index hook).
   std::function<void(const MergeReport&)> on_merged;
@@ -92,29 +87,17 @@ struct SupervisorReport {
   std::vector<std::string> quarantined_shards;
 };
 
-/// One shard worker's assignment: its shard store and its slice of the
-/// campaign. The supervisor's forked child fills it from the shard spec.
-struct ShardAssignment {
-  std::string results_path;  // the shard checkpoint (`<results>.shard<id>`)
-  std::string journal_path;  // the shard journal ("" = none)
-  bool resume = false;       // continue the shard store's checkpoint
-  std::uint64_t lo = 0;      // half-open global trial range
-  std::uint64_t hi = 0;
-  int heartbeat_fd = -1;     // write end of the supervisor's pipe
-  std::uint64_t incarnation = 0;  // supervisor restart count of the shard
-};
-
 /// The body of a shard worker process (the supervisor's forked child):
-/// runs the assigned slice of `campaign` in shard mode against the shard
-/// store (observability sinks belong to the supervisor and are dropped),
-/// with the graceful-stop handler installed and SIGPIPE ignored (a dead
-/// supervisor mutes the heartbeat instead of killing the worker). Returns
-/// the shard_exit code the process must exit with; an exception is
-/// reported on stderr and maps to kError.
+/// runs `worker` — the campaign config with the caller's shard store
+/// (`results_path`, `journal_path`, `resume`) and `shard` slice filled in
+/// — with its observability sinks dropped (they belong to the
+/// supervisor), the graceful-stop handler installed and SIGPIPE ignored (a
+/// dead supervisor mutes the heartbeat instead of killing the worker).
+/// Returns the shard_exit code the process must exit with; an exception
+/// is reported on stderr and maps to kError.
 [[nodiscard]] int run_shard_worker(
-    bender::HbmChip& chip, const RunnerConfig& campaign,
-    const std::vector<CampaignRunner::Trial>& trials,
-    const ShardAssignment& assignment);
+    bender::HbmChip& chip, RunnerConfig worker,
+    const std::vector<CampaignRunner::Trial>& trials);
 
 class Supervisor {
  public:

@@ -6,6 +6,7 @@
 
 #include "obs/trace.h"
 #include "runner/journal.h"
+#include "runner/retry_policy.h"
 
 namespace hbmrd::runner {
 
@@ -13,7 +14,14 @@ namespace {
 
 /// Pseudo-fault label for a guard band that never recovered in time.
 constexpr const char* kGuardTimeout = "guard-band-timeout";
-constexpr const char* kTrialTimeout = "trial-timeout";
+/// Idle step between guard polls (simulated seconds).
+constexpr double kGuardPollS = 2.0;
+/// Give up waiting for the band after this long; the attempt counts as
+/// faulted.
+constexpr double kGuardMaxWaitS = 900.0;
+/// Transient faults retry up to 5 attempts per trial, backing off from
+/// 0.5 s up to 60 s.
+constexpr RetryPolicy kRetry{5, 0.5, 60.0};
 
 disturb::ThresholdCacheStats cache_delta(
     const disturb::ThresholdCacheStats& now,
@@ -64,13 +72,13 @@ TrialWorker::TrialWorker(const dram::ChipProfile& profile,
 
 bool TrialWorker::wait_for_guard_band(TrialOutcome& out, std::string* sink,
                                       const std::string& key, int attempt) {
-  if (!config_.guard.enabled) return true;
+  if (!config_.guard_band) return true;
   double waited = 0.0;
   while (true) {
     // Read the physical rig sensor, not the (possibly pinned) device view.
     const double measured = chip_.rig().temperature_c();
     if (std::abs(measured - chip_.profile().setpoint_c()) <=
-        config_.guard.band_for(chip_.profile())) {
+        chip_.profile().guard_band_c()) {
       if (waited > 0.0) {
         ++out.guard_blocks;
         out.guard_wait_s += waited;
@@ -82,7 +90,7 @@ bool TrialWorker::wait_for_guard_band(TrialOutcome& out, std::string* sink,
       }
       return true;
     }
-    if (waited >= config_.guard.max_wait_s) {
+    if (waited >= kGuardMaxWaitS) {
       Journal::buffered(sink, "guard-timeout")
           .field("trial", key)
           .field("attempt", attempt)
@@ -92,8 +100,8 @@ bool TrialWorker::wait_for_guard_band(TrialOutcome& out, std::string* sink,
       ++out.guard_blocks;
       return false;
     }
-    chip_.idle(config_.guard.poll_s);
-    waited += config_.guard.poll_s;
+    chip_.idle(kGuardPollS);
+    waited += kGuardPollS;
   }
 }
 
@@ -128,7 +136,7 @@ TrialOutcome TrialWorker::run(const CampaignRunner::Trial& trial,
   trial_t0_ = chip_.rig().time_s();
   const auto width = config_.result_columns.size();
 
-  for (int attempt = 1; attempt <= config_.retry.max_attempts; ++attempt) {
+  for (int attempt = 1; attempt <= kRetry.max_attempts; ++attempt) {
     out.record.attempts = attempt;
     faulty_.begin_attempt(index, attempt);
     std::string fault_kind;
@@ -137,7 +145,6 @@ TrialOutcome TrialWorker::run(const CampaignRunner::Trial& trial,
     if (!wait_for_guard_band(out, sink, trial.key, attempt)) {
       fault_kind = kGuardTimeout;
     } else {
-      const double attempt_t0 = chip_.rig().time_s();
       chip_.pin_temperature(chip_.profile().setpoint_c());
       try {
         auto cells = trial.body(faulty_);
@@ -149,20 +156,8 @@ TrialOutcome TrialWorker::run(const CampaignRunner::Trial& trial,
               std::to_string(width));
         }
         for (const auto& cell : cells) validate_csv_cell(cell, "result cell");
-        const double attempt_s = chip_.rig().time_s() - attempt_t0;
-        if (config_.trial_timeout_s > 0.0 &&
-            attempt_s > config_.trial_timeout_s) {
-          fault_kind = kTrialTimeout;
-          Journal::buffered(sink, "fault")
-              .field("trial", trial.key)
-              .field("attempt", attempt)
-              .field("kind", fault_kind)
-              .field("class", "transient")
-              .field("attempt_s", attempt_s, 1);
-        } else {
-          out.record.status = TrialStatus::kOk;
-          out.record.cells = std::move(cells);
-        }
+        out.record.status = TrialStatus::kOk;
+        out.record.cells = std::move(cells);
       } catch (const fault::FaultError& error) {
         chip_.pin_temperature(std::nullopt);
         fault_kind = fault::to_string(error.kind());
@@ -194,13 +189,12 @@ TrialOutcome TrialWorker::run(const CampaignRunner::Trial& trial,
       break;
     }
     if (fault_cls == fault::FaultClass::kPersistent ||
-        attempt == config_.retry.max_attempts) {
+        attempt == kRetry.max_attempts) {
       out.record.status = TrialStatus::kQuarantined;
       out.record.quarantine_reason = fault_kind;
       break;
     }
-    const double delay = config_.retry.backoff_s(config_.faults.seed, index,
-                                                 attempt);
+    const double delay = kRetry.backoff_s(config_.faults.seed, index, attempt);
     ++out.retries;
     out.backoff_wait_s += delay;
     Journal::buffered(sink, "retry")

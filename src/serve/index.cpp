@@ -179,50 +179,25 @@ std::size_t IndexBuilder::row_count() const {
 std::string IndexBuilder::serialize() const {
   const auto record_size = manifest_.record_size();
 
-  // Heads: the weakest rows of each population by HC_first (rung 1),
-  // excluding rows where the bound was reached (kNoFlip) or rung 1 was
-  // never measured.
   struct Entry {
     PopulationKey key;
     std::uint32_t row_lo = 0;
     std::uint32_t row_hi = 0;
-    std::vector<ThresholdHead> heads;
     const std::map<std::uint32_t, Record>* records = nullptr;
   };
   std::vector<Entry> entries;
   for (const auto& [key, rows] : rows_) {
     if (rows.empty()) continue;
-    Entry entry;
-    entry.key = key;
-    entry.row_lo = rows.begin()->first;
-    entry.row_hi = rows.rbegin()->first + 1;
-    entry.records = &rows;
-    std::vector<ThresholdHead> heads;
-    for (const auto& [row, record] : rows) {
-      if (record.rung_count < 1) continue;
-      const auto hc1 = record.rungs[0];
-      if (hc1 == 0 || hc1 == kNoFlip) continue;
-      heads.push_back({row, hc1});
-    }
-    std::sort(heads.begin(), heads.end(),
-              [](const ThresholdHead& a, const ThresholdHead& b) {
-                return std::tie(a.hc_first, a.row) <
-                       std::tie(b.hc_first, b.row);
-              });
-    if (heads.size() > kMaxHeads) heads.resize(kMaxHeads);
-    entry.heads = std::move(heads);
-    entries.push_back(std::move(entry));
+    entries.push_back(
+        {key, rows.begin()->first, rows.rbegin()->first + 1, &rows});
   }
 
   const auto manifest_bytes = manifest_payload(manifest_);
 
   // Directory payload size is known up front, which pins the absolute
   // records_offset of every population before anything is written.
-  std::size_t directory_len = 4;  // count
-  for (const auto& entry : entries) {
-    directory_len += 4 + 4 + 4 + 4 + 8 + 4 + 4 + 8 + 2 +
-                     entry.heads.size() * (4 + 8);
-  }
+  const std::size_t directory_len =
+      4 + entries.size() * (4 + 4 + 4 + 4 + 8 + 4 + 4 + 8);
 
   std::size_t cursor = sizeof(kIndexMagic);
   cursor += kSectionOverhead + manifest_bytes.size();  // manifest section
@@ -242,11 +217,6 @@ std::string IndexBuilder::serialize() const {
     put_u32(directory, entry.row_lo);
     put_u32(directory, entry.row_hi);
     put_u64(directory, payload_offset);
-    put_u16(directory, static_cast<std::uint16_t>(entry.heads.size()));
-    for (const auto& head : entry.heads) {
-      put_u32(directory, head.row);
-      put_u64(directory, head.hc_first);
-    }
     const std::size_t payload_len =
         static_cast<std::size_t>(entry.row_hi - entry.row_lo) * record_size;
     cursor += kSectionOverhead + payload_len;
@@ -417,13 +387,6 @@ Index Index::parse(std::string bytes, const std::string& origin) {
       population.row_lo = r.u32();
       population.row_hi = r.u32();
       const auto records_offset = r.u64();
-      const auto head_count = r.u16();
-      for (std::uint16_t h = 0; h < head_count; ++h) {
-        ThresholdHead head;
-        head.row = r.u32();
-        head.hc_first = r.u64();
-        population.heads.push_back(head);
-      }
 
       const auto where = "directory entry " + std::to_string(i);
       const auto& m = index.manifest_;
@@ -444,12 +407,6 @@ Index Index::parse(std::string bytes, const std::string& origin) {
                            std::to_string(population.row_hi) +
                            ") invalid for " + std::to_string(m.rows) +
                            " rows");
-      }
-      for (const auto& head : population.heads) {
-        if (!population.covers(head.row)) {
-          reject(origin,
-                 where + " head row outside the population's row range");
-        }
       }
       const auto& rs = sections[2 + i];
       if (records_offset != rs.payload_offset) {

@@ -18,9 +18,7 @@
 // directory lists populations (bank coordinate × data pattern × aggressor
 // on-time) with their row range and the absolute file offset of their
 // fixed-size record array: looking up row R is `records_offset +
-// (R - row_lo) * record_size`, no per-row parsing. Each directory entry
-// also carries a small "threshold head": the weakest rows of the
-// population by HC_first, pre-sorted, for weakest-row queries.
+// (R - row_lo) * record_size`, no per-row parsing.
 //
 // Record layout (fixed record_size = 12 + 8 * hc_depth bytes):
 //   byte 0      rung_count  — rungs 1..rung_count were measured
@@ -58,7 +56,7 @@ namespace hbmrd::serve {
 
 inline constexpr char kIndexMagic[8] = {'H', 'B', 'M', 'I',
                                         'D', 'X', '1', '\n'};
-inline constexpr std::uint32_t kIndexVersion = 1;
+inline constexpr std::uint32_t kIndexVersion = 2;
 inline constexpr std::uint32_t kSectionManifest = 1;
 inline constexpr std::uint32_t kSectionDirectory = 2;
 inline constexpr std::uint32_t kSectionRecords = 3;
@@ -67,8 +65,6 @@ inline constexpr std::uint32_t kSectionRecords = 3;
 inline constexpr std::uint64_t kNoFlip = ~0ull;
 /// pattern_id of the per-bank retention populations.
 inline constexpr std::uint32_t kRetentionPatternId = 0xFFFFFFFFu;
-/// Weakest-row head entries kept per population.
-inline constexpr std::size_t kMaxHeads = 16;
 
 /// The index file failed validation (CRC, manifest, structure). The loader
 /// throws instead of serving anything from a file it cannot fully trust.
@@ -121,13 +117,6 @@ struct PopulationKey {
   }
 };
 
-/// One weakest-row head entry: (row, HC_first), sorted ascending by
-/// (hc_first, row) within the population.
-struct ThresholdHead {
-  std::uint32_t row = 0;
-  std::uint64_t hc_first = 0;
-};
-
 /// Zero-copy view of one row record inside the loaded buffer.
 class RecordView {
  public:
@@ -161,13 +150,12 @@ class RecordView {
   std::uint32_t hc_depth_;
 };
 
-/// One population: its key, row range [row_lo, row_hi), weakest-row heads,
-/// and the offset of its record array in the loaded buffer.
+/// One population: its key, row range [row_lo, row_hi), and the offset of
+/// its record array in the loaded buffer.
 struct Population {
   PopulationKey key;
   std::uint32_t row_lo = 0;
   std::uint32_t row_hi = 0;  // exclusive
-  std::vector<ThresholdHead> heads;
   std::size_t records_offset = 0;  // into the loaded file buffer
 
   [[nodiscard]] bool covers(std::uint32_t row) const {

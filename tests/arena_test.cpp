@@ -15,6 +15,7 @@
 #include "bender/platform.h"
 #include "obs/metrics.h"
 #include "runner/runner.h"
+#include "scratch.h"
 
 namespace hbmrd::arena {
 namespace {
@@ -25,10 +26,6 @@ std::string slurp(const std::string& path) {
   std::ifstream in(path);
   return {std::istreambuf_iterator<char>(in),
           std::istreambuf_iterator<char>()};
-}
-
-std::string tmp_path(const std::string& name) {
-  return ::testing::TempDir() + "arena_test_" + name;
 }
 
 bool same_activation(const defense::Activation& a,
@@ -187,8 +184,8 @@ TEST(Arena, LeaderboardIsByteIdenticalAcrossJobs) {
     bender::HbmChip chip(dram::chip_profiles()[2]);
     runner::RunnerConfig config;
     config.result_columns = leaderboard_columns();
-    config.results_path = tmp_path(tag + ".csv");
-    config.journal_path = tmp_path(tag + ".jsonl");
+    config.results_path = scratch_path(tag + ".csv");
+    config.journal_path = scratch_path(tag + ".jsonl");
     config.jobs = jobs;
     runner::CampaignRunner campaign(chip, config);
     std::vector<runner::CampaignRunner::Trial> trials;

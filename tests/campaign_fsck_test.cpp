@@ -16,22 +16,19 @@
 #include "bender/platform.h"
 #include "fault/faulty_store.h"
 #include "runner/runner.h"
+#include "scratch.h"
 #include "util/crc32c.h"
 #include "util/csv.h"
 
 namespace hbmrd::runner {
 namespace {
 
-std::string tmp_path(const std::string& name) {
-  return ::testing::TempDir() + "fsck_test_" + name;
-}
-
 struct Artifacts {
   std::string csv;
   std::string jsonl;
 
   explicit Artifacts(const std::string& tag)
-      : csv(tmp_path(tag + ".csv")), jsonl(tmp_path(tag + ".jsonl")) {
+      : csv(scratch_path(tag + ".csv")), jsonl(scratch_path(tag + ".jsonl")) {
     reset();
   }
   ~Artifacts() { reset(); }

@@ -29,15 +29,12 @@
 #include "runner/checkpoint.h"
 #include "runner/fsck.h"
 #include "runner/runner.h"
+#include "scratch.h"
 #include "util/crc32c.h"
 #include "util/csv.h"
 
 namespace hbmrd::runner {
 namespace {
-
-std::string tmp_path(const std::string& name) {
-  return ::testing::TempDir() + "crash_test_" + name;
-}
 
 /// Chip 2: ambient, identity row mapping, no documented TRR.
 bender::HbmChip fresh_chip() {
@@ -79,7 +76,7 @@ struct Artifacts {
   std::string jsonl;
 
   explicit Artifacts(const std::string& tag)
-      : csv(tmp_path(tag + ".csv")), jsonl(tmp_path(tag + ".jsonl")) {
+      : csv(scratch_path(tag + ".csv")), jsonl(scratch_path(tag + ".jsonl")) {
     reset();
   }
   ~Artifacts() { reset(); }
@@ -175,6 +172,7 @@ TEST_P(CrashSweep, EveryCrashPointRecoversByteIdentically) {
   }
   const auto ref_csv = slurp(reference.csv);
   const auto ref_jsonl = slurp(reference.jsonl);
+  const auto ref_manifest = slurp(reference.csv + ".manifest");
   const auto total_writes = counting_store->stats().writes;
   ASSERT_GE(total_writes, 8u);  // manifest + header + begin + per-trial I/O
 
@@ -190,6 +188,8 @@ TEST_P(CrashSweep, EveryCrashPointRecoversByteIdentically) {
     EXPECT_FALSE(report.aborted) << "crash point " << k;
     EXPECT_EQ(slurp(artifacts.csv), ref_csv) << "crash point " << k;
     EXPECT_EQ(slurp(artifacts.jsonl), ref_jsonl) << "crash point " << k;
+    EXPECT_EQ(slurp(artifacts.csv + ".manifest"), ref_manifest)
+        << "crash point " << k;
 
     // Offline repair applies the rule resume applies: "fsck --repair, then
     // resume" ends on the same bytes as "resume alone".
@@ -202,6 +202,8 @@ TEST_P(CrashSweep, EveryCrashPointRecoversByteIdentically) {
         << "crash point " << k;
     EXPECT_EQ(slurp(repaired.csv), slurp(artifacts.csv)) << "crash point " << k;
     EXPECT_EQ(slurp(repaired.jsonl), slurp(artifacts.jsonl))
+        << "crash point " << k;
+    EXPECT_EQ(slurp(repaired.csv + ".manifest"), ref_manifest)
         << "crash point " << k;
   }
 }

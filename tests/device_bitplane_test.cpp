@@ -27,6 +27,7 @@
 #include "dram/row_data.h"
 #include "dram/timing.h"
 #include "runner/runner.h"
+#include "scratch.h"
 #include "sense_oracle.h"
 #include "util/rng.h"
 
@@ -395,10 +396,6 @@ std::string slurp(const std::string& path) {
           std::istreambuf_iterator<char>()};
 }
 
-std::string tmp_path(const std::string& name) {
-  return ::testing::TempDir() + "device_bitplane_test_" + name;
-}
-
 std::vector<runner::CampaignRunner::Trial> campaign_trials(int n) {
   std::vector<runner::CampaignRunner::Trial> trials;
   for (int t = 0; t < n; ++t) {
@@ -431,8 +428,8 @@ CampaignArtifacts run_campaign(int jobs, const std::string& tag) {
   bender::HbmChip chip(chip_profiles()[2]);
   runner::RunnerConfig config;
   config.result_columns = {"flips"};
-  config.results_path = tmp_path(tag + ".csv");
-  config.journal_path = tmp_path(tag + ".jsonl");
+  config.results_path = scratch_path(tag + ".csv");
+  config.journal_path = scratch_path(tag + ".jsonl");
   config.jobs = jobs;
   runner::CampaignRunner campaign(chip, config);
   (void)campaign.run(campaign_trials(6));

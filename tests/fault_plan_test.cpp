@@ -40,7 +40,7 @@ TEST(FaultPlan, FaultFreeByDefault) {
     for (int attempt = 1; attempt <= 4; ++attempt) {
       const auto schedule = plan.attempt(trial, attempt);
       EXPECT_EQ(schedule.kind, FaultKind::kNone);
-      EXPECT_EQ(schedule.excursion_delta_c, 0.0);
+      EXPECT_EQ(schedule.excursion_c, 0.0);
     }
   }
 }
@@ -58,9 +58,9 @@ TEST(FaultPlan, ScheduleIsAPureFunctionOfSeedTrialAttempt) {
       const auto sa = a.attempt(trial, attempt);
       const auto sb = b.attempt(trial, attempt);
       EXPECT_EQ(sa.kind, sb.kind) << trial << ":" << attempt;
-      EXPECT_EQ(sa.excursion_delta_c, sb.excursion_delta_c);
+      EXPECT_EQ(sa.excursion_c, sb.excursion_c);
       const auto sc = c.attempt(trial, attempt);
-      if (sc.kind != sa.kind || sc.excursion_delta_c != sa.excursion_delta_c) {
+      if (sc.kind != sa.kind || sc.excursion_c != sa.excursion_c) {
         any_difference_to_c = true;
       }
     }
@@ -115,12 +115,11 @@ TEST(FaultPlan, PersistentFaultSticksAcrossAllAttemptsOfATrial) {
 TEST(FaultPlan, ThermalExcursionOnlyOnFirstAttempt) {
   FaultPlanConfig config;
   config.thermal_rate = 1.0;
-  config.excursion_delta_c = 6.0;
   const FaultPlan plan(config);
   for (std::uint64_t trial = 0; trial < 32; ++trial) {
-    EXPECT_EQ(std::abs(plan.attempt(trial, 1).excursion_delta_c), 6.0);
-    EXPECT_EQ(plan.attempt(trial, 2).excursion_delta_c, 0.0);
-    EXPECT_EQ(plan.attempt(trial, 3).excursion_delta_c, 0.0);
+    EXPECT_EQ(std::abs(plan.attempt(trial, 1).excursion_c), 6.0);
+    EXPECT_EQ(plan.attempt(trial, 2).excursion_c, 0.0);
+    EXPECT_EQ(plan.attempt(trial, 3).excursion_c, 0.0);
   }
 }
 
@@ -135,7 +134,7 @@ TEST(FaultPlan, IncarnationKeysOnlyTheFatalDraw) {
       const auto s0 = plan.attempt(trial, attempt, 0);
       const auto s7 = plan.attempt(trial, attempt, 7);
       EXPECT_EQ(s0.kind, s7.kind);
-      EXPECT_EQ(s0.excursion_delta_c, s7.excursion_delta_c);
+      EXPECT_EQ(s0.excursion_c, s7.excursion_c);
     }
   }
   // ...while the fatal draw must move with the incarnation, so a resumed
@@ -233,7 +232,6 @@ TEST(FaultyChip, ThermalExcursionIsPushedIntoTheRig) {
   bender::HbmChip chip(profile);
   FaultPlanConfig config;
   config.thermal_rate = 1.0;
-  config.excursion_delta_c = 6.0;
   FaultyChip faulty(chip, FaultPlan(config));
   const double before = chip.rig().temperature_c();
   faulty.begin_attempt(0, 1);

@@ -21,6 +21,7 @@
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
+#include "scratch.h"
 
 namespace hbmrd::runner {
 namespace {
@@ -29,10 +30,6 @@ std::string slurp(const std::string& path) {
   std::ifstream in(path);
   return {std::istreambuf_iterator<char>(in),
           std::istreambuf_iterator<char>()};
-}
-
-std::string tmp_path(const std::string& name) {
-  return ::testing::TempDir() + "obs_campaign_test_" + name;
 }
 
 /// Chip 2: ambient, identity row mapping, no documented TRR.
@@ -91,8 +88,8 @@ void run_observed(ObservedRun& out, int jobs, const std::string& tag,
   RunnerConfig config;
   config.result_columns = kColumns;
   config.faults = noisy_faults();
-  config.results_path = tmp_path(tag + ".csv");
-  config.journal_path = tmp_path(tag + ".jsonl");
+  config.results_path = scratch_path(tag + ".csv");
+  config.journal_path = scratch_path(tag + ".jsonl");
   config.jobs = jobs;
   config.metrics = &out.metrics;
   config.trace = &out.trace;
@@ -124,8 +121,8 @@ TEST(ObsCampaign, AttachingObservabilityChangesNoCommittedByte) {
   RunnerConfig config;
   config.result_columns = kColumns;
   config.faults = noisy_faults();
-  config.results_path = tmp_path("bare.csv");
-  config.journal_path = tmp_path("bare.jsonl");
+  config.results_path = scratch_path("bare.csv");
+  config.journal_path = scratch_path("bare.jsonl");
   config.jobs = 4;
   CampaignRunner campaign(chip, config);
   (void)campaign.run(make_trials(6));
@@ -217,8 +214,8 @@ TEST(ObsCampaign, CountersTellTheCampaignStory) {
 }
 
 TEST(ObsCampaign, ResumedTrialsCountWithoutReExecution) {
-  const auto csv = tmp_path("resume.csv");
-  const auto journal = tmp_path("resume.jsonl");
+  const auto csv = scratch_path("resume.csv");
+  const auto journal = scratch_path("resume.jsonl");
   {
     auto chip = fresh_chip();
     RunnerConfig config;

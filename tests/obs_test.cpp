@@ -15,14 +15,11 @@
 #include "obs/instrumented_store.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
+#include "scratch.h"
 #include "util/store.h"
 
 namespace hbmrd::obs {
 namespace {
-
-std::string tmp_path(const std::string& name) {
-  return ::testing::TempDir() + "obs_test_" + name;
-}
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path);
@@ -93,7 +90,7 @@ TEST(MetricsRegistry, EqualRegistriesSerializeToEqualBytes) {
 }
 
 TEST(MetricsRegistry, WriteSnapshotAtomicallyReplaces) {
-  const auto path = tmp_path("snapshot.json");
+  const auto path = scratch_path("snapshot.json");
   auto store = util::default_store();
   store->atomic_replace(path, "previous contents");
   MetricsRegistry metrics;
@@ -203,7 +200,7 @@ TEST(ProgressReporter, FormatDuration) {
 TEST(InstrumentedStore, CountsEveryOperation) {
   MetricsRegistry metrics;
   InstrumentedStore store(util::default_store(), &metrics);
-  const auto path = tmp_path("instrumented.txt");
+  const auto path = scratch_path("instrumented.txt");
 
   auto file = store.open(path, /*truncate=*/true);
   file->append("hello ");
@@ -211,7 +208,7 @@ TEST(InstrumentedStore, CountsEveryOperation) {
   file->sync();
   file.reset();
   EXPECT_TRUE(store.read(path).has_value());
-  EXPECT_FALSE(store.read(tmp_path("missing.txt")).has_value());
+  EXPECT_FALSE(store.read(scratch_path("missing.txt")).has_value());
   store.atomic_replace(path, "replaced");
   store.truncate(path, 4);
   EXPECT_TRUE(store.remove(path));

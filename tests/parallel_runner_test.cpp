@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "bender/platform.h"
+#include "scratch.h"
 
 namespace hbmrd::runner {
 namespace {
@@ -26,10 +27,6 @@ std::string slurp(const std::string& path) {
   std::ifstream in(path);
   return {std::istreambuf_iterator<char>(in),
           std::istreambuf_iterator<char>()};
-}
-
-std::string tmp_path(const std::string& name) {
-  return ::testing::TempDir() + "parallel_runner_test_" + name;
 }
 
 /// Chip 2: ambient, identity row mapping, no documented TRR.
@@ -86,8 +83,8 @@ RunOutput run_campaign(int jobs, const std::string& tag,
   RunnerConfig config;
   config.result_columns = kColumns;
   config.faults = faults;
-  config.results_path = tmp_path(tag + ".csv");
-  config.journal_path = tmp_path(tag + ".jsonl");
+  config.results_path = scratch_path(tag + ".csv");
+  config.journal_path = scratch_path(tag + ".jsonl");
   config.stop_after_trials = stop_after;
   config.jobs = jobs;
   CampaignRunner campaign(chip, config);
@@ -137,8 +134,8 @@ TEST(ParallelRunner, KillAndResumeUnderJobs8MatchesTheUninterruptedSerialRun) {
 
   // Kill mid-campaign under jobs=8 (checkpoint after 4 trials), then
   // resume — still under jobs=8, on a rebooted host.
-  const auto part_csv = tmp_path("resume_part.csv");
-  const auto part_journal = tmp_path("resume_part.jsonl");
+  const auto part_csv = scratch_path("resume_part.csv");
+  const auto part_journal = scratch_path("resume_part.jsonl");
   {
     auto chip = fresh_chip();
     RunnerConfig config;
@@ -173,8 +170,8 @@ TEST(ParallelRunner, KillAndResumeUnderJobs8MatchesTheUninterruptedSerialRun) {
 
   // The kill + resume journal itself is also jobs-independent: replaying
   // the same kill + resume sequence serially writes the same bytes.
-  const auto serial_part_csv = tmp_path("resume_part_j1.csv");
-  const auto serial_part_journal = tmp_path("resume_part_j1.jsonl");
+  const auto serial_part_csv = scratch_path("resume_part_j1.csv");
+  const auto serial_part_journal = scratch_path("resume_part_j1.jsonl");
   for (const bool resume : {false, true}) {
     auto chip = fresh_chip();
     RunnerConfig config;

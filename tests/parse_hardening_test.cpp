@@ -24,6 +24,7 @@
 #include "bender/platform.h"
 #include "runner/checkpoint.h"
 #include "runner/runner.h"
+#include "scratch.h"
 #include "util/crc32c.h"
 #include "util/csv.h"
 #include "util/store.h"
@@ -99,13 +100,12 @@ TEST(ManifestParse, SurvivesEveryCellMutation) {
   reference.fault_seed = 42;
   reference.trial_count = 7;
   reference.trials_crc = 0x9abcdef0;
-  reference.incarnations = 3;
   const auto serialized = reference.serialize();
   ASSERT_TRUE(runner::Manifest::parse(serialized).has_value());
 
   auto cells = util::split_csv_line(serialized.substr(
       0, serialized.find('\n')));
-  ASSERT_EQ(cells.size(), 8u);  // 7 payload cells + CRC trailer
+  ASSERT_EQ(cells.size(), 7u);  // 6 payload cells + CRC trailer
   cells.pop_back();  // drop the CRC cell; manifest_line recomputes it
 
   const std::vector<std::string> mutations = {
@@ -146,10 +146,6 @@ std::string slurp(const std::string& path) {
   std::ifstream in(path);
   return {std::istreambuf_iterator<char>(in),
           std::istreambuf_iterator<char>()};
-}
-
-std::string tmp_path(const std::string& name) {
-  return ::testing::TempDir() + "parse_hardening_test_" + name;
 }
 
 bender::HbmChip fresh_chip() {
@@ -204,8 +200,8 @@ struct Artifacts {
 
 Artifacts committed_campaign(const std::string& tag, int n_trials) {
   Artifacts art;
-  art.csv = tmp_path(tag + ".csv");
-  art.journal = tmp_path(tag + ".jsonl");
+  art.csv = scratch_path(tag + ".csv");
+  art.journal = scratch_path(tag + ".jsonl");
   art.manifest = runner::Manifest::path_for(art.csv);
   auto store = util::default_store();
   store->remove(art.csv);

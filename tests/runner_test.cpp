@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "bender/platform.h"
+#include "scratch.h"
 
 namespace hbmrd::runner {
 namespace {
@@ -24,10 +25,6 @@ std::string slurp(const std::string& path) {
   std::ifstream in(path);
   return {std::istreambuf_iterator<char>(in),
           std::istreambuf_iterator<char>()};
-}
-
-std::string tmp_path(const std::string& name) {
-  return ::testing::TempDir() + "runner_test_" + name;
 }
 
 /// Chip 2: ambient, identity row mapping, no documented TRR.
@@ -102,8 +99,8 @@ TEST(CampaignRunner, SamePlanJournalsByteIdentically) {
     EXPECT_FALSE(report.aborted);
     return slurp(path);
   };
-  const auto a = journal_of(tmp_path("journal_a.jsonl"));
-  const auto b = journal_of(tmp_path("journal_b.jsonl"));
+  const auto a = journal_of(scratch_path("journal_a.jsonl"));
+  const auto b = journal_of(scratch_path("journal_b.jsonl"));
   ASSERT_FALSE(a.empty());
   EXPECT_EQ(a, b);
   EXPECT_EQ(a.rfind("{\"event\":\"campaign-begin\"", 0), 0u);
@@ -136,8 +133,8 @@ TEST(CampaignRunner, InjectedFaultsNeverChangeCommittedPayloads) {
 
 TEST(CampaignRunner, KillAndResumeReproducesTheUninterruptedCsv) {
   const auto trials = make_trials(8);
-  const auto full_path = tmp_path("full.csv");
-  const auto part_path = tmp_path("part.csv");
+  const auto full_path = scratch_path("full.csv");
+  const auto part_path = scratch_path("part.csv");
 
   {
     auto chip = fresh_chip();
@@ -181,8 +178,8 @@ TEST(CampaignRunner, KillAndResumeReproducesTheUninterruptedCsv) {
 
 TEST(CampaignRunner, ResumeDiscardsAPartialTrailingLine) {
   const auto trials = make_trials(6);
-  const auto full_path = tmp_path("full_partial.csv");
-  const auto cut_path = tmp_path("cut_partial.csv");
+  const auto full_path = scratch_path("full_partial.csv");
+  const auto cut_path = scratch_path("cut_partial.csv");
 
   {
     auto chip = fresh_chip();
@@ -218,7 +215,7 @@ TEST(CampaignRunner, PersistentFaultsAreQuarantinedAndReported) {
   RunnerConfig config;
   config.result_columns = kColumns;
   config.faults.persistent_rate = 1.0;
-  config.results_path = tmp_path("quarantine.csv");
+  config.results_path = scratch_path("quarantine.csv");
   CampaignRunner campaign(chip, config);
   const auto trials = make_trials(4);
   const auto report = campaign.run(trials);
@@ -271,7 +268,7 @@ TEST(CampaignRunner, FatalFaultAbortsWithTheJournalIntact) {
   RunnerConfig config;
   config.result_columns = kColumns;
   config.faults.fatal_rate = 1.0;
-  config.journal_path = tmp_path("fatal.jsonl");
+  config.journal_path = scratch_path("fatal.jsonl");
   CampaignRunner campaign(chip, config);
   const auto report = campaign.run(make_trials(4));
 
@@ -288,7 +285,7 @@ TEST(CampaignRunner, ResumeLoopSurvivesRepeatedHostCrashes) {
   // must still finish the campaign — the incarnation keys the fatal draw,
   // so a crash does not recur deterministically on the same trial.
   const auto trials = make_trials(6);
-  const auto path = tmp_path("crashy.csv");
+  const auto path = scratch_path("crashy.csv");
   { std::ofstream truncate(path); }  // start empty
 
   fault::FaultPlanConfig faults;
@@ -311,7 +308,7 @@ TEST(CampaignRunner, ResumeLoopSurvivesRepeatedHostCrashes) {
   auto chip = fresh_chip();
   RunnerConfig config;
   config.result_columns = kColumns;
-  config.results_path = tmp_path("crashy_ref.csv");
+  config.results_path = scratch_path("crashy_ref.csv");
   CampaignRunner campaign(chip, config);
   EXPECT_FALSE(campaign.run(trials).aborted);
   EXPECT_EQ(slurp(path), slurp(config.results_path));

@@ -14,6 +14,7 @@
 #include <sstream>
 #include <thread>
 
+#include "scratch.h"
 #include "serve/export.h"
 #include "serve/index.h"
 #include "serve/server.h"
@@ -21,10 +22,6 @@
 
 namespace hbmrd::serve {
 namespace {
-
-std::string tmp_path(const std::string& name) {
-  return ::testing::TempDir() + "serve_cli_test_" + name;
-}
 
 struct CliResult {
   int code = -1;
@@ -92,26 +89,26 @@ TEST(ServeCli, RuntimeFailuresExitOne) {
   auto store = util::default_store();
 
   // Missing index file.
-  auto result = run_cli({"query", "--index", tmp_path("missing.hbmidx")});
+  auto result = run_cli({"query", "--index", scratch_path("missing.hbmidx")});
   EXPECT_EQ(result.code, 1);
   EXPECT_FALSE(result.err.empty());
 
   // Corrupt index: actionable message, never served.
-  const auto corrupt = tmp_path("corrupt.hbmidx");
+  const auto corrupt = scratch_path("corrupt.hbmidx");
   store->atomic_replace(corrupt, "HBMIDX1\nbut the rest is garbage");
   result = run_cli({"query", "--index", corrupt});
   EXPECT_EQ(result.code, 1);
   EXPECT_NE(result.err.find("refusing to serve"), std::string::npos);
 
   // Unreachable server.
-  result = run_cli({"query", "--socket", tmp_path("nobody.sock")});
+  result = run_cli({"query", "--socket", scratch_path("nobody.sock")});
   EXPECT_EQ(result.code, 1);
   EXPECT_NE(result.err.find("no server"), std::string::npos);
 
   // Valid index, missing batch file.
-  const auto index_path = write_small_index(tmp_path("ok.hbmidx"));
+  const auto index_path = write_small_index(scratch_path("ok.hbmidx"));
   result = run_cli({"query", "--index", index_path, "--batch",
-                    tmp_path("missing.batch")});
+                    scratch_path("missing.batch")});
   EXPECT_EQ(result.code, 1);
 
   store->remove(corrupt);
@@ -119,8 +116,8 @@ TEST(ServeCli, RuntimeFailuresExitOne) {
 }
 
 TEST(ServeCli, QueryServesHandBuiltIndexAndWritesMetrics) {
-  const auto index_path = write_small_index(tmp_path("query.hbmidx"));
-  const auto metrics_path = tmp_path("query.metrics.json");
+  const auto index_path = write_small_index(scratch_path("query.hbmidx"));
+  const auto metrics_path = scratch_path("query.metrics.json");
 
   const auto hit = run_cli({"query", "--index", index_path, "--no-fallback",
                             "--metrics-out", metrics_path},
@@ -145,7 +142,7 @@ TEST(ServeCli, ExportMeasureThenQueryHitEqualsForcedMiss) {
   // The full loop through the real binary surface: measure a one-row
   // index, then assert the CLI-level byte-identity between an index hit
   // and --force-miss live simulation of the same query.
-  const auto index_path = tmp_path("measured.hbmidx");
+  const auto index_path = scratch_path("measured.hbmidx");
   const auto exported = run_cli({"export", "--index", index_path,
                                  "--measure", "--chip", "2", "--hc-depth",
                                  "1", "--rows", "4300..4300", "--patterns",
@@ -200,8 +197,8 @@ TEST(ServeCli, FrameProtocolRoundTripsAndRefusesOversizedLengths) {
 }
 
 TEST(ServeCli, BatchServerServesDrainsAndFoldsCounters) {
-  const auto index_path = write_small_index(tmp_path("server.hbmidx"));
-  const auto socket_path = tmp_path("server.sock");
+  const auto index_path = write_small_index(scratch_path("server.hbmidx"));
+  const auto socket_path = scratch_path("server.sock");
 
   std::atomic<bool> stop{false};
   std::ostringstream log;
@@ -266,7 +263,7 @@ TEST(ServeCli, ServerRejectsIndexForAChipItCannotModel) {
   builder.set_rung({0, 0, 0, 2, 0}, 100, 1, 54321);
 
   BatchServerOptions options;
-  options.socket_path = tmp_path("mismatch.sock");
+  options.socket_path = scratch_path("mismatch.sock");
   EXPECT_THROW(
       BatchServer(Index::parse(builder.serialize(), "mem"), options),
       IndexError);

@@ -19,6 +19,7 @@
 #include <string>
 
 #include "bender/platform.h"
+#include "scratch.h"
 #include "serve/export.h"
 #include "serve/index.h"
 #include "study/address_map.h"
@@ -309,7 +310,7 @@ TEST_F(EngineFixture, IndexHitIsAtLeastTenTimesFasterThanSimulation) {
 // a quarantined row and an out-of-range channel are skipped, and an empty
 // hc_first records kNoFlip.
 TEST(ExportCampaignCsv, IngestsOkRowsAndSkipsTheRest) {
-  const auto path = ::testing::TempDir() + "serve_engine_test_export.csv";
+  const auto path = scratch_path("export.csv");
   {
     util::CsvWriter::Options options;
     options.row_crc = true;

@@ -16,14 +16,12 @@
 #include <filesystem>
 
 #include "fault/faulty_store.h"
+#include "scratch.h"
+#include "util/crc32c.h"
 #include "util/store.h"
 
 namespace hbmrd::serve {
 namespace {
-
-std::string tmp_path(const std::string& name) {
-  return ::testing::TempDir() + "serve_index_test_" + name;
-}
 
 IndexManifest small_manifest(std::uint32_t hc_depth = 3) {
   IndexManifest manifest;
@@ -57,7 +55,7 @@ IndexBuilder small_builder() {
   return builder;
 }
 
-TEST(ServeIndex, RoundTripsRecordsHeadsAndManifest) {
+TEST(ServeIndex, RoundTripsRecordsAndManifest) {
   const auto image = small_builder().serialize();
   const auto index = Index::parse(image, "mem");
 
@@ -83,11 +81,7 @@ TEST(ServeIndex, RoundTripsRecordsHeadsAndManifest) {
   const auto row101 = index.record(*checkered, 101);
   EXPECT_EQ(row101.rung_count(), 0);
   EXPECT_FALSE(row101.has_retention());
-  // Heads: sorted ascending by HC_first -> row 102 (40000) first.
-  ASSERT_EQ(checkered->heads.size(), 2u);
-  EXPECT_EQ(checkered->heads[0].row, 102u);
-  EXPECT_EQ(checkered->heads[0].hc_first, 40000u);
-  EXPECT_EQ(checkered->heads[1].row, 100u);
+  EXPECT_EQ(index.record(*checkered, 102).rung(1), 40000u);
 
   const auto* on_time = index.find({1, 1, 3, 0, 777});
   ASSERT_NE(on_time, nullptr);
@@ -105,6 +99,31 @@ TEST(ServeIndex, RoundTripsRecordsHeadsAndManifest) {
 
 TEST(ServeIndex, SerializationIsDeterministic) {
   EXPECT_EQ(small_builder().serialize(), small_builder().serialize());
+}
+
+TEST(ServeIndex, RefusesOtherFormatVersions) {
+  // The manifest payload opens with the format version (u32, right after
+  // the magic and the section's type + length). A version-1 file, which
+  // carried per-population threshold heads, must not load even with a
+  // valid CRC.
+  const auto image = small_builder().serialize();
+  const std::size_t frame = sizeof(kIndexMagic);
+  std::uint64_t len = 0;
+  std::memcpy(&len, image.data() + frame + 4, 8);
+  const std::size_t version_at = frame + 12;
+  const std::size_t crc_at = version_at + len;
+  const auto with_version = [&](std::uint32_t version) {
+    auto patched = image;
+    std::memcpy(patched.data() + version_at, &version, 4);
+    const auto crc = util::crc32c(
+        std::string_view(patched).substr(frame, crc_at - frame));
+    std::memcpy(patched.data() + crc_at, &crc, 4);
+    return patched;
+  };
+  EXPECT_EQ(with_version(kIndexVersion), image);
+  EXPECT_THROW((void)Index::parse(with_version(1), "mem"), IndexError);
+  EXPECT_THROW((void)Index::parse(with_version(kIndexVersion + 1), "mem"),
+               IndexError);
 }
 
 TEST(ServeIndex, RejectsEverySingleByteCorruption) {
@@ -199,12 +218,12 @@ TEST(ServeIndex, RejectsCrcValidButInconsistentSections) {
 }
 
 TEST(ServeIndex, WriteIsDurableThroughStore) {
-  const auto path = tmp_path("durable.hbmidx");
+  const auto path = scratch_path("durable.hbmidx");
   auto store = util::default_store();
   small_builder().write(*store, path);
   const auto loaded = Index::load(*store, path);
   EXPECT_EQ(loaded.populations().size(), 3u);
-  EXPECT_THROW((void)Index::load(*store, tmp_path("missing.hbmidx")),
+  EXPECT_THROW((void)Index::load(*store, scratch_path("missing.hbmidx")),
                IndexError);
   store->remove(path);
 }
@@ -213,7 +232,7 @@ TEST(ServeIndex, WriteIsDurableThroughStore) {
 // index behind (satellite: .hbmidx durability).
 
 TEST(ServeIndex, PowerCutDuringExportLeavesOldOrNewIndex) {
-  const auto path = tmp_path("powercut.hbmidx");
+  const auto path = scratch_path("powercut.hbmidx");
   auto base = util::default_store();
 
   // Version 1 on disk.
@@ -250,7 +269,7 @@ TEST(ServeIndex, PowerCutDuringExportLeavesOldOrNewIndex) {
 }
 
 TEST(ServeIndex, InjectedWriteErrorSurfacesAndLeavesOldIndex) {
-  const auto path = tmp_path("eio.hbmidx");
+  const auto path = scratch_path("eio.hbmidx");
   auto base = util::default_store();
   IndexBuilder v1(small_manifest());
   v1.set_rung({0, 0, 0, 2, 0}, 10, 1, 11111);
@@ -276,7 +295,7 @@ TEST(ServeIndex, TornOnDiskBytesAreRejectedNotServed) {
   // Model the no-atomic-replace counterfactual: any torn prefix of the
   // image (what a plain overwrite + power cut could leave) must be
   // rejected by the loader.
-  const auto path = tmp_path("torn.hbmidx");
+  const auto path = scratch_path("torn.hbmidx");
   auto store = util::default_store();
   const auto image = small_builder().serialize();
   for (const auto keep :

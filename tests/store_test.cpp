@@ -16,6 +16,7 @@
 #include "fault/faulty_store.h"
 #include "runner/checkpoint.h"
 #include "runner/journal.h"
+#include "scratch.h"
 #include "util/crc32c.h"
 #include "util/csv.h"
 #include "util/store.h"
@@ -23,12 +24,8 @@
 namespace hbmrd {
 namespace {
 
-std::string tmp_path(const std::string& name) {
-  return ::testing::TempDir() + "store_test_" + name;
-}
-
 struct TempFile {
-  explicit TempFile(const std::string& name) : path(tmp_path(name)) {
+  explicit TempFile(const std::string& name) : path(scratch_path(name)) {
     std::remove(path.c_str());
   }
   ~TempFile() { std::remove(path.c_str()); }
@@ -274,7 +271,6 @@ TEST(Manifest, RoundTripsAndRejectsCorruption) {
   manifest.fault_seed = 0xDEADBEEFu;
   manifest.trial_count = 12;
   manifest.trials_crc = util::crc32c("a\nb");
-  manifest.incarnations = 3;
 
   const auto text = manifest.serialize();
   EXPECT_EQ(text.back(), '\n');
@@ -284,7 +280,6 @@ TEST(Manifest, RoundTripsAndRejectsCorruption) {
   EXPECT_EQ(parsed->fault_seed, manifest.fault_seed);
   EXPECT_EQ(parsed->trial_count, manifest.trial_count);
   EXPECT_EQ(parsed->trials_crc, manifest.trials_crc);
-  EXPECT_EQ(parsed->incarnations, manifest.incarnations);
 
   // A corrupt manifest is treated as missing, never trusted.
   std::string bad = text;

@@ -21,6 +21,7 @@
 
 #include "bender/platform.h"
 #include "runner/runner.h"
+#include "scratch.h"
 #include "study/bypass.h"
 #include "study/hc_first.h"
 #include "study/hcn.h"
@@ -377,10 +378,6 @@ std::string slurp(const std::string& path) {
           std::istreambuf_iterator<char>()};
 }
 
-std::string tmp_path(const std::string& name) {
-  return ::testing::TempDir() + "study_hc_incremental_" + name;
-}
-
 std::vector<runner::CampaignRunner::Trial> hc_trials(bool incremental) {
   std::vector<runner::CampaignRunner::Trial> trials;
   for (const int row : {4300, 64, 4308, 8000}) {
@@ -415,8 +412,8 @@ CampaignOutput run_hc_campaign(bool incremental, int jobs,
   runner::RunnerConfig config;
   config.result_columns = {"hc_first"};
   config.faults.transient_rate = fault_rate;
-  config.results_path = tmp_path(tag + ".csv");
-  config.journal_path = tmp_path(tag + ".jsonl");
+  config.results_path = scratch_path(tag + ".csv");
+  config.journal_path = scratch_path(tag + ".jsonl");
   config.stop_after_trials = stop_after;
   config.resume = resume;
   config.jobs = jobs;

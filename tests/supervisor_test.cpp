@@ -25,6 +25,7 @@
 #include "runner/fsck.h"
 #include "runner/merge.h"
 #include "runner/shard.h"
+#include "scratch.h"
 #include "util/store.h"
 
 namespace hbmrd::runner {
@@ -34,10 +35,6 @@ std::string slurp(const std::string& path) {
   std::ifstream in(path);
   return {std::istreambuf_iterator<char>(in),
           std::istreambuf_iterator<char>()};
-}
-
-std::string tmp_path(const std::string& name) {
-  return ::testing::TempDir() + "supervisor_test_" + name;
 }
 
 /// Chip 2: ambient, identity row mapping, no documented TRR.
@@ -84,9 +81,9 @@ std::vector<CampaignRunner::Trial> make_trials(int n, int slow_from = -1,
 RunnerConfig base_config(const std::string& tag) {
   RunnerConfig config;
   config.result_columns = kColumns;
-  config.results_path = tmp_path(tag + ".csv");
-  config.journal_path = tmp_path(tag + ".jsonl");
-  config.guard.enabled = false;
+  config.results_path = scratch_path(tag + ".csv");
+  config.journal_path = scratch_path(tag + ".jsonl");
+  config.guard_band = false;
   return config;
 }
 
@@ -180,16 +177,15 @@ TEST(SupervisorTest, CleanShardedRunMatchesSerial) {
   for (const auto shards : kShardCounts) {
     auto config = base_config("clean_s" + std::to_string(shards));
     clear_artifacts(config, shards);
-    // Stealing decides from wall-clock timing and would add spawns under
-    // load; WorkStealingSplitsTheStraggler covers it.
-    auto supervision = quick_supervision(shards);
-    supervision.work_stealing = false;
     auto chip = fresh_chip();
-    Supervisor supervisor(chip, config, supervision);
+    Supervisor supervisor(chip, config, quick_supervision(shards));
     const auto report = supervisor.run(trials);
     ASSERT_FALSE(report.campaign.aborted) << report.campaign.abort_reason;
-    EXPECT_EQ(report.spawns, shards);
+    // Whether a steal happens depends on wall-clock timing; every spawn
+    // past the first per shard is still a respawn or a stolen range.
+    EXPECT_EQ(report.spawns, shards + report.restarts + report.shards_stolen);
     EXPECT_EQ(report.crashes, 0u);
+    EXPECT_EQ(report.hangs_killed, 0u);
     EXPECT_EQ(report.campaign.completed, 12u);
     EXPECT_EQ(slurp(config.results_path), golden.csv) << shards << " shards";
     EXPECT_EQ(slurp(config.journal_path), golden.journal)
@@ -378,8 +374,8 @@ TEST(SupervisorTest, KillDuringMergeIsRerunnable) {
 }
 
 TEST(MergeTest, ManifestIsTheUnshardedRunsWhateverTheShardIncarnations) {
-  // Shard manifests count their worker's restarts, which depend on crash
-  // and steal timing; the merged manifest must not.
+  // How often a shard's worker restarted depends on crash and steal
+  // timing; neither the shard manifests nor the merged one may record it.
   reset_graceful_stop();
   const auto trials = make_trials(6);
   auto golden_config = base_config("merge_manifest_golden");
@@ -392,15 +388,15 @@ TEST(MergeTest, ManifestIsTheUnshardedRunsWhateverTheShardIncarnations) {
   ShardSet set;
   set.trial_count = trials.size();
   const auto run_shard = [&](std::uint64_t id, bool resume) {
-    ShardAssignment assignment;
-    assignment.results_path = shard_artifact_path(config.results_path, id);
-    assignment.journal_path = shard_artifact_path(config.journal_path, id);
-    assignment.resume = resume;
-    assignment.lo = 3 * id;
-    assignment.hi = 3 * id + 3;
+    RunnerConfig worker = config;
+    worker.results_path = shard_artifact_path(config.results_path, id);
+    worker.journal_path = shard_artifact_path(config.journal_path, id);
+    worker.resume = resume;
+    worker.shard.enabled = true;
+    worker.shard.lo = 3 * id;
+    worker.shard.hi = 3 * id + 3;
     auto chip = fresh_chip();
-    EXPECT_EQ(run_shard_worker(chip, config, trials, assignment),
-              shard_exit::kComplete);
+    EXPECT_EQ(run_shard_worker(chip, worker, trials), shard_exit::kComplete);
   };
   for (std::uint64_t id = 0; id < 2; ++id) {
     run_shard(id, /*resume=*/false);
@@ -417,14 +413,13 @@ TEST(MergeTest, ManifestIsTheUnshardedRunsWhateverTheShardIncarnations) {
   EXPECT_EQ(merged_manifest, golden_manifest);
 
   // A second incarnation of shard 1 (a restart that found it complete)
-  // changes only its manifest's incarnation count.
+  // leaves its manifest bytes unchanged.
   const auto shard1_manifest =
       Manifest::path_for(shard_artifact_path(config.results_path, 1));
-  const auto before = Manifest::parse(slurp(shard1_manifest));
+  const auto before = slurp(shard1_manifest);
+  ASSERT_FALSE(before.empty());
   run_shard(1, /*resume=*/true);
-  const auto after = Manifest::parse(slurp(shard1_manifest));
-  ASSERT_TRUE(before && after);
-  EXPECT_EQ(after->incarnations, before->incarnations + 1);
+  EXPECT_EQ(slurp(shard1_manifest), before);
   ASSERT_TRUE(merge_shards(merge).ok);
   EXPECT_EQ(slurp(Manifest::path_for(config.results_path)), merged_manifest);
 }
@@ -432,15 +427,15 @@ TEST(MergeTest, ManifestIsTheUnshardedRunsWhateverTheShardIncarnations) {
 TEST(SupervisorTest, WorkStealingSplitsTheStraggler) {
   reset_graceful_stop();
   // First half instant, second half 150 ms of wall clock per trial: shard
-  // 0 finishes immediately and must steal from the straggling shard 1.
-  const auto trials = make_trials(12, /*slow_from=*/6, /*slow_ms=*/150);
+  // 0 finishes immediately and must steal from the straggling shard 1,
+  // which keeps the 4 trials left that a steal needs for 0.75 s (until it
+  // has committed 5 of its 8 slow trials).
+  const auto trials = make_trials(16, /*slow_from=*/8, /*slow_ms=*/150);
   const auto golden = golden_run("steal_golden", trials);
   auto config = base_config("steal");
   clear_artifacts(config, 2);
-  auto supervision = quick_supervision(2);
-  supervision.steal_min_remaining = 3;
   auto chip = fresh_chip();
-  Supervisor supervisor(chip, config, supervision);
+  Supervisor supervisor(chip, config, quick_supervision(2));
   const auto report = supervisor.run(trials);
   ASSERT_FALSE(report.campaign.aborted) << report.campaign.abort_reason;
   EXPECT_GE(report.shards_stolen, 1u);

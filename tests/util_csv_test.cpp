@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "runner/worker.h"
+#include "scratch.h"
 
 namespace hbmrd::util {
 namespace {
@@ -19,7 +20,7 @@ std::string slurp(const std::string& path) {
 }
 
 struct TempCsv {
-  std::string path = "/tmp/hbmrd_csv_test.csv";
+  std::string path = scratch_path("csv_test.csv");
   ~TempCsv() { std::remove(path.c_str()); }
 };
 
