@@ -228,24 +228,34 @@ bool Executor::try_hammer_fast_path(const Program& program,
   BankSchedule& b = sched(*bank);
   if (b.open) return false;  // require a precharged bank, like the device
 
+  // Plan every window once; each pass replays the plans.
+  std::vector<dram::HammerPlan> plans;
+  for (const auto& e : elements) {
+    if (e.ref == nullptr) {
+      plans.push_back(stack_->plan_hammer(
+          *bank, std::span(steps).subspan(e.begin, e.end - e.begin)));
+    }
+  }
+  dram::Bank& device = stack_->bank(*bank);
+
   // A REF-free body is one window of `iterations` rounds. Otherwise every
   // iteration replays the REFs at their exact iterative schedule and each
   // window as one round.
   const std::uint64_t rounds = has_ref ? 1 : iterations;
   const std::uint64_t passes = has_ref ? iterations : 1;
   for (std::uint64_t pass = 0; pass < passes; ++pass) {
+    const dram::HammerPlan* plan = plans.data();
     for (const auto& e : elements) {
       if (e.ref != nullptr) {
         exec_ref(*e.ref);
         continue;
       }
       const dram::Cycle start = std::max(clock_, b.act_ok);
-      const dram::Cycle end = stack_->bulk_hammer(
-          *bank, std::span(steps).subspan(e.begin, e.end - e.begin), rounds,
-          start);
+      const dram::Cycle end = device.apply(*plan, rounds, start);
       // Represented commands: each round replays every [ACT .. PRE] step.
-      counters_.acts += rounds * (e.end - e.begin);
-      counters_.pres += rounds * (e.end - e.begin);
+      counters_.acts += rounds * plan->size();
+      counters_.pres += rounds * plan->size();
+      ++plan;
       ++counters_.bulk_hammer_windows;
       b.open = false;
       b.last_act = end;  // conservative: next ACT is gated by act_ok below

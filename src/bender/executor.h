@@ -7,9 +7,12 @@
 // on-times, and counted loops either run iteratively or, when the body only
 // hammers one bank (ACT/WAIT/PRE runs, optionally with REFs on that bank's
 // channel), through the device's analytic hammer fast path with identical
-// semantics. A REF-free body is one bulk_hammer window of `iterations`
-// rounds; a refresh-interleaved body (the TRR-bypass shape) replays its REFs
-// at their exact iterative schedule and each run as a one-round window.
+// semantics. Each [ACT..PRE] run of the body is planned once per loop
+// (dram::HammerPlan) and applied to the bank as often as the loop needs
+// (dram::Bank::apply). A REF-free body is one window of `iterations`
+// rounds; a refresh-interleaved body (the TRR-bypass shape) replays its
+// REFs at their exact iterative schedule and applies each run's plan as a
+// one-round window.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +26,7 @@ namespace hbmrd::bender {
 
 /// Host-side command counts since executor construction (= since the last
 /// power cycle: HbmChip rebuilds the executor on power_cycle()). Counts
-/// REPRESENTED commands: a fast-path bulk_hammer window contributes the
+/// REPRESENTED commands: a fast-path hammer window contributes the
 /// ACT/PRE commands its iterative equivalent would have issued, plus one
 /// bulk_hammer_windows tick per analytic window. Pure functions of the
 /// executed programs, so deterministic across --jobs N (the observability

@@ -104,8 +104,13 @@ struct Bank::SenseArena {
   /// Per-epoch power_on_prefix of the aggressor, for null snapshots.
   std::vector<std::uint64_t> epoch_power_on;
 
-  /// Scratch for bulk_hammer's sorted hammered-row lookup.
-  std::vector<int> hammered_rows;
+  /// Row states of the hammer window being applied: each distinct row's
+  /// and its victims' (null = not disturbed), resolved once per window.
+  struct HammeredRow {
+    RowState* state;
+    std::array<RowState*, kDistances.size()> victims;
+  };
+  std::vector<HammeredRow> hammered;
 };
 
 Bank::Bank(BankAddress address, const disturb::FaultModel* fault_model,
@@ -744,137 +749,155 @@ void Bank::refresh(Cycle now) {
   }
 }
 
-Cycle Bank::bulk_hammer(std::span<const HammerStep> steps,
-                        std::uint64_t iterations, Cycle start) {
+HammerPlan Bank::plan(std::vector<HammerStep> steps) const {
   if (steps.empty()) throw std::invalid_argument("bulk_hammer: no steps");
-  if (iterations == 0) throw std::invalid_argument("bulk_hammer: 0 iters");
-  if (open_row_) throw TimingViolation("bulk_hammer: bank must be precharged");
   for (const auto& s : steps) {
     check_row(s.row);
     if (s.on_cycles < timing_.t_ras) {
       throw TimingViolation("bulk_hammer: on-time below tRAS");
     }
   }
+  HammerPlan p;
+  p.steps_ = std::move(steps);
+  const auto& st = p.steps_;
 
-  cover_top_rung();
-
-  // Canonical per-iteration layout: step k activates, stays open for its
+  // Canonical per-round layout: step k activates, stays open for its
   // on-time, precharges; the next ACT follows after max(tRP, tRC slack).
-  std::vector<Cycle> act_offset(steps.size());
+  p.act_offset_.resize(st.size());
   Cycle t = 0;
   Cycle prev_act = 0;
-  for (std::size_t k = 0; k < steps.size(); ++k) {
+  for (std::size_t k = 0; k < st.size(); ++k) {
     if (k > 0) {
       t = std::max(t + timing_.t_rp, prev_act + timing_.t_rc);
     }
-    act_offset[k] = t;
+    p.act_offset_[k] = t;
     prev_act = t;
-    t += steps[k].on_cycles;  // PRE happens at t (>= ACT + tRAS)
+    t += st[k].on_cycles;  // PRE happens at t (>= ACT + tRAS)
   }
-  // Period: distance between iteration starts; honours tRP after the last
-  // PRE and tRC from the last ACT to the next iteration's first ACT.
-  const Cycle period = std::max(t + timing_.t_rp, prev_act + timing_.t_rc);
+  // Period: distance between round starts; honours tRP after the last PRE
+  // and tRC from the last ACT to the next round's first ACT.
+  p.period_ = std::max(t + timing_.t_rp, prev_act + timing_.t_rc);
+
+  // Distinct rows in first-activation order (refresh-window bursts repeat
+  // the same aggressors and dummies dozens of times), and the window's
+  // dose folded per (row, unit) in first-step order. For one victim every
+  // aggressor row sits at one distance, so a folded entry lands in the
+  // same (distance, version, unit) epoch its steps would, and ledger
+  // counts are integers: the fold changes no epoch, order or count.
+  for (std::size_t k = 0; k < st.size(); ++k) {
+    std::size_t r = 0;
+    while (r < p.rows_.size() && p.rows_[r].row != st[k].row) ++r;
+    if (r == p.rows_.size()) {
+      p.rows_.push_back({st[k].row, p.act_offset_[k], p.act_offset_[k], {}});
+    } else {
+      p.rows_[r].last_offset = p.act_offset_[k];
+    }
+    const double unit = fault_->taggon_factor(st[k].on_cycles);
+    const auto row = static_cast<std::uint32_t>(r);
+    auto dose = std::find_if(p.doses_.begin(), p.doses_.end(),
+                             [&](const HammerPlan::Dose& d) {
+                               return d.row == row && d.unit == unit;
+                             });
+    if (dose == p.doses_.end()) {
+      p.doses_.push_back({row, unit, 1});
+    } else {
+      ++dose->count;
+    }
+  }
+
+  // Victims: hammered rows restore themselves every round, so their
+  // residual dose is dropped (see apply()) and they are no one's victim.
+  static_assert(std::tuple_size_v<decltype(HammerPlan::Row::victims)> ==
+                kDistances.size());
+  const auto hammered = [&p](int row) {
+    return std::any_of(p.rows_.begin(), p.rows_.end(),
+                       [row](const HammerPlan::Row& r) { return r.row == row; });
+  };
+  for (auto& hr : p.rows_) {
+    hr.victims.fill(-1);
+    for_each_victim(hr.row, [&](std::size_t slot, int victim) {
+      if (!hammered(victim)) hr.victims[slot] = victim;
+    });
+  }
+  return p;
+}
+
+Cycle Bank::apply(const HammerPlan& plan, std::uint64_t iterations,
+                  Cycle start) {
+  if (iterations == 0) throw std::invalid_argument("bulk_hammer: 0 iters");
+  if (open_row_) throw TimingViolation("bulk_hammer: bank must be precharged");
+
+  cover_top_rung();
 
   // Validate the boundary timing through the checker using the first
-  // iteration, then (for multi-iteration bursts) replay the last iteration
-  // so that subsequent commands see the correct history.
-  auto replay_iteration = [&](Cycle iteration_start) {
+  // round, then (for multi-round bursts) replay the last round so that
+  // subsequent commands see the correct history.
+  const auto& steps = plan.steps_;
+  auto replay_round = [&](Cycle round_start) {
     for (std::size_t k = 0; k < steps.size(); ++k) {
-      const Cycle act = iteration_start + act_offset[k];
+      const Cycle act = round_start + plan.act_offset_[k];
       checker_.on_activate(act);
       checker_.on_precharge(act + steps[k].on_cycles);
     }
   };
-  replay_iteration(start);
-  if (iterations > 1) {
-    replay_iteration(start + (iterations - 1) * period);
-  }
-  const Cycle end = start + (iterations - 1) * period + period;
-
-  // Deduplicate hammered rows (refresh-window bursts repeat the same
-  // aggressors and dummies dozens of times): sense each distinct row once
-  // and resolve row-state pointers once instead of per step.
-  auto& hammered_rows = arena().hammered_rows;
-  hammered_rows.clear();
-  hammered_rows.reserve(steps.size());
-  for (const auto& s : steps) hammered_rows.push_back(s.row);
-  std::sort(hammered_rows.begin(), hammered_rows.end());
-  auto is_hammered = [&](int row) {
-    return std::binary_search(hammered_rows.begin(), hammered_rows.end(),
-                              row);
-  };
-  struct HammeredRow {
-    int row;
-    Cycle first_offset;
-    Cycle last_offset;
-    RowState* state = nullptr;
-    std::array<RowState*, kDistances.size()> victims{};  // null = skip
-  };
-  std::vector<HammeredRow> rows_hit;
-  rows_hit.reserve(steps.size());
-  std::vector<std::uint32_t> row_of_step(steps.size());
-  for (std::size_t k = 0; k < steps.size(); ++k) {
-    std::size_t r = 0;
-    while (r < rows_hit.size() && rows_hit[r].row != steps[k].row) ++r;
-    if (r == rows_hit.size()) {
-      rows_hit.push_back({steps[k].row, act_offset[k], act_offset[k], nullptr,
-                          {}});
-    } else {
-      rows_hit[r].last_offset = act_offset[k];
-    }
-    row_of_step[k] = static_cast<std::uint32_t>(r);
-  }
+  const Cycle last_round = start + (iterations - 1) * plan.period_;
+  replay_round(start);
+  if (iterations > 1) replay_round(last_round);
+  const Cycle end = last_round + plan.period_;
 
   ++counters_.bulk_hammer_windows;
   counters_.hammer_dedup_hits +=
-      static_cast<std::uint64_t>(steps.size() - rows_hit.size());
+      static_cast<std::uint64_t>(steps.size() - plan.rows_.size());
 
   // Sense every hammered row once at its first activation, so pre-existing
   // dose materializes before the burst restores it. (Later activations of
   // the same row within the burst sense a just-restored row: a no-op.)
-  for (const auto& hr : rows_hit) {
+  for (const auto& hr : plan.rows_) {
     RowState& rs = state(hr.row, start);
     sense_and_restore(hr.row, rs, start + hr.first_offset);
   }
   // Create all victim states up front (inserts may grow the table), then
   // resolve the pointers once; no inserts happen after this block.
-  for (const auto& hr : rows_hit) {
-    for_each_victim(hr.row, [&](std::size_t, int victim) {
-      if (!is_hammered(victim)) state(victim, start);
-    });
+  for (const auto& hr : plan.rows_) {
+    for (int victim : hr.victims) {
+      if (victim >= 0) state(victim, start);
+    }
   }
-  for (auto& hr : rows_hit) {
-    hr.state = find_state(hr.row);
-    for_each_victim(hr.row, [&](std::size_t slot, int victim) {
-      if (!is_hammered(victim)) hr.victims[slot] = find_state(victim);
-    });
+  auto& resolved = arena().hammered;
+  resolved.resize(plan.rows_.size());
+  for (std::size_t r = 0; r < plan.rows_.size(); ++r) {
+    const auto& hr = plan.rows_[r];
+    resolved[r].state = find_state(hr.row);
+    for (std::size_t slot = 0; slot < kDistances.size(); ++slot) {
+      resolved[r].victims[slot] =
+          hr.victims[slot] >= 0 ? find_state(hr.victims[slot]) : nullptr;
+    }
   }
 
-  // Apply the aggregated dose to victims that are not themselves hammered
-  // (hammered rows restore themselves every iteration; their residual
-  // single-iteration dose is dropped, see header). Kept per step so the
-  // epoch merge order and dose summation order match the iterative path
-  // bit for bit.
-  for (std::size_t k = 0; k < steps.size(); ++k) {
-    const HammeredRow& hr = rows_hit[row_of_step[k]];
-    const double unit = fault_->taggon_factor(steps[k].on_cycles);
-    for (std::size_t di = 0; di < hr.victims.size(); ++di) {
-      RowState* victim = hr.victims[di];
+  // One ledger add per folded dose entry and victim.
+  for (const auto& dose : plan.doses_) {
+    const SenseArena::HammeredRow& hr = resolved[dose.row];
+    for (std::size_t slot = 0; slot < kDistances.size(); ++slot) {
+      RowState* victim = hr.victims[slot];
       if (victim == nullptr) continue;
-      victim->ledger.add(-kDistances[di], hr.state->version, hr.state->bits,
-                         unit, iterations);
+      victim->ledger.add(-kDistances[slot], hr.state->version, hr.state->bits,
+                         dose.unit, dose.count * iterations);
     }
-    if (defense_) {
-      defense_->on_activate_bulk(hr.row, iterations, end);
-    }
-    counters_.activations += iterations;
   }
+  // The defense sees every step, in step order: TRR samplers and window
+  // counts depend on activation order.
+  if (defense_) {
+    for (const auto& s : steps) {
+      defense_->on_activate_bulk(s.row, iterations, end);
+    }
+  }
+  counters_.activations +=
+      static_cast<std::uint64_t>(steps.size()) * iterations;
 
   // Hammered rows were restored by their own final activation.
-  for (const auto& hr : rows_hit) {
-    hr.state->ledger.clear();
-    hr.state->last_restore =
-        start + (iterations - 1) * period + hr.last_offset;
+  for (std::size_t r = 0; r < plan.rows_.size(); ++r) {
+    resolved[r].state->ledger.clear();
+    resolved[r].state->last_restore = last_round + plan.rows_[r].last_offset;
   }
   return end;
 }

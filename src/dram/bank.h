@@ -12,6 +12,7 @@
 // aggressor and by checkpoint pre-images, and a writer copies it first.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -40,11 +41,11 @@ struct BankCounters {
   std::uint64_t refresh_commands = 0;
   std::uint64_t defense_victim_refreshes = 0;
   std::uint64_t bitflips_materialized = 0;
-  /// bulk_hammer invocations (one analytic hammer window each).
+  /// Bank::apply calls (one analytic hammer window each).
   std::uint64_t bulk_hammer_windows = 0;
-  /// Steps bulk_hammer folded into an already-hammered row of the same
-  /// window (refresh-window bursts repeat aggressors and dummies): the
-  /// work the per-distinct-row dedup saved.
+  /// Steps of applied windows that activate an already-hammered row of
+  /// the same window (refresh-window bursts repeat aggressors and
+  /// dummies): the senses and lookups the per-distinct-row dedup saved.
   std::uint64_t hammer_dedup_hits = 0;
   /// 64-bit word operations of senses: one per word with a non-empty
   /// candidate mask, plus one per ledger epoch for each word whose dose
@@ -58,13 +59,54 @@ struct BankCounters {
 
 /// One activation of the hammer fast path: a row kept open for `on_cycles`.
 struct HammerStep {
-  /// Physical at the Bank layer; Stack::bulk_hammer accepts logical rows
-  /// and translates them.
+  /// Physical at the Bank layer; Stack::plan_hammer and Stack::bulk_hammer
+  /// accept logical rows and translate them.
   int row = 0;
   Cycle on_cycles = 0;
 };
 
 class Bank;
+
+/// One hammer window, planned once by Bank::plan and replayed by
+/// Bank::apply: everything the window's steps alone decide, none of the
+/// bank's state. That is the physical steps, their canonical schedule,
+/// the distinct rows and the victims each of them disturbs, and the
+/// window's dose folded per (row, tAggON unit). Valid for the bank that
+/// planned it (or one with the same timing and fault model).
+class HammerPlan {
+ public:
+  /// Steps (activations) of one round of the window.
+  [[nodiscard]] std::size_t size() const { return steps_.size(); }
+
+ private:
+  friend class Bank;
+  HammerPlan() = default;
+
+  /// A distinct row of the window, in first-activation order.
+  struct Row {
+    int row = 0;
+    /// Offsets of its first and last ACT within one round.
+    Cycle first_offset = 0;
+    Cycle last_offset = 0;
+    /// The rows its activations disturb, one per blast-radius distance;
+    /// -1 where there is none (outside the bank or subarray) or the row is
+    /// itself hammered (it restores itself every round).
+    std::array<int, 4> victims{};
+  };
+  /// The steps of one distinct row with one unit dose: `count` activations
+  /// per round, listed in the order of their first step.
+  struct Dose {
+    std::uint32_t row = 0;  // index into rows_
+    double unit = 0.0;
+    std::uint64_t count = 0;
+  };
+
+  std::vector<HammerStep> steps_;  // physical rows
+  std::vector<Cycle> act_offset_;  // ACT of each step within a round
+  Cycle period_ = 0;               // distance between round starts
+  std::vector<Row> rows_;
+  std::vector<Dose> doses_;
+};
 
 /// The checkpoint ladder of a set of banks (a Stack's 256, or a test's
 /// one): the number of rungs pushed and the banks that hold layers.
@@ -140,14 +182,27 @@ class Bank {
 
   // -- Hammer fast path ------------------------------------------------------
 
-  /// Semantically equivalent to repeating the given ACT(+on-time)+PRE
-  /// sequence `iterations` times starting at `start`. The bank must be
-  /// precharged; each step's on-time must be at least tRAS. Victim dose is
-  /// exact; the (negligible) residual self-dose of rows activated inside
-  /// the loop is dropped (they are restored by their own activations).
-  /// Returns the cycle at which the burst completes (bank precharged).
+  /// Plans a window of ACT(+on-time)+PRE steps over physical rows. Each
+  /// step's on-time must be at least tRAS. Pure: reads no bank state.
+  [[nodiscard]] HammerPlan plan(std::vector<HammerStep> steps) const;
+
+  /// Semantically equivalent to repeating the planned window `iterations`
+  /// times starting at `start`. The bank must be precharged. Each distinct
+  /// row is sensed once, its victims are resolved once, and each folded
+  /// dose entry reaches each victim's ledger in one add of count x
+  /// iterations activations: the same epochs, in the same order and with
+  /// the same counts, as one add per activation. Victim dose is exact; the
+  /// (negligible) residual self-dose of rows activated inside the loop is
+  /// dropped (they are restored by their own activations). The defense
+  /// still sees every step, in step order. Returns the cycle at which the
+  /// burst completes (bank precharged).
+  Cycle apply(const HammerPlan& plan, std::uint64_t iterations, Cycle start);
+
+  /// apply(plan(steps), iterations, start).
   Cycle bulk_hammer(std::span<const HammerStep> steps,
-                    std::uint64_t iterations, Cycle start);
+                    std::uint64_t iterations, Cycle start) {
+    return apply(plan({steps.begin(), steps.end()}), iterations, start);
+  }
 
   // -- Defense ---------------------------------------------------------------
 
@@ -163,7 +218,7 @@ class Bank {
   // state, and a clone of the defense tracker — lazily, at two levels. The
   // bank opens its layer for the ladder's top rung only at its first
   // mutation after the push (ACT, PRE of an open row, RD, WR, REF,
-  // refresh_row or bulk_hammer), so a bank that gets no command costs
+  // refresh_row or apply), so a bank that gets no command costs
   // nothing; and the layer copies a row's pre-image only the first time
   // that row is touched. Cost is O(rows touched since the push), never
   // O(rows per bank). Pushes, restores and discards go through the

@@ -133,15 +133,21 @@ std::uint32_t Stack::mode_register_read(int reg) const {
   return mode_registers_.read(reg);
 }
 
-Cycle Stack::bulk_hammer(const BankAddress& address,
-                         std::span<const HammerStep> logical_steps,
-                         std::uint64_t iterations, Cycle start) {
+HammerPlan Stack::plan_hammer(const BankAddress& address,
+                              std::span<const HammerStep> logical_steps) const {
   std::vector<HammerStep> physical_steps(logical_steps.begin(),
                                          logical_steps.end());
   for (auto& step : physical_steps) {
     step.row = mapping_.to_physical(step.row);
   }
-  return bank(address).bulk_hammer(physical_steps, iterations, start);
+  return banks_[bank_index(address)].plan(std::move(physical_steps));
+}
+
+Cycle Stack::bulk_hammer(const BankAddress& address,
+                         std::span<const HammerStep> logical_steps,
+                         std::uint64_t iterations, Cycle start) {
+  return bank(address).apply(plan_hammer(address, logical_steps), iterations,
+                             start);
 }
 
 BankCounters Stack::total_counters() const {

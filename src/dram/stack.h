@@ -67,7 +67,13 @@ class Stack {
   [[nodiscard]] std::uint32_t mode_register_read(int reg) const;
   [[nodiscard]] ModeRegisters& mode_registers() { return mode_registers_; }
 
-  /// Hammer fast path (see Bank::bulk_hammer); rows are logical.
+  /// Hammer fast path (see Bank::plan and Bank::apply); rows are logical.
+  /// The plan is for bank(address): apply it there as often as needed.
+  [[nodiscard]] HammerPlan plan_hammer(
+      const BankAddress& address,
+      std::span<const HammerStep> logical_steps) const;
+
+  /// bank(address).apply(plan_hammer(address, logical_steps), ...).
   Cycle bulk_hammer(const BankAddress& address,
                     std::span<const HammerStep> logical_steps,
                     std::uint64_t iterations, Cycle start);
@@ -103,6 +109,7 @@ class Stack {
 
   // -- Introspection (tests, diagnostics; not part of the host protocol) ----
 
+  /// Also the hammer fast path's handle for Bank::apply.
   [[nodiscard]] Bank& bank(const BankAddress& address);
   [[nodiscard]] const RowMapping& mapping() const { return mapping_; }
   [[nodiscard]] const disturb::FaultModel& fault_model() const {

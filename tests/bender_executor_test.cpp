@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <memory>
+#include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "bender/program.h"
+#include "trr/undocumented_trr.h"
 
 namespace hbmrd::bender {
 namespace {
@@ -172,6 +176,92 @@ TEST_F(ExecutorFixture, RefInterleavedFastPathMatchesIterativeLoop) {
   EXPECT_EQ(fast.refs, slow.refs);
   EXPECT_EQ(slow.bulk_hammer_windows, 0u);
   EXPECT_EQ(fast.bulk_hammer_windows, 2 * kIterations);
+}
+
+TEST_F(ExecutorFixture, TrrBypassWindowMatchesUnrolledWithTrrAttached) {
+  // The Fig. 14 window (REF, a leading dummy, the double-sided burst,
+  // round-robin trailing dummies) on stacks with the undocumented TRR. Its
+  // TRR-capable REFs refresh victims, so the loop's planned windows must
+  // feed the sampler and window counts exactly as the unrolled commands.
+  constexpr int kVictim = 4300;
+  constexpr std::uint64_t kWindows = 17 * 40;
+  constexpr int kAggressorActs = 30;
+  const std::array<int, 2> aggressors = {kVictim - 1, kVictim + 1};
+  const std::array<int, 3> dummies = {kVictim + 1000, kVictim + 1016,
+                                      kVictim + 1032};
+  auto config = test_config();
+  config.defense_factory = [](const dram::BankAddress&) {
+    return std::make_unique<trr::UndocumentedTrr>();
+  };
+  const int dummy_acts =
+      stack.timing().activation_budget() - 2 * kAggressorActs;
+  const auto window = [&](ProgramBuilder& builder) {
+    builder.ref(kBank.channel);
+    builder.act(kBank, dummies[0]).wait(100).pre(kBank);
+    for (int i = 0; i < kAggressorActs; ++i) {
+      for (int row : aggressors) builder.act(kBank, row).pre(kBank);
+    }
+    for (int i = 1; i < dummy_acts; ++i) {
+      builder.act(kBank, dummies[static_cast<std::size_t>(i) %
+                                 dummies.size()])
+          .pre(kBank);
+    }
+  };
+  struct Outcome {
+    dram::RowBits row;
+    ExecutorCounters exec;
+    dram::BankCounters device;
+    std::vector<int> sampler;
+  };
+  const auto run = [&](bool as_loop) {
+    dram::Stack target{config};
+    Executor session{&target};
+    ProgramBuilder init;
+    init.write_row(kBank, kVictim, dram::RowBits::filled(0x55));
+    for (int row : aggressors) {
+      init.write_row(kBank, row, dram::RowBits::filled(0xAA));
+    }
+    session.run(std::move(init).build());
+    ProgramBuilder hammer;
+    if (as_loop) hammer.loop_begin(kWindows);
+    for (std::uint64_t i = 0; i < (as_loop ? 1 : kWindows); ++i) {
+      window(hammer);
+    }
+    if (as_loop) hammer.loop_end();
+    session.run(std::move(hammer).build());
+    ProgramBuilder read;
+    read.read_row(kBank, kVictim);
+    auto& bank = target.bank(kBank);
+    const auto* trr = dynamic_cast<trr::UndocumentedTrr*>(bank.defense());
+    return Outcome{session.run(std::move(read).build()).row(0),
+                   session.counters(), bank.counters(), trr->sampler()};
+  };
+
+  const Outcome fast = run(true);
+  const Outcome slow = run(false);
+  EXPECT_EQ(fast.row, slow.row);
+  EXPECT_EQ(fast.exec.acts, slow.exec.acts);
+  EXPECT_EQ(fast.exec.pres, slow.exec.pres);
+  EXPECT_EQ(fast.exec.refs, slow.exec.refs);
+  EXPECT_EQ(fast.exec.bulk_hammer_windows, kWindows);
+  EXPECT_EQ(slow.exec.bulk_hammer_windows, 0u);
+  EXPECT_EQ(fast.device.activations, slow.device.activations);
+  EXPECT_GT(slow.device.defense_victim_refreshes, 0u);
+  EXPECT_EQ(fast.device.defense_victim_refreshes,
+            slow.device.defense_victim_refreshes);
+  EXPECT_EQ(fast.sampler, slow.sampler);
+}
+
+TEST_F(ExecutorFixture, OutOfRangeRowInHammerLoopThrows) {
+  for (bool with_ref : {false, true}) {
+    ProgramBuilder builder;
+    builder.loop_begin(4);
+    if (with_ref) builder.ref(kBank.channel);
+    builder.act(kBank, 10).pre(kBank);
+    builder.act(kBank, dram::kRowsPerBank).pre(kBank);
+    builder.loop_end();
+    EXPECT_THROW(executor.run(std::move(builder).build()), std::out_of_range);
+  }
 }
 
 TEST_F(ExecutorFixture, LoopWithRefRunsIteratively) {

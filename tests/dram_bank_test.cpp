@@ -4,6 +4,7 @@
 
 #include <array>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "disturb/fault_model.h"
@@ -196,6 +197,92 @@ TEST(Bank, BulkHammerMatchesIterativeExecution) {
 
   slow.now += 100;
   EXPECT_EQ(slow.read_row(kVictim), fast.read_row(kVictim));
+}
+
+TEST(Bank, FoldedWindowDoseMatchesPerCommandEpochs) {
+  // One window activates row A at two on-times in alternation (tRAS,
+  // RowPress, tRAS), interleaved with row B. apply() folds A's steps into
+  // one dose entry per on-time; each victim's ledger must still hold the
+  // per-command path's epochs, in its order, with its counts.
+  constexpr std::uint64_t kIterations = 3000;
+  constexpr int kA = kVictim - 1;
+  constexpr int kB = kVictim + 1;
+  TestBank slow;
+  TestBank fast;
+  const Cycle press = slow.timing.t_ras + 2000;
+  const std::array<HammerStep, 5> steps = {
+      HammerStep{kA, slow.timing.t_ras}, HammerStep{kB, slow.timing.t_ras},
+      HammerStep{kA, press}, HammerStep{kB, slow.timing.t_ras},
+      HammerStep{kA, slow.timing.t_ras}};
+  for (TestBank* t : {&slow, &fast}) {
+    t->write_row(kVictim, RowBits::filled(0x55));
+    t->write_row(kA, RowBits::filled(0xAA));
+    t->write_row(kB, RowBits::filled(0xAA));
+    t->write_row(kA - 1, RowBits::filled(0x55));
+  }
+
+  // Per command, at the canonical schedule bulk_hammer replays.
+  for (std::uint64_t i = 0; i < kIterations; ++i) {
+    Cycle prev_pre = 0;
+    Cycle prev_act = 0;
+    for (std::size_t k = 0; k < steps.size(); ++k) {
+      Cycle act = slow.now;
+      if (k > 0) {
+        act = std::max(prev_pre + slow.timing.t_rp,
+                       prev_act + slow.timing.t_rc);
+      }
+      slow.bank.activate(steps[k].row, act);
+      slow.bank.precharge(act + steps[k].on_cycles);
+      prev_act = act;
+      prev_pre = act + steps[k].on_cycles;
+    }
+    slow.now = std::max(prev_pre + slow.timing.t_rp,
+                        prev_act + slow.timing.t_rc);
+  }
+  fast.now = fast.bank.bulk_hammer(steps, kIterations, fast.now);
+  EXPECT_EQ(fast.now, slow.now);
+
+  for (int victim : {kA - 2, kA - 1, kVictim, kB + 1, kB + 2}) {
+    SCOPED_TRACE(victim);
+    const auto* want = slow.bank.ledger(victim);
+    const auto* got = fast.bank.ledger(victim);
+    ASSERT_NE(want, nullptr);
+    ASSERT_NE(got, nullptr);
+    ASSERT_EQ(got->epochs().size(), want->epochs().size());
+    for (std::size_t e = 0; e < want->epochs().size(); ++e) {
+      SCOPED_TRACE(e);
+      const auto& w = want->epochs()[e];
+      const auto& g = got->epochs()[e];
+      EXPECT_EQ(g.distance, w.distance);
+      EXPECT_EQ(g.aggressor_version, w.aggressor_version);
+      EXPECT_EQ(g.unit, w.unit);
+      EXPECT_EQ(g.count, w.count);
+    }
+  }
+  // The victim between A and B: after the three epochs of the setup
+  // writes (longer on-times), A at tRAS, B, then A pressed.
+  const auto& all = fast.bank.ledger(kVictim)->epochs();
+  ASSERT_EQ(all.size(), 6u);
+  const std::span<const disturb::DoseEpoch> epochs(all.data() + 3, 3);
+  EXPECT_EQ(epochs[0].distance, -1);
+  EXPECT_EQ(epochs[0].count, 2 * kIterations);
+  EXPECT_EQ(epochs[1].distance, 1);
+  EXPECT_EQ(epochs[1].count, 2 * kIterations);
+  EXPECT_EQ(epochs[1].unit, epochs[0].unit);
+  EXPECT_EQ(epochs[2].distance, -1);
+  EXPECT_EQ(epochs[2].count, kIterations);
+  EXPECT_GT(epochs[2].unit, epochs[0].unit);
+
+  EXPECT_EQ(fast.read_row(kVictim), slow.read_row(kVictim));
+  EXPECT_EQ(fast.read_row(kA - 1), slow.read_row(kA - 1));
+  const auto& s = slow.bank.counters();
+  const auto& f = fast.bank.counters();
+  EXPECT_EQ(f.activations, s.activations);
+  EXPECT_EQ(f.bitflips_materialized, s.bitflips_materialized);
+  EXPECT_EQ(f.sense_word_ops, s.sense_word_ops);
+  EXPECT_EQ(f.sense_cells_visited, s.sense_cells_visited);
+  EXPECT_EQ(f.bulk_hammer_windows, 1u);
+  EXPECT_EQ(f.hammer_dedup_hits, 3u);  // 5 steps over 2 distinct rows
 }
 
 TEST(Bank, RetentionDecayAppearsOverTime) {
