@@ -27,12 +27,13 @@ bool victim_refreshed(const std::vector<int>& victims) {
 /// REF; 16 windows of junk follow. Sampler/latch mechanisms still detect
 /// it; a counter table has long forgotten a count-1 row.
 bool first_act_probe(dram::ReadDisturbDefense& trr) {
-  for (int ref = 1; ref <= 17; ++ref) trr.on_refresh(0);  // align phase
+  std::uint64_t ref = 0;  // the channel's REF ordinal
+  while (ref < 17) trr.on_refresh(++ref);  // align phase
   trr.on_activate(kAggressor, 0);
   bool refreshed = false;
   for (int window = 0; window < 17; ++window) {
     for (int j = 0; j < 6; ++j) trr.on_activate(8000 + 8 * j, 0);
-    if (victim_refreshed(trr.on_refresh(0))) refreshed = true;
+    if (victim_refreshed(trr.on_refresh(++ref))) refreshed = true;
   }
   return refreshed;
 }
@@ -42,7 +43,8 @@ bool first_act_probe(dram::ReadDisturbDefense& trr) {
 /// never the first ACT, always flushed from the recency sampler). A
 /// counter table catches it; the observed mechanism does not.
 bool count_dominance_probe(dram::ReadDisturbDefense& trr) {
-  for (int ref = 1; ref <= 17; ++ref) trr.on_refresh(0);
+  std::uint64_t ref = 0;
+  while (ref < 17) trr.on_refresh(++ref);
   bool refreshed = false;
   for (int window = 0; window < 34; ++window) {
     trr.on_activate(9000, 0);  // absorbs any first-ACT detector
@@ -51,7 +53,7 @@ bool count_dominance_probe(dram::ReadDisturbDefense& trr) {
       trr.on_activate(9100 + (i % 13) * 8, 0);  // interleaved cover noise
     }
     for (int j = 0; j < 5; ++j) trr.on_activate(9300 + 8 * j, 0);
-    if (victim_refreshed(trr.on_refresh(0))) refreshed = true;
+    if (victim_refreshed(trr.on_refresh(++ref))) refreshed = true;
   }
   return refreshed;
 }

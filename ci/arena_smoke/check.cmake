@@ -1,13 +1,28 @@
 # Arena smoke test (registered with ctest, label "smoke").
 #
 # A small fuzzer budget through the multi-tenant attack/defense arena at
-# --jobs 1 and --jobs 4. The leaderboard CSV, the journal and the
-# deterministic counters (arena.* among them) are byte-identical between
-# the two runs, and the run plays 30 matches (6 patterns x 5 defenses).
+# --jobs 1 and --jobs 4. The leaderboard CSV and the journal reproduce
+# golden.csv and golden.jsonl byte for byte at both job counts, the
+# deterministic counters (arena.* among them) are identical between the
+# two runs, the run plays 30 matches (6 patterns x 5 defenses), and the
+# REF and ACT counters below are exact: they are pure functions of the
+# run, so any change is a change in the commands the arena represents.
 #
-# Usage: cmake -DARENA=<binary> -DWORK_DIR=<dir> -P check.cmake
+# golden.csv and golden.jsonl were recorded from
+#   arena_eval --chip 2 --windows 48 --benign-acts 2000 --fuzz 2
+#              --threshold 2000 --trust-map --jobs 1
+# before REF became a channel command (one REF clock per channel).
+#
+# Usage: cmake -DARENA=<binary> -DGOLDEN_DIR=<dir> -DWORK_DIR=<dir>
+#              -P check.cmake
 cmake_minimum_required(VERSION 3.19)
 include(${CMAKE_CURRENT_LIST_DIR}/../common.cmake)
+
+set(expected
+    device.refs 4922528
+    exec.refs 153829
+    device.acts 698196
+    arena.periodic_refs 149139)
 
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
@@ -22,8 +37,12 @@ foreach(jobs 1 4)
       --journal "${WORK_DIR}/arena_j${jobs}.jsonl"
       --metrics-out "${WORK_DIR}/arena_j${jobs}.json")
 endforeach()
-compare("${j1}.chip2.csv" "${j4}.chip2.csv")
-compare("${j1}.chip2.jsonl" "${j4}.chip2.jsonl")
+foreach(run j1 j4)
+  foreach(ext csv jsonl)
+    compare("${GOLDEN_DIR}/golden.${ext}" "${${run}}.chip2.${ext}"
+            "${${run}}.chip2.${ext} differs from golden.${ext}")
+  endforeach()
+endforeach()
 
 file(READ "${j1}.json" snapshot1)
 file(READ "${j4}.json" snapshot4)
@@ -45,4 +64,16 @@ string(JSON matches GET "${det1}" arena.matches)
 if(NOT matches EQUAL 30)
   message(FATAL_ERROR "arena.matches = ${matches}, expected 30")
 endif()
-message(STATUS "arena counters identical across --jobs")
+list(LENGTH expected n)
+math(EXPR last "${n} - 1")
+foreach(i RANGE 0 ${last} 2)
+  math(EXPR j "${i} + 1")
+  list(GET expected ${i} name)
+  list(GET expected ${j} want)
+  string(JSON got GET "${det1}" ${name})
+  if(NOT got STREQUAL want)
+    message(FATAL_ERROR "${name} is ${got}, expected exactly ${want}")
+  endif()
+endforeach()
+message(STATUS "arena golden reproduced at --jobs 1 and 4; "
+               "counters identical across --jobs and REF/ACT counters exact")

@@ -20,7 +20,8 @@ set(expected
     device.dedup_hits 32623080
     device.acts 35840448
     exec.acts 35840448
-    exec.refs 459480)
+    exec.refs 459480
+    device.refs 14703360)
 
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")

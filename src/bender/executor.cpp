@@ -13,6 +13,14 @@ constexpr dram::Cycle kIssueCycles = 1;
 /// Mode-register-set settle time (simplified tMRD).
 constexpr dram::Cycle kMrsCycles = 8;
 
+/// Index of a channel's per-channel state; throws on a bad channel.
+std::size_t channel_index(int channel) {
+  if (channel < 0 || channel >= dram::kChannels) {
+    throw std::out_of_range("channel index");
+  }
+  return static_cast<std::size_t>(channel);
+}
+
 }  // namespace
 
 dram::RowBits ExecutionResult::row(std::size_t index) const {
@@ -33,6 +41,7 @@ Executor::Executor(dram::Stack* stack) : stack_(stack) {
   timing_ = stack_->timing();
   bank_sched_.resize(dram::kBanks);
   channel_ref_ok_.resize(dram::kChannels, 0);
+  channel_act_ok_.resize(dram::kChannels, 0);
 }
 
 Executor::BankSchedule& Executor::sched(const dram::BankAddress& bank) {
@@ -41,9 +50,7 @@ Executor::BankSchedule& Executor::sched(const dram::BankAddress& bank) {
 }
 
 std::span<Executor::BankSchedule> Executor::channel_sched(int channel) {
-  if (channel < 0 || channel >= dram::kChannels) {
-    throw std::out_of_range("channel index");
-  }
+  channel_index(channel);
   return {bank_sched_.data() + dram::channel_first_bank(channel),
           dram::kBanksPerChannel};
 }
@@ -54,20 +61,26 @@ const Executor::BankSchedule& Executor::sched(
 }
 
 dram::Cycle Executor::act_backlog(const dram::BankAddress& bank) const {
-  const BankSchedule& b = sched(bank);
-  return b.act_ok > clock_ ? b.act_ok - clock_ : 0;
+  const dram::Cycle ready = act_ready(bank, sched(bank));
+  return ready > clock_ ? ready - clock_ : 0;
+}
+
+void Executor::hold_act(int channel, BankSchedule& b, dram::Cycle until) {
+  b.act_ok = std::max(b.act_ok, until);
+  dram::Cycle& latest = channel_act_ok_[static_cast<std::size_t>(channel)];
+  latest = std::max(latest, b.act_ok);
 }
 
 void Executor::exec_act(const ActInstr& instr) {
   ++counters_.acts;
   BankSchedule& b = sched(instr.bank);
-  const dram::Cycle t = std::max(clock_, b.act_ok);
+  const dram::Cycle t = std::max(clock_, act_ready(instr.bank, b));
   stack_->activate({instr.bank, instr.row}, t);
   b.open = true;
   b.last_act = t;
   b.pre_ok = t + timing_.t_ras;
   b.rdwr_ok = t + timing_.t_rcd;
-  b.act_ok = t + timing_.t_rc;
+  hold_act(instr.bank.channel, b, t + timing_.t_rc);
   clock_ = t + kIssueCycles;
 }
 
@@ -78,7 +91,7 @@ void Executor::exec_pre(const PreInstr& instr) {
   stack_->precharge(instr.bank, t);
   if (b.open) {
     b.open = false;
-    b.act_ok = std::max(b.act_ok, t + timing_.t_rp);
+    hold_act(instr.bank.channel, b, t + timing_.t_rp);
   }
   clock_ = t + kIssueCycles;
 }
@@ -95,7 +108,7 @@ void Executor::exec_pre_all(const PreAllInstr& instr) {
   for (BankSchedule& b : banks) {
     if (b.open) {
       b.open = false;
-      b.act_ok = std::max(b.act_ok, t + timing_.t_rp);
+      hold_act(instr.channel, b, t + timing_.t_rp);
     }
   }
   clock_ = t + kIssueCycles;
@@ -120,17 +133,12 @@ void Executor::exec_wr(const WrInstr& instr, const Program& program) {
 }
 
 void Executor::exec_ref(const RefInstr& instr) {
-  const std::span<BankSchedule> banks = channel_sched(instr.channel);
+  const std::size_t channel = channel_index(instr.channel);
   ++counters_.refs;
-  dram::Cycle t = std::max(
-      clock_, channel_ref_ok_[static_cast<std::size_t>(instr.channel)]);
-  for (const BankSchedule& b : banks) t = std::max(t, b.act_ok);
+  const dram::Cycle t = std::max(
+      {clock_, channel_ref_ok_[channel], channel_act_ok_[channel]});
   stack_->refresh(instr.channel, t);
-  channel_ref_ok_[static_cast<std::size_t>(instr.channel)] =
-      t + timing_.t_rfc;
-  for (BankSchedule& b : banks) {
-    b.act_ok = std::max(b.act_ok, t + timing_.t_rfc);
-  }
+  channel_ref_ok_[channel] = t + timing_.t_rfc;
   clock_ = t + kIssueCycles;
 }
 
@@ -219,9 +227,10 @@ bool Executor::try_hammer_fast_path(const Program& program,
     elements.push_back({nullptr, window_begin, steps.size()});
   }
   if (bank == nullptr) return false;
-  // REFs must target the hammered bank's channel: their act_ok push-out
-  // then dominates the schedule exactly as in the iterative path. A REF on
-  // another channel would see our conservative post-window clock.
+  // REFs must target the hammered bank's channel: their tRFC gate on the
+  // channel's ACTs then dominates the schedule exactly as in the iterative
+  // path. A REF on another channel would see our conservative post-window
+  // clock.
   for (const auto& e : elements) {
     if (e.ref != nullptr && e.ref->channel != bank->channel) return false;
   }
@@ -250,7 +259,7 @@ bool Executor::try_hammer_fast_path(const Program& program,
         exec_ref(*e.ref);
         continue;
       }
-      const dram::Cycle start = std::max(clock_, b.act_ok);
+      const dram::Cycle start = std::max(clock_, act_ready(*bank, b));
       const dram::Cycle end = device.apply(*plan, rounds, start);
       // Represented commands: each round replays every [ACT .. PRE] step.
       counters_.acts += rounds * plan->size();
@@ -259,7 +268,7 @@ bool Executor::try_hammer_fast_path(const Program& program,
       ++counters_.bulk_hammer_windows;
       b.open = false;
       b.last_act = end;  // conservative: next ACT is gated by act_ok below
-      b.act_ok = end;
+      hold_act(bank->channel, b, end);
       b.pre_ok = end;
       b.rdwr_ok = end;
       clock_ = end;

@@ -15,6 +15,7 @@
 // one-round window.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -62,7 +63,9 @@ class Executor {
  private:
   struct BankSchedule {
     bool open = false;
-    dram::Cycle act_ok = 0;    // earliest next ACT
+    /// Earliest next ACT by the bank's own commands; the channel's REFs
+    /// gate it further (act_ready()).
+    dram::Cycle act_ok = 0;
     dram::Cycle pre_ok = 0;    // earliest next PRE (tRAS)
     dram::Cycle rdwr_ok = 0;   // earliest next RD/WR (tRCD)
     dram::Cycle last_act = 0;
@@ -82,14 +85,16 @@ class Executor {
 
   [[nodiscard]] const ExecutorCounters& counters() const { return counters_; }
 
-  /// Opaque scheduler snapshot for the device checkpoint layer: the clock
-  /// and every bank's timing window. Counters are not part of it (they
-  /// count represented work, which is monotone even across restores).
+  /// Opaque scheduler snapshot for the device checkpoint layer: the clock,
+  /// every bank's timing window and every channel's REF window. Counters
+  /// are not part of it (they count represented work, which is monotone
+  /// even across restores).
   class Snapshot {
     friend class Executor;
     dram::Cycle clock = 0;
     std::vector<BankSchedule> bank_sched;
     std::vector<dram::Cycle> channel_ref_ok;
+    std::vector<dram::Cycle> channel_act_ok;
   };
 
   /// Overwrites `s` with the current schedule; reuses its storage, so a
@@ -98,12 +103,14 @@ class Executor {
     s.clock = clock_;
     s.bank_sched = bank_sched_;
     s.channel_ref_ok = channel_ref_ok_;
+    s.channel_act_ok = channel_act_ok_;
   }
 
   void restore_state(const Snapshot& s) {
     clock_ = s.clock;
     bank_sched_ = s.bank_sched;
     channel_ref_ok_ = s.channel_ref_ok;
+    channel_act_ok_ = s.channel_act_ok;
   }
 
   /// Cycles the next ACT to `bank` must still wait at the current clock
@@ -116,6 +123,17 @@ class Executor {
   [[nodiscard]] const BankSchedule& sched(const dram::BankAddress& bank) const;
   /// The schedules of one channel's banks; throws on a bad channel.
   std::span<BankSchedule> channel_sched(int channel);
+
+  /// Earliest next ACT to `bank`: its own act_ok, and tRFC after the last
+  /// REF to its channel.
+  [[nodiscard]] dram::Cycle act_ready(const dram::BankAddress& bank,
+                                      const BankSchedule& b) const {
+    return std::max(b.act_ok,
+                    channel_ref_ok_[static_cast<std::size_t>(bank.channel)]);
+  }
+  /// Raises a bank's act_ok to `until` (never lowers it) and its channel's
+  /// latest act_ok with it.
+  void hold_act(int channel, BankSchedule& b, dram::Cycle until);
 
   void exec_act(const ActInstr& instr);
   void exec_pre(const PreInstr& instr);
@@ -144,7 +162,12 @@ class Executor {
   dram::Cycle clock_ = 0;
   ExecutorCounters counters_;
   std::vector<BankSchedule> bank_sched_;
+  /// Per channel: the earliest next REF (tRFC after the last one), which
+  /// also gates every ACT to the channel, and the latest act_ok of its
+  /// banks, which gates the next REF. A REF is a channel command and
+  /// visits no bank schedule.
   std::vector<dram::Cycle> channel_ref_ok_;
+  std::vector<dram::Cycle> channel_act_ok_;
 };
 
 }  // namespace hbmrd::bender

@@ -44,7 +44,8 @@ void ProtectedSession::advance_estimate(dram::Cycle cycles) {
 
 void ProtectedSession::append(const Activation& activation) {
   const auto& timing = chip_->stack().timing();
-  touched_channels_.insert(activation.bank.channel);
+  touched_channels_.at(static_cast<std::size_t>(activation.bank.channel)) =
+      true;
 
   // The controller's periodic refresh duty: one REF per elapsed tREFI per
   // channel. Every missed interval is made up — a dense stretch of traffic
@@ -53,7 +54,8 @@ void ProtectedSession::append(const Activation& activation) {
   // under-refreshes exactly when the attack pressure is highest.
   if (issue_periodic_refresh_) {
     while (estimated_cycle_ >= next_refresh_) {
-      for (int channel : touched_channels_) {
+      for (int channel = 0; channel < dram::kChannels; ++channel) {
+        if (!touched_channels_[static_cast<std::size_t>(channel)]) continue;
         builder_.ref(channel);
         ++pending_instructions_;
         ++periodic_refreshes_issued_;

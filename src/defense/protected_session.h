@@ -4,8 +4,8 @@
 // throttling stalls are woven into the command stream.
 #pragma once
 
+#include <array>
 #include <memory>
-#include <set>
 #include <span>
 #include <utility>
 
@@ -84,7 +84,9 @@ class ProtectedSession {
   dram::Cycle accounted_cycles_ = 0;
   std::uint64_t window_boundaries_fired_ = 0;
   std::uint64_t periodic_refreshes_issued_ = 0;
-  std::set<int> touched_channels_;
+  /// Channels the stream has activated, walked in channel order at each
+  /// periodic REF.
+  std::array<bool, dram::kChannels> touched_channels_{};
 };
 
 }  // namespace hbmrd::defense

@@ -1,6 +1,7 @@
 // One DRAM bank: the row array, the open-row state machine, disturbance
-// dose accumulation, lazy bitflip materialization, refresh, and the defense
-// hook. All row indices at this layer are *physical*.
+// dose accumulation, lazy bitflip materialization, its share of its
+// channel's REFs, and the defense hook. All row indices at this layer are
+// *physical*.
 //
 // Memory model: only rows that have been touched (written, activated, or
 // disturbed) carry state; everything else is implicit (power-on contents,
@@ -38,6 +39,8 @@ struct Environment {
 /// Device-side event counters (diagnostics; benches report them).
 struct BankCounters {
   std::uint64_t activations = 0;
+  /// Filled by Stack::total_counters only (REFs issued x banks per
+  /// channel): a REF is a channel command, which no Bank counts.
   std::uint64_t refresh_commands = 0;
   std::uint64_t defense_victim_refreshes = 0;
   std::uint64_t bitflips_materialized = 0;
@@ -140,18 +143,66 @@ class CheckpointLadder {
   std::vector<Bank*> banks_;
 };
 
+/// The refresh state of one channel (a Stack has 8; a test's lone bank may
+/// have its own): the channel's REF clock and the banks that have had a
+/// command other than REF since power-on. A bank joins the list at its
+/// first mutation, where it also joins the checkpoint ladder. A REF visits
+/// only the listed banks. A bank that never had a command holds no row
+/// state, its defense is in its initial state (which a REF does not
+/// change) and its refresh pointer is the channel's, so skipping it
+/// changes nothing, and a REF costs O(listed banks), never O(banks).
+class RefreshChannel {
+ public:
+  explicit RefreshChannel(TimingParams timing) : timing_(timing) {}
+  RefreshChannel(const RefreshChannel&) = delete;
+  RefreshChannel& operator=(const RefreshChannel&) = delete;
+  /// Moves only before any bank has joined (banks point at the channel).
+  RefreshChannel(RefreshChannel&&) noexcept = default;
+  RefreshChannel& operator=(RefreshChannel&&) noexcept = default;
+
+  /// One REF to the channel. Validates tRFC from the last REF and each
+  /// listed bank's share (precharged, tRP after its last PRE) before
+  /// anything changes, records the REF, then runs each listed bank's
+  /// share: the refresh-pointer rows that have state and the victim rows
+  /// of its defense.
+  void refresh(Cycle now);
+
+  [[nodiscard]] const RefreshClock& clock() const { return clock_; }
+  /// Rewinds the clock to a snapshot of clock() (checkpoint restore).
+  /// issued() keeps counting: it counts represented work.
+  void set_clock(const RefreshClock& clock) { clock_ = clock; }
+
+  /// REFs issued since construction, including rewound ones.
+  [[nodiscard]] std::uint64_t issued() const { return issued_; }
+
+  /// The first row the next REF refreshes in every bank of the channel:
+  /// refs x rows_per_ref, modulo the rows of a bank.
+  [[nodiscard]] int refresh_pointer() const;
+
+ private:
+  friend class Bank;
+
+  TimingParams timing_;
+  RefreshClock clock_;
+  std::uint64_t issued_ = 0;
+  /// Banks that have had a command other than REF, in joining order.
+  std::vector<Bank*> banks_;
+};
+
 class Bank {
  public:
   /// `threshold_cache` holds the per-row cell summaries every sense reads
   /// its candidate cells from; its capacity changes only how often a
   /// summary is rebuilt, never the result. The cache outlives the bank (it
   /// is shared across power cycles) and must only be used from the bank's
-  /// thread. `ladder` is the checkpoint ladder the bank records layers for;
-  /// it outlives the bank, which must not move while it holds layers.
+  /// thread. `ladder` is the checkpoint ladder the bank records layers for
+  /// and `channel` the refresh state of the bank's channel; both outlive
+  /// the bank, which must not move while it holds layers or is listed on
+  /// the channel.
   Bank(BankAddress address, const disturb::FaultModel* fault_model,
        const Environment* env, TimingParams timing,
        disturb::BankThresholdCache& threshold_cache,
-       CheckpointLadder& ladder);
+       CheckpointLadder& ladder, RefreshChannel& channel);
 
   Bank(const Bank&) = delete;
   Bank& operator=(const Bank&) = delete;
@@ -170,11 +221,6 @@ class Bank {
   void read_column(int column, std::span<std::uint64_t> out, Cycle now);
   void write_column(int column, std::span<const std::uint64_t> data,
                     Cycle now);
-
-  /// Per-bank portion of a REF command: refreshes the next
-  /// timing.rows_per_ref() rows (refresh pointer) plus any victim rows the
-  /// attached defense requests.
-  void refresh(Cycle now);
 
   /// Refresh one specific physical row (used for documented-TRR-Mode
   /// refreshes and defense victim refreshes).
@@ -214,12 +260,14 @@ class Bank {
   // -- Dose checkpoints (copy-on-write) --------------------------------------
   //
   // A checkpoint captures the bank's device-visible state — row contents,
-  // dose ledgers, retention clocks, open row, refresh pointer, timing-checker
-  // state, and a clone of the defense tracker — lazily, at two levels. The
-  // bank opens its layer for the ladder's top rung only at its first
-  // mutation after the push (ACT, PRE of an open row, RD, WR, REF,
-  // refresh_row or apply), so a bank that gets no command costs
-  // nothing; and the layer copies a row's pre-image only the first time
+  // dose ledgers, retention clocks, open row, timing-checker state, and a
+  // clone of the defense tracker — lazily, at two levels. (The refresh
+  // pointer and the tRFC history are the channel's RefreshClock, which the
+  // Stack snapshots per rung.) The bank opens its layer for the ladder's
+  // top rung only at its first mutation after the push (ACT, PRE of an
+  // open row, RD, WR, its share of a REF, refresh_row or apply), so a bank
+  // that gets no command costs nothing (a REF skips a bank that never had
+  // a command); and the layer copies a row's pre-image only the first time
   // that row is touched. Cost is O(rows touched since the push), never
   // O(rows per bank). Pushes, restores and discards go through the
   // CheckpointLadder the bank was built with. Used by the incremental HC
@@ -242,7 +290,10 @@ class Bank {
 
   [[nodiscard]] bool is_open() const { return open_row_.has_value(); }
   [[nodiscard]] int open_row() const;
-  [[nodiscard]] int refresh_pointer() const { return refresh_pointer_; }
+  /// The channel's refresh pointer (see RefreshChannel).
+  [[nodiscard]] int refresh_pointer() const {
+    return channel_->refresh_pointer();
+  }
 
   /// Drops all per-row simulator state (contents revert to power-on).
   /// Memory-reclaim hook for long sweeps; not a DRAM operation. Illegal
@@ -272,6 +323,7 @@ class Bank {
 
  private:
   friend class CheckpointLadder;
+  friend class RefreshChannel;
 
   struct RowState {
     /// Contents; null = the row's power-on contents, not yet materialized.
@@ -301,15 +353,20 @@ class Bank {
     std::size_t rung = 0;
     std::vector<std::pair<int, std::optional<RowState>>> pre;
     std::optional<int> open_row;
-    int refresh_pointer = 0;
     BankTimingChecker checker;
     std::unique_ptr<ReadDisturbDefense> defense;  // clone; null if none
   };
 
-  /// Called on entry to every command that may change the bank: opens the
-  /// layer for the ladder's top rung unless the bank already holds it. One
-  /// compare when it does (or when the ladder is empty).
+  /// Called on entry to every command that may change the bank: joins the
+  /// channel's REF list at the bank's first mutation, and opens the layer
+  /// for the ladder's top rung unless the bank already holds it. Two
+  /// compares once it has joined and holds the layer (or the ladder is
+  /// empty).
   void cover_top_rung() {
+    if (!on_channel_) {
+      channel_->banks_.push_back(this);
+      on_channel_ = true;
+    }
     if (layer_top_ != ladder_->depth_) open_layer();
   }
   void open_layer();
@@ -334,6 +391,12 @@ class Bank {
   }
   /// Removes the row's state: the last table entry moves into its slot.
   void erase_state(int physical_row);
+
+  /// This bank's share of REF number `ref` of its channel (validated by
+  /// RefreshChannel::refresh): refreshes the timing.rows_per_ref() rows
+  /// from `first_row` that have state, plus any victim rows the attached
+  /// defense requests.
+  void refresh(Cycle now, std::uint64_t ref, int first_row);
 
   /// The row's contents, materialized from its power-on contents first if
   /// it has none (one threshold-cache peek). Read-only: may be shared.
@@ -382,13 +445,15 @@ class Bank {
   BankTimingChecker checker_;
 
   std::optional<int> open_row_;
-  int refresh_pointer_ = 0;
   /// Flat row table: slot_[row] indexes rows_ (-1 = no state). Allocated
   /// with kRowsPerBank entries on the bank's first row state, so banks
   /// that are never touched stay small.
   std::vector<std::int16_t> slot_;
   std::vector<RowState> rows_;
   CheckpointLadder* ladder_;  // never null
+  RefreshChannel* channel_;  // never null
+  /// Listed on channel_ (from the bank's first mutation on).
+  bool on_channel_ = false;
   /// This bank's layers, oldest (lowest rung) first; layer_top_ is one past
   /// the newest layer's rung (0 = no layers), so the bank covers the
   /// ladder's top rung iff layer_top_ == ladder_->depth_. cow_epoch_ is

@@ -1,7 +1,8 @@
 // Hook interface for in-DRAM read-disturbance defenses (e.g. the
 // undocumented TRR mechanism of Sec. 7). One instance per bank; the device
-// model notifies it of activations and asks it, on every REF, which victim
-// rows to preventively refresh. Implemented in src/trr/.
+// model notifies it of activations and asks it, on every REF to the bank's
+// channel once the bank has had a command, which victim rows to
+// preventively refresh. Implemented in src/trr/.
 #pragma once
 
 #include <cstdint>
@@ -35,9 +36,13 @@ class ReadDisturbDefense {
   virtual void on_activate_bulk(int physical_row, std::uint64_t count,
                                 Cycle now) = 0;
 
-  /// Called on every REF to this bank; returns the *physical* victim rows
-  /// the defense preventively refreshes with this REF (possibly empty).
-  virtual std::vector<int> on_refresh(Cycle now) = 0;
+  /// Called on every REF to this bank's channel from the bank's first
+  /// command on, with the REF's 1-based ordinal on the channel (the REFs
+  /// before that first command found the defense in its initial state, in
+  /// which a REF changes nothing but the ordinal). Returns the *physical*
+  /// victim rows the defense preventively refreshes with this REF
+  /// (possibly empty).
+  virtual std::vector<int> on_refresh(std::uint64_t ref) = 0;
 };
 
 }  // namespace hbmrd::dram

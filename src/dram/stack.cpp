@@ -14,6 +14,8 @@ Stack::Stack(StackConfig config)
       mapping_(config.mapping),
       timing_(config.timing),
       env_{config.initial_temperature_c} {
+  channels_.reserve(kChannels);
+  for (int ch = 0; ch < kChannels; ++ch) channels_.emplace_back(timing_);
   banks_.reserve(kBanks);
   for (int ch = 0; ch < kChannels; ++ch) {
     for (int pc = 0; pc < kPseudoChannels; ++pc) {
@@ -21,7 +23,8 @@ Stack::Stack(StackConfig config)
         const BankAddress addr{ch, pc, b};
         banks_.emplace_back(
             addr, &fault_, &env_, timing_,
-            threshold_cache_->bank(addr, flat_bank_index(addr)), ladder_);
+            threshold_cache_->bank(addr, flat_bank_index(addr)), ladder_,
+            channels_[static_cast<std::size_t>(ch)]);
         if (config.defense_factory) {
           banks_.back().set_defense(config.defense_factory(addr));
         }
@@ -35,11 +38,20 @@ std::size_t Stack::bank_index(const BankAddress& address) const {
   return flat_bank_index(address);
 }
 
-std::span<Bank> Stack::channel_banks(int channel) {
+void Stack::check_channel(int channel) {
   if (channel < 0 || channel >= kChannels) {
     throw std::out_of_range("channel index");
   }
+}
+
+std::span<Bank> Stack::channel_banks(int channel) {
+  check_channel(channel);
   return {banks_.data() + channel_first_bank(channel), kBanksPerChannel};
+}
+
+const RefreshClock& Stack::refresh_clock(int channel) const {
+  check_channel(channel);
+  return channels_[static_cast<std::size_t>(channel)].clock();
 }
 
 Bank& Stack::bank(const BankAddress& address) {
@@ -111,7 +123,8 @@ void Stack::write_column(const BankAddress& address, int column,
 }
 
 void Stack::refresh(int channel, Cycle now) {
-  for (Bank& bk : channel_banks(channel)) bk.refresh(now);
+  check_channel(channel);
+  channels_[static_cast<std::size_t>(channel)].refresh(now);
   // Documented TRR Mode (Sec. 7, footnote 2): while armed, every REF also
   // refreshes the neighbours of the mode-register-designated target row.
   if (mode_registers_.trr_mode_enabled()) {
@@ -155,13 +168,16 @@ BankCounters Stack::total_counters() const {
   for (const auto& bank : banks_) {
     const auto& c = bank.counters();
     totals.activations += c.activations;
-    totals.refresh_commands += c.refresh_commands;
     totals.defense_victim_refreshes += c.defense_victim_refreshes;
     totals.bitflips_materialized += c.bitflips_materialized;
     totals.bulk_hammer_windows += c.bulk_hammer_windows;
     totals.hammer_dedup_hits += c.hammer_dedup_hits;
     totals.sense_word_ops += c.sense_word_ops;
     totals.sense_cells_visited += c.sense_cells_visited;
+  }
+  for (const auto& channel : channels_) {
+    totals.refresh_commands +=
+        channel.issued() * static_cast<std::uint64_t>(kBanksPerChannel);
   }
   return totals;
 }
@@ -171,19 +187,27 @@ std::size_t Stack::push_checkpoint() {
     throw std::logic_error(
         "push_checkpoint: ECC parity is not checkpointed; disable ECC first");
   }
-  checkpoint_modes_.push_back(mode_registers_);
+  Rung& rung = rungs_.emplace_back();
+  rung.modes = mode_registers_;
+  for (std::size_t ch = 0; ch < channels_.size(); ++ch) {
+    rung.clocks[ch] = channels_[ch].clock();
+  }
   return ladder_.push();
 }
 
 void Stack::restore_checkpoint(std::size_t index) {
   ladder_.restore(index);
-  mode_registers_ = checkpoint_modes_[index];
-  checkpoint_modes_.resize(index + 1);
+  const Rung& rung = rungs_[index];
+  mode_registers_ = rung.modes;
+  for (std::size_t ch = 0; ch < channels_.size(); ++ch) {
+    channels_[ch].set_clock(rung.clocks[ch]);
+  }
+  rungs_.resize(index + 1);
 }
 
 void Stack::discard_checkpoints() {
   ladder_.discard();
-  checkpoint_modes_.clear();
+  rungs_.clear();
 }
 
 bool Stack::checkpoint_supported() const {

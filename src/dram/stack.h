@@ -4,6 +4,7 @@
 // interface; the host side lives in src/bender/.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -58,9 +59,11 @@ class Stack {
   void write_column(const BankAddress& address, int column,
                     std::span<const std::uint64_t> data, Cycle now);
 
-  /// REF to one channel: refreshes all its banks (refresh pointer plus any
-  /// defense victim refreshes), and services the documented TRR Mode when
-  /// it is armed through the mode registers.
+  /// REF to one channel (see RefreshChannel): advances the channel's REF
+  /// clock and refresh pointer, runs the share of every bank that has had
+  /// a command (its pointer rows with state plus any defense victim
+  /// refreshes; the others have nothing to refresh), and services the
+  /// documented TRR Mode when it is armed through the mode registers.
   void refresh(int channel, Cycle now);
 
   void mode_register_set(int reg, std::uint32_t value);
@@ -80,15 +83,15 @@ class Stack {
 
   // -- Dose checkpoints (copy-on-write; see Bank) ----------------------------
 
-  /// Pushes a rung on the banks' ladder and snapshots the mode registers;
-  /// returns the checkpoint index. Visits no bank: each bank records its
-  /// layer at its first mutation afterwards. Requires ECC disabled (parity
-  /// is not checkpointed).
+  /// Pushes a rung on the banks' ladder and snapshots the mode registers
+  /// and the channels' REF clocks; returns the checkpoint index. Visits no
+  /// bank: each bank records its layer at its first mutation afterwards.
+  /// Requires ECC disabled (parity is not checkpointed).
   std::size_t push_checkpoint();
 
-  /// Rewinds the banks mutated since checkpoint `index` and the mode
-  /// registers to it; younger checkpoints are discarded, `index` stays
-  /// restorable.
+  /// Rewinds the banks mutated since checkpoint `index`, the mode
+  /// registers and the REF clocks to it; younger checkpoints are
+  /// discarded, `index` stays restorable.
   void restore_checkpoint(std::size_t index);
 
   /// Forgets all checkpoints without changing the current state.
@@ -119,16 +122,29 @@ class Stack {
   [[nodiscard]] const EccCounters& ecc_counters() const {
     return ecc_counters_;
   }
+  /// REF history of one channel; throws std::out_of_range on a bad
+  /// channel.
+  [[nodiscard]] const RefreshClock& refresh_clock(int channel) const;
 
   /// Simulator-only memory reclaim: drops row state in one bank.
   void drop_row_states(const BankAddress& address);
 
-  /// Sum of all banks' device-side event counters.
+  /// Sum of all banks' device-side event counters. refresh_commands counts
+  /// a REF once per bank of its channel: REFs issued x kBanksPerChannel,
+  /// rewound ones included, like every other counter.
   [[nodiscard]] BankCounters total_counters() const;
 
  private:
+  /// What a checkpoint rung holds beside the banks' layers.
+  struct Rung {
+    ModeRegisters modes;
+    std::array<RefreshClock, kChannels> clocks;
+  };
+
   [[nodiscard]] std::size_t bank_index(const BankAddress& address) const;
-  /// One channel's banks; throws std::out_of_range on a bad channel.
+  /// Throws std::out_of_range on a bad channel.
+  static void check_channel(int channel);
+  /// One channel's banks.
   std::span<Bank> channel_banks(int channel);
 
   disturb::FaultModel fault_;
@@ -137,10 +153,11 @@ class Stack {
   TimingParams timing_;
   Environment env_;
   ModeRegisters mode_registers_;
-  /// The banks' checkpoint ladder (outlives them) and one mode-register
-  /// snapshot per rung.
+  /// The banks' checkpoint ladder and their channels' refresh state (both
+  /// outlive the banks), and what each rung snapshots beside the banks.
   CheckpointLadder ladder_;
-  std::vector<ModeRegisters> checkpoint_modes_;
+  std::vector<RefreshChannel> channels_;
+  std::vector<Rung> rungs_;
   std::vector<Bank> banks_;
 
   // Sideband ECC parity, stored per (bank, logical row) when ECC is on.

@@ -81,32 +81,54 @@ class TimingViolation : public std::runtime_error {
       : std::runtime_error(what) {}
 };
 
+/// The REF history of one channel. REF is a channel command: every bank of
+/// a channel sees the same REFs, so the tRFC rules, the banks' refresh
+/// pointer and the in-DRAM TRR phase all read this one clock.
+struct RefreshClock {
+  /// REFs issued to the channel: the 1-based ordinal of the last one.
+  std::uint64_t refs = 0;
+  /// Cycle of the last REF (meaningful once refs > 0).
+  Cycle last_ref = 0;
+
+  /// Validates a REF at `now` against tRFC (REF to REF) and records it.
+  void on_refresh(Cycle now, const TimingParams& p);
+};
+
 /// Tracks per-bank command history and enforces the timing rules above.
-/// One checker instance per bank.
+/// One checker instance per bank; the REF rules that span the channel read
+/// its RefreshClock.
 class BankTimingChecker {
  public:
   explicit BankTimingChecker(TimingParams params) : p_(params) {}
 
-  /// Each method validates the command at `now` and records it.
-  void on_activate(Cycle now);
+  /// Each on_* method validates the command at `now` and records it.
+  /// `channel` is the REF clock of the bank's channel (tRFC, REF to ACT).
+  void on_activate(Cycle now, const RefreshClock& channel);
   void on_precharge(Cycle now);
   void on_read(Cycle now) const;
   void on_write(Cycle now) const;
-  void on_refresh(Cycle now);
+
+  /// Validates this bank's share of a REF at `now`: the bank is precharged
+  /// and tRP has passed since its last PRE. The REF itself is recorded on
+  /// the channel's RefreshClock.
+  void check_refresh(Cycle now) const;
+
+  /// A hammer window whose steps are legal by construction (see
+  /// Bank::plan): validates its first ACT at `first_act`, the only step
+  /// whose legality depends on the bank's history, and records the state
+  /// after the window: last ACT at `last_act`, precharged at `last_pre`.
+  void on_window(Cycle first_act, Cycle last_act, Cycle last_pre,
+                 const RefreshClock& channel);
 
   [[nodiscard]] bool bank_open() const { return open_; }
   [[nodiscard]] Cycle open_since() const { return last_act_; }
 
  private:
-  void require(bool ok, const char* rule, Cycle now) const;
-
   TimingParams p_;
   bool open_ = false;
   bool ever_activated_ = false;
-  bool ever_refreshed_ = false;
   Cycle last_act_ = 0;
   Cycle last_pre_ = 0;
-  Cycle last_ref_ = 0;
 };
 
 }  // namespace hbmrd::dram

@@ -52,10 +52,9 @@ void CounterTrr::on_activate_bulk(int physical_row, std::uint64_t count,
   if (count > 0) note(physical_row, count);
 }
 
-std::vector<int> CounterTrr::on_refresh(dram::Cycle /*now*/) {
-  ++ref_count_;
+std::vector<int> CounterTrr::on_refresh(std::uint64_t ref) {
   std::vector<int> victims;
-  if (ref_count_ % static_cast<std::uint64_t>(p_.trr_ref_interval) != 0) {
+  if (ref % static_cast<std::uint64_t>(p_.trr_ref_interval) != 0) {
     return victims;
   }
   // Refresh the neighbours of the top-count rows, then reset their

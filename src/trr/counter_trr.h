@@ -17,7 +17,8 @@
 namespace hbmrd::trr {
 
 struct CounterTrrParams {
-  /// Every Nth REF performs the victim refreshes.
+  /// Every Nth REF of the channel (ordinal a multiple of N) performs the
+  /// victim refreshes.
   int trr_ref_interval = 17;
   /// Counter-table entries (rows tracked simultaneously).
   int table_entries = 8;
@@ -32,7 +33,7 @@ class CounterTrr final : public dram::ReadDisturbDefense {
   void on_activate(int physical_row, dram::Cycle now) override;
   void on_activate_bulk(int physical_row, std::uint64_t count,
                         dram::Cycle now) override;
-  std::vector<int> on_refresh(dram::Cycle now) override;
+  std::vector<int> on_refresh(std::uint64_t ref) override;
 
   [[nodiscard]] const CounterTrrParams& params() const { return p_; }
   [[nodiscard]] const std::map<int, std::uint64_t>& counters() const {
@@ -43,7 +44,6 @@ class CounterTrr final : public dram::ReadDisturbDefense {
   void note(int physical_row, std::uint64_t count);
 
   CounterTrrParams p_;
-  std::uint64_t ref_count_ = 0;
   // Misra-Gries-style bounded counter table (what a small in-DRAM CAM
   // affords): decrement-all when full, evict zeros.
   std::map<int, std::uint64_t> counters_;

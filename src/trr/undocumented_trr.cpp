@@ -60,7 +60,7 @@ void UndocumentedTrr::on_activate_bulk(int physical_row, std::uint64_t count,
   note_activation(physical_row, count);
 }
 
-std::vector<int> UndocumentedTrr::on_refresh(dram::Cycle /*now*/) {
+std::vector<int> UndocumentedTrr::on_refresh(std::uint64_t ref) {
   // Half-count rule, evaluated over the window between two REFs (Obsv. 27).
   for (const auto& [row, count] : window_counts_) {
     if (count * 2 > window_total_) latch_pending(row);
@@ -68,9 +68,8 @@ std::vector<int> UndocumentedTrr::on_refresh(dram::Cycle /*now*/) {
   window_counts_.clear();
   window_total_ = 0;
 
-  ++ref_count_;
   std::vector<int> victims;
-  if (ref_count_ % static_cast<std::uint64_t>(p_.trr_ref_interval) == 0) {
+  if (ref % static_cast<std::uint64_t>(p_.trr_ref_interval) == 0) {
     // TRR-capable REF: refresh both neighbours (Obsv. 25) of every detected
     // aggressor — the latched half-count rows, the first-ACT row, and the
     // recency sampler contents.

@@ -27,7 +27,8 @@
 namespace hbmrd::trr {
 
 struct TrrParams {
-  /// Every Nth REF performs the victim refreshes (Obsv. 24).
+  /// Every Nth REF of the channel (ordinal a multiple of N) performs the
+  /// victim refreshes (Obsv. 24).
   int trr_ref_interval = 17;
   /// Entries in the recency sampler (bypass needs >= this many dummies).
   int sampler_capacity = 4;
@@ -42,7 +43,7 @@ class UndocumentedTrr final : public dram::ReadDisturbDefense {
   void on_activate(int physical_row, dram::Cycle now) override;
   void on_activate_bulk(int physical_row, std::uint64_t count,
                         dram::Cycle now) override;
-  std::vector<int> on_refresh(dram::Cycle now) override;
+  std::vector<int> on_refresh(std::uint64_t ref) override;
 
   // All tracker state (window counts, sampler, latches, pending queue) is
   // plain copyable data, so the device checkpoint layer can snapshot it.
@@ -55,7 +56,6 @@ class UndocumentedTrr final : public dram::ReadDisturbDefense {
   [[nodiscard]] const TrrParams& params() const { return p_; }
 
   // Introspection for tests.
-  [[nodiscard]] std::uint64_t refs_seen() const { return ref_count_; }
   [[nodiscard]] const std::vector<int>& sampler() const { return sampler_; }
   [[nodiscard]] const std::vector<int>& pending() const { return pending_; }
 
@@ -64,7 +64,6 @@ class UndocumentedTrr final : public dram::ReadDisturbDefense {
   void latch_pending(int physical_row);
 
   TrrParams p_;
-  std::uint64_t ref_count_ = 0;
 
   // All containers below are flat vectors, bounded by the handful of
   // distinct rows a refresh window sees (window_counts_) or the small

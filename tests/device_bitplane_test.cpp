@@ -176,8 +176,10 @@ struct BankPair {
   disturb::BankThresholdCache warm{kAddr, 16};
   disturb::BankThresholdCache cold{kAddr, 1};
   CheckpointLadder ladder;
-  std::array<Bank, 2> banks{Bank{kAddr, &fault, &env, timing, warm, ladder},
-                            Bank{kAddr, &fault, &env, timing, cold, ladder}};
+  RefreshChannel channel{timing};
+  std::array<Bank, 2> banks{
+      Bank{kAddr, &fault, &env, timing, warm, ladder, channel},
+      Bank{kAddr, &fault, &env, timing, cold, ladder, channel}};
   Cycle now = 1000;
   /// sense_cells_visited of bank 0 added by each checked read.
   std::vector<std::uint64_t> visited_per_read;

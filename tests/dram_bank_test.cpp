@@ -30,7 +30,8 @@ struct TestBank {
   TimingParams timing{};
   disturb::BankThresholdCache cache{kAddr, 16};
   CheckpointLadder ladder;
-  Bank bank{kAddr, &fault, &env, timing, cache, ladder};
+  RefreshChannel channel{timing};
+  Bank bank{kAddr, &fault, &env, timing, cache, ladder, channel};
   Cycle now = 1000;
 
   void write_row(int row, const RowBits& bits) {
@@ -318,16 +319,47 @@ TEST(Bank, RetentionDecayAppearsOverTime) {
 TEST(Bank, PointerRefreshWalksAllRows) {
   TestBank t;
   EXPECT_EQ(t.bank.refresh_pointer(), 0);
-  t.bank.refresh(t.now);
+  t.channel.refresh(t.now);
   EXPECT_EQ(t.bank.refresh_pointer(), t.timing.rows_per_ref());
   // A full window of REFs covers every row and wraps the pointer around.
   for (int i = 1; i < t.timing.refs_per_window(); ++i) {
     t.now += t.timing.t_rfc + 10;
-    t.bank.refresh(t.now);
+    t.channel.refresh(t.now);
   }
   const int expected =
       (t.timing.refs_per_window() * t.timing.rows_per_ref()) % kRowsPerBank;
   EXPECT_EQ(t.bank.refresh_pointer(), expected);
+}
+
+TEST(Bank, RefAfterIdleRefsRefreshesTheChannelsPointerRows) {
+  TestBank t;
+  constexpr int kRefs = 5;
+  for (int i = 0; i < kRefs; ++i) {
+    t.channel.refresh(t.now);
+    t.now += t.timing.t_rfc + 10;
+  }
+  // The REFs skipped the bank: it had no command, so it has no state.
+  EXPECT_EQ(t.bank.touched_rows(), 0u);
+  const int pointer = kRefs * t.timing.rows_per_ref();
+  ASSERT_EQ(t.bank.refresh_pointer(), pointer);
+  ASSERT_EQ(t.timing.rows_per_ref(), 2);
+  // One ACT+PRE of the row after the next REF's two rows doses both of
+  // them and the two rows above it.
+  const int aggressor = pointer + 2;
+  t.bank.activate(aggressor, t.now);
+  t.now += t.timing.t_ras;
+  t.bank.precharge(t.now);
+  t.now += t.timing.t_rp;
+  for (int row : {pointer, pointer + 1, aggressor + 1, aggressor + 2}) {
+    ASSERT_NE(t.bank.ledger(row), nullptr) << row;
+    ASSERT_FALSE(t.bank.ledger(row)->empty()) << row;
+  }
+  t.channel.refresh(t.now);
+  EXPECT_TRUE(t.bank.ledger(pointer)->empty());
+  EXPECT_TRUE(t.bank.ledger(pointer + 1)->empty());
+  EXPECT_FALSE(t.bank.ledger(aggressor + 1)->empty());
+  EXPECT_FALSE(t.bank.ledger(aggressor + 2)->empty());
+  EXPECT_EQ(t.bank.refresh_pointer(), pointer + t.timing.rows_per_ref());
 }
 
 class CountingDefense : public ReadDisturbDefense {
@@ -340,13 +372,15 @@ class CountingDefense : public ReadDisturbDefense {
     activations += count;
     last_row = row;
   }
-  std::vector<int> on_refresh(Cycle) override {
+  std::vector<int> on_refresh(std::uint64_t ref) override {
     ++refreshes;
+    last_ref = ref;
     return victims_to_refresh;
   }
 
   std::uint64_t activations = 0;
   int refreshes = 0;
+  std::uint64_t last_ref = 0;  // the channel ordinal of the last REF
   int last_row = -1;
   std::vector<int> victims_to_refresh;
 };
@@ -367,8 +401,9 @@ TEST(Bank, DefenseHooksAreInvoked) {
   t.now = t.bank.bulk_hammer(steps, 500, t.now) + 100;
   EXPECT_EQ(raw->activations, 501u);
 
-  t.bank.refresh(t.now);
+  t.channel.refresh(t.now);
   EXPECT_EQ(raw->refreshes, 1);
+  EXPECT_EQ(raw->last_ref, 1u);
 }
 
 TEST(Bank, DefenseVictimRefreshProtects) {
@@ -383,7 +418,7 @@ TEST(Bank, DefenseVictimRefreshProtects) {
   t.write_row(kVictim + 1, RowBits::filled(0xAA));
   t.hammer(kVictim, hc / 2);
   raw->victims_to_refresh = {kVictim};
-  t.bank.refresh(t.now);  // defense refreshes the victim
+  t.channel.refresh(t.now);  // defense refreshes the victim
   t.now += t.timing.t_rfc + 10;
   t.hammer(kVictim, hc / 2);
   EXPECT_EQ(t.read_row(kVictim).count_diff(victim_bits), 0);
@@ -399,14 +434,14 @@ TEST(Bank, DefenseVictimRefreshDisturbsItsNeighbors) {
   t.write_row(200, RowBits::filled(0x55));
   t.write_row(201, RowBits::filled(0x55));
   raw->victims_to_refresh = {200};
-  t.bank.refresh(t.now);
+  t.channel.refresh(t.now);
   const auto* neighbor_ledger = t.bank.ledger(201);
   ASSERT_NE(neighbor_ledger, nullptr);
   EXPECT_GT(neighbor_ledger->adjacent_dose(), 0.0);
   // Pointer refreshes stay disturbance-free: a defense-less refresh pass
   // touches no additional rows.
   TestBank plain;
-  plain.bank.refresh(plain.now);
+  plain.channel.refresh(plain.now);
   EXPECT_EQ(plain.bank.touched_rows(), 0u);
 }
 
@@ -415,7 +450,8 @@ TEST(Bank, ProtocolErrors) {
   t.bank.activate(5, t.now);
   EXPECT_THROW(t.bank.activate(6, t.now + 1000), TimingViolation);
   EXPECT_THROW(t.bank.precharge(t.now + 1), TimingViolation);  // tRAS
-  EXPECT_THROW(t.bank.refresh(t.now + 5000), TimingViolation);  // open bank
+  EXPECT_THROW(t.channel.refresh(t.now + 5000),  // open bank
+               TimingViolation);
   t.bank.precharge(t.now + t.timing.t_ras);
   std::array<std::uint64_t, kWordsPerColumn> buffer;
   EXPECT_THROW(t.bank.read_column(0, buffer, t.now + 500), TimingViolation);
@@ -443,9 +479,9 @@ TEST(Bank, CountersTrackDeviceEvents) {
   t.write_row(101, RowBits::filled(0xAA));
   t.hammer(100, 1000);  // 2 aggressors x 1000 via the fast path
   EXPECT_EQ(t.bank.counters().activations, 3u + 2000u);
-  t.bank.refresh(t.now);
+  t.channel.refresh(t.now);
   t.now += t.timing.t_rfc + 10;
-  EXPECT_EQ(t.bank.counters().refresh_commands, 1u);
+  EXPECT_EQ(t.channel.issued(), 1u);
   // Flips materialize into the counter too.
   const auto before = t.bank.counters().bitflips_materialized;
   t.hammer(100, 2'000'000);

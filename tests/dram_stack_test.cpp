@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "trr/undocumented_trr.h"
+
 namespace hbmrd::dram {
 namespace {
 
@@ -14,6 +16,15 @@ StackConfig test_config(MappingScheme scheme = MappingScheme::kIdentity) {
   StackConfig config;
   config.disturb.seed = 0x57ACull;
   config.mapping = scheme;
+  return config;
+}
+
+/// test_config() with Chip 0's undocumented TRR in every bank.
+StackConfig trr_config() {
+  StackConfig config = test_config();
+  config.defense_factory = [](const BankAddress&) {
+    return std::make_unique<trr::UndocumentedTrr>();
+  };
   return config;
 }
 
@@ -49,6 +60,12 @@ struct StackFixture {
     stack.precharge(addr.bank, now);
     now += timing.t_rp + 100;
     return bits;
+  }
+
+  /// One REF to `channel` now; the clock moves past its tRFC.
+  void ref(int channel) {
+    stack.refresh(channel, now);
+    now += timing.t_rfc + 10;
   }
 };
 
@@ -297,6 +314,128 @@ TEST(StackCheckpoint, RestoreRewindsRefAndPreaOfEveryBankInTheChannel) {
   f.stack.precharge(open.bank, f.now);
   f.now += f.timing.t_rfc + f.timing.t_rp + 100;
   EXPECT_EQ(f.read_row(open), RowBits::filled(0x5A));
+  f.stack.discard_checkpoints();
+}
+
+// ---------------------------------------------------------------------------
+// REF is a channel command: one REF clock per channel, and a REF visits only
+// the banks that have had a command.
+
+TEST(StackRefresh, BankFirstActivatedAfterKRefsHasPointerKTimesRowsPerRef) {
+  StackFixture f;
+  constexpr int kRefs = 5;
+  const BankAddress bank{2, 1, 6};
+  for (int i = 0; i < kRefs; ++i) f.ref(bank.channel);
+  EXPECT_EQ(f.stack.bank(bank).touched_rows(), 0u);
+  f.write_row({bank, 300}, RowBits::filled(0x3C));
+  EXPECT_EQ(f.stack.bank(bank).refresh_pointer(),
+            kRefs * f.timing.rows_per_ref());
+  EXPECT_EQ(f.stack.bank({3, 0, 0}).refresh_pointer(), 0);
+}
+
+TEST(StackRefresh, ActWithinTrfcOfARefThrowsOnAnUntouchedBank) {
+  StackFixture f;
+  constexpr int kChannel = 4;
+  const Cycle ref_at = f.now;
+  f.stack.refresh(kChannel, ref_at);
+  EXPECT_THROW(f.stack.refresh(kChannel, ref_at + f.timing.t_rfc - 1),
+               TimingViolation);
+  const RowAddress idle{{kChannel, 1, 9}, 77};
+  EXPECT_THROW(f.stack.activate(idle, ref_at + f.timing.t_rfc - 1),
+               TimingViolation);
+  EXPECT_NO_THROW(f.stack.activate(idle, ref_at + f.timing.t_rfc));
+  // Another channel's banks are not gated by this REF.
+  EXPECT_NO_THROW(f.stack.activate({{kChannel + 1, 0, 0}, 77}, ref_at + 1));
+}
+
+TEST(StackRefresh, OpenBankAndTrpAfterPreStillRejectARef) {
+  StackFixture f;
+  constexpr int kChannel = 6;
+  const BankAddress bank{kChannel, 0, 3};
+  f.stack.activate({bank, 40}, f.now);
+  EXPECT_THROW(f.stack.refresh(kChannel, f.now + 1000), TimingViolation);
+  const Cycle pre_at = f.now + 1000;
+  f.stack.precharge(bank, pre_at);
+  EXPECT_THROW(f.stack.refresh(kChannel, pre_at + f.timing.t_rp - 1),
+               TimingViolation);
+  // A rejected REF records nothing.
+  EXPECT_EQ(f.stack.refresh_clock(kChannel).refs, 0u);
+  EXPECT_EQ(f.stack.total_counters().refresh_commands, 0u);
+  EXPECT_NO_THROW(f.stack.refresh(kChannel, pre_at + f.timing.t_rp));
+  EXPECT_EQ(f.stack.refresh_clock(kChannel).refs, 1u);
+  EXPECT_EQ(f.stack.refresh_clock(kChannel).last_ref,
+            pre_at + f.timing.t_rp);
+}
+
+TEST(StackRefresh, TrrOfABankFirstTouchedAfter16RefsFiresOnThe17th) {
+  StackFixture f{trr_config()};
+  const BankAddress bank{1, 1, 2};
+  for (int i = 0; i < 16; ++i) f.ref(bank.channel);
+  // The bank's first ACT: the TRR's first-ACT latch holds row 4300.
+  f.write_row({bank, 4300}, RowBits::filled(0x55));
+  EXPECT_EQ(f.stack.bank(bank).counters().defense_victim_refreshes, 0u);
+  f.ref(bank.channel);  // the channel's 17th REF is TRR-capable
+  EXPECT_EQ(f.stack.bank(bank).counters().defense_victim_refreshes, 2u);
+}
+
+TEST(StackRefresh, RestoreRewindsTheChannelsRefClock) {
+  StackFixture f{trr_config()};
+  constexpr int kChannel = 5;
+  const int rows_per_ref = f.timing.rows_per_ref();
+  const BankAddress live{kChannel, 0, 1};
+  const BankAddress idle{kChannel, 1, 14};
+  f.write_row({live, 100}, RowBits::filled(0x11));
+  for (int i = 0; i < 3; ++i) f.ref(kChannel);
+  const auto k = f.stack.push_checkpoint();
+  for (int i = 0; i < 5; ++i) f.ref(kChannel);
+  // The REFs opened a layer in the live bank only; the idle bank opened
+  // none and cloned no defense.
+  EXPECT_EQ(f.stack.bank(live).checkpoint_depth(), 1u);
+  for (int pc = 0; pc < kPseudoChannels; ++pc) {
+    for (int b = 0; b < kBanksPerPseudoChannel; ++b) {
+      if (BankAddress{kChannel, pc, b} == live) continue;
+      EXPECT_EQ(f.stack.bank({kChannel, pc, b}).checkpoint_depth(), 0u);
+    }
+  }
+  f.write_row({idle, 4300}, RowBits::filled(0x55));
+  EXPECT_EQ(f.stack.bank(idle).refresh_pointer(), 8 * rows_per_ref);
+
+  f.stack.restore_checkpoint(k);
+  EXPECT_EQ(f.stack.refresh_clock(kChannel).refs, 3u);
+  EXPECT_EQ(f.stack.bank(idle).refresh_pointer(), 3 * rows_per_ref);
+  EXPECT_EQ(f.stack.bank(live).refresh_pointer(), 3 * rows_per_ref);
+  // The TRR phase is back too: the idle bank's first ACT after the
+  // restore is refreshed at the channel's 17th REF, 14 REFs on.
+  f.write_row({idle, 4300}, RowBits::filled(0x55));
+  const auto victim_refreshes = [&] {
+    return f.stack.bank(idle).counters().defense_victim_refreshes;
+  };
+  const auto before = victim_refreshes();
+  for (int i = 0; i < 13; ++i) f.ref(kChannel);
+  EXPECT_EQ(victim_refreshes(), before);
+  f.ref(kChannel);
+  EXPECT_EQ(victim_refreshes(), before + 2);
+  f.stack.discard_checkpoints();
+}
+
+TEST(StackRefresh, RefreshCommandsAreRefsTimesBanksPerChannel) {
+  StackFixture f;
+  const auto refs = [&] { return f.stack.total_counters().refresh_commands; };
+  const auto per_ref = static_cast<std::uint64_t>(kBanksPerChannel);
+  f.ref(0);  // no bank has had a command yet
+  EXPECT_EQ(refs(), per_ref);
+  f.write_row({{0, 0, 0}, 10}, RowBits::filled(0x01));
+  f.write_row({{0, 1, 15}, 10}, RowBits::filled(0x02));
+  f.write_row({{1, 0, 4}, 10}, RowBits::filled(0x03));
+  f.ref(0);
+  f.ref(1);
+  f.ref(7);
+  EXPECT_EQ(refs(), 4 * per_ref);
+  // A rewound REF still counts, like every other device counter.
+  const auto k = f.stack.push_checkpoint();
+  f.ref(0);
+  f.stack.restore_checkpoint(k);
+  EXPECT_EQ(refs(), 5 * per_ref);
   f.stack.discard_checkpoints();
 }
 

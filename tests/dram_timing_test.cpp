@@ -26,25 +26,34 @@ TEST(TimingConversions, RoundTrip) {
   EXPECT_DOUBLE_EQ(cycles_to_seconds(600'000'000), 1.0);
 }
 
+/// A REF to a channel of one bank: the bank's share, then the channel's
+/// clock (RefreshChannel::refresh checks in this order).
+void refresh(BankTimingChecker& checker, RefreshClock& clock, Cycle now) {
+  checker.check_refresh(now);
+  clock.on_refresh(now, TimingParams{});
+}
+
 TEST(BankTimingChecker, LegalSequenceAccepted) {
   const TimingParams t;
   BankTimingChecker checker(t);
-  EXPECT_NO_THROW(checker.on_activate(100));
+  RefreshClock clock;
+  EXPECT_NO_THROW(checker.on_activate(100, clock));
   EXPECT_NO_THROW(checker.on_read(100 + t.t_rcd));
   EXPECT_NO_THROW(checker.on_write(100 + t.t_rcd + 1));
   EXPECT_NO_THROW(checker.on_precharge(100 + t.t_ras));
-  EXPECT_NO_THROW(checker.on_activate(100 + t.t_rc));
+  EXPECT_NO_THROW(checker.on_activate(100 + t.t_rc, clock));
   EXPECT_NO_THROW(checker.on_precharge(100 + t.t_rc + t.t_ras));
-  EXPECT_NO_THROW(checker.on_refresh(100 + t.t_rc + t.t_ras + t.t_rp));
+  EXPECT_NO_THROW(refresh(checker, clock, 100 + t.t_rc + t.t_ras + t.t_rp));
 }
 
 TEST(BankTimingChecker, OpenCloseStateMachine) {
   BankTimingChecker checker{TimingParams{}};
+  const RefreshClock clock;
   EXPECT_FALSE(checker.bank_open());
-  checker.on_activate(0);
+  checker.on_activate(0, clock);
   EXPECT_TRUE(checker.bank_open());
   EXPECT_EQ(checker.open_since(), 0u);
-  EXPECT_THROW(checker.on_activate(1000), TimingViolation);  // already open
+  EXPECT_THROW(checker.on_activate(1000, clock), TimingViolation);  // open
   checker.on_precharge(100);
   EXPECT_FALSE(checker.bank_open());
   EXPECT_NO_THROW(checker.on_precharge(101));  // PRE of closed bank: no-op
@@ -54,21 +63,57 @@ TEST(BankTimingChecker, ReadWriteRequireOpenRow) {
   BankTimingChecker checker{TimingParams{}};
   EXPECT_THROW(checker.on_read(10), TimingViolation);
   EXPECT_THROW(checker.on_write(10), TimingViolation);
-  checker.on_activate(100);
+  checker.on_activate(100, RefreshClock{});
   EXPECT_THROW(checker.on_read(101), TimingViolation);  // tRCD
 }
 
 TEST(BankTimingChecker, RefreshRequiresPrechargedBank) {
   const TimingParams t;
   BankTimingChecker checker(t);
-  checker.on_activate(0);
-  EXPECT_THROW(checker.on_refresh(1000), TimingViolation);
+  RefreshClock clock;
+  checker.on_activate(0, clock);
+  EXPECT_THROW(refresh(checker, clock, 1000), TimingViolation);
   checker.on_precharge(t.t_ras);
-  EXPECT_THROW(checker.on_refresh(t.t_ras + 1), TimingViolation);  // tRP
-  EXPECT_NO_THROW(checker.on_refresh(t.t_ras + t.t_rp));
+  EXPECT_THROW(refresh(checker, clock, t.t_ras + 1), TimingViolation);  // tRP
+  EXPECT_NO_THROW(refresh(checker, clock, t.t_ras + t.t_rp));
   // Back-to-back REFs honour tRFC.
-  EXPECT_THROW(checker.on_refresh(t.t_ras + t.t_rp + 1), TimingViolation);
-  EXPECT_NO_THROW(checker.on_refresh(t.t_ras + t.t_rp + t.t_rfc));
+  EXPECT_THROW(refresh(checker, clock, t.t_ras + t.t_rp + 1),
+               TimingViolation);
+  EXPECT_NO_THROW(refresh(checker, clock, t.t_ras + t.t_rp + t.t_rfc));
+  // A rejected REF records nothing: the clock counts the two legal ones.
+  EXPECT_EQ(clock.refs, 2u);
+  EXPECT_EQ(clock.last_ref, t.t_ras + t.t_rp + t.t_rfc);
+}
+
+TEST(BankTimingChecker, ActHonoursTrfcFromTheChannelsLastRef) {
+  // The channel clock gates every bank's ACT, including a bank that had no
+  // command before the REF (its checker holds no history at all).
+  const TimingParams t;
+  RefreshClock clock;
+  clock.on_refresh(1000, t);
+  BankTimingChecker idle(t);
+  EXPECT_THROW(idle.on_activate(1000 + t.t_rfc - 1, clock), TimingViolation);
+  EXPECT_FALSE(idle.bank_open());
+  EXPECT_NO_THROW(idle.on_activate(1000 + t.t_rfc, clock));
+}
+
+TEST(BankTimingChecker, WindowChecksItsFirstActAndRecordsItsLastPre) {
+  const TimingParams t;
+  const RefreshClock clock;
+  BankTimingChecker checker(t);
+  checker.on_activate(0, clock);
+  checker.on_precharge(t.t_ras);
+  // tRC from the last ACT binds the window's first ACT.
+  EXPECT_THROW(checker.on_window(t.t_rc - 1, 500, 500 + t.t_ras, clock),
+               TimingViolation);
+  checker.on_window(t.t_rc, 500, 500 + t.t_ras, clock);
+  EXPECT_FALSE(checker.bank_open());
+  EXPECT_EQ(checker.open_since(), 500u);
+  // The next ACT is held to tRP after the window's last PRE and tRC after
+  // its last ACT.
+  EXPECT_THROW(checker.on_activate(500 + t.t_ras + t.t_rp - 1, clock),
+               TimingViolation);
+  EXPECT_NO_THROW(checker.on_activate(500 + t.t_rc, clock));
 }
 
 /// Property sweep: a gap below each minimum constraint is rejected, the
@@ -79,7 +124,7 @@ TEST_P(TimingGapTest, TRasBoundary) {
   const TimingParams t;
   const int deficit = GetParam();
   BankTimingChecker checker(t);
-  checker.on_activate(1000);
+  checker.on_activate(1000, RefreshClock{});
   const Cycle pre = 1000 + t.t_ras - static_cast<Cycle>(deficit);
   if (deficit > 0) {
     EXPECT_THROW(checker.on_precharge(pre), TimingViolation);
@@ -92,13 +137,14 @@ TEST_P(TimingGapTest, TRcBoundary) {
   const TimingParams t;
   const int deficit = GetParam();
   BankTimingChecker checker(t);
-  checker.on_activate(1000);
+  const RefreshClock clock;
+  checker.on_activate(1000, clock);
   checker.on_precharge(1000 + t.t_ras);
   const Cycle act = 1000 + t.t_rc - static_cast<Cycle>(deficit);
   if (deficit > 0) {
-    EXPECT_THROW(checker.on_activate(act), TimingViolation);
+    EXPECT_THROW(checker.on_activate(act, clock), TimingViolation);
   } else {
-    EXPECT_NO_THROW(checker.on_activate(act));
+    EXPECT_NO_THROW(checker.on_activate(act, clock));
   }
 }
 

@@ -307,7 +307,8 @@ TEST(DoseCheckpoint, RestoringARungTwiceReplaysTrrIdentically) {
   struct Replay {
     int bitflips = 0;
     std::uint64_t victim_refreshes = 0;
-    // The victim bank's TRR tracker after the attack.
+    // The victim bank's TRR tracker after the attack, and the REF ordinal
+    // of its channel that sets the tracker's phase.
     std::uint64_t refs_seen = 0;
     std::vector<int> sampler;
     std::vector<int> pending;
@@ -323,8 +324,8 @@ TEST(DoseCheckpoint, RestoringARungTwiceReplaysTrrIdentically) {
     const auto* trr = dynamic_cast<const trr::UndocumentedTrr*>(
         chip.stack().bank(kBank).defense());
     EXPECT_NE(trr, nullptr);
+    replay.refs_seen = chip.stack().refresh_clock(kBank.channel).refs;
     if (trr != nullptr) {
-      replay.refs_seen = trr->refs_seen();
       replay.sampler = trr->sampler();
       replay.pending = trr->pending();
     }

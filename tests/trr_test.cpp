@@ -37,6 +37,17 @@ TEST(UndocumentedTrr, RefreshesBothNeighbors) {
   EXPECT_TRUE(contains(victims, 501));
 }
 
+TEST(UndocumentedTrr, PhaseIsTheChannelsRefOrdinal) {
+  // A bank's tracker is first asked at whatever REF of its channel follows
+  // the bank's first command: the ordinal alone makes a REF TRR-capable.
+  UndocumentedTrr trr;
+  trr.on_activate(500, 0);
+  EXPECT_TRUE(trr.on_refresh(16).empty());
+  const auto victims = trr.on_refresh(17);
+  EXPECT_TRUE(contains(victims, 499));
+  EXPECT_TRUE(contains(victims, 501));
+}
+
 TEST(UndocumentedTrr, FirstActAfterCapableRefIsHeldForAFullPeriod) {
   UndocumentedTrr trr;
   // Reach the first TRR-capable REF with no activity at all.
@@ -175,6 +186,15 @@ TEST(CounterTrr, TracksAndRefreshesTopRow) {
   EXPECT_TRUE(contains(victims, 601));
   // The handled row's counter resets; junk rows do not dominate.
   EXPECT_FALSE(trr.counters().contains(600));
+}
+
+TEST(CounterTrr, PhaseIsTheChannelsRefOrdinal) {
+  CounterTrr trr;
+  for (int i = 0; i < 10; ++i) trr.on_activate(600, 0);
+  EXPECT_TRUE(trr.on_refresh(33).empty());
+  const auto victims = trr.on_refresh(34);
+  EXPECT_TRUE(contains(victims, 599));
+  EXPECT_TRUE(contains(victims, 601));
 }
 
 TEST(CounterTrr, BoundedTableDecrements) {
