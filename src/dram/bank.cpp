@@ -829,6 +829,24 @@ HammerPlan Bank::plan(std::vector<HammerStep> steps) const {
       if (!hammered(victim)) hr.victims[slot] = victim;
     });
   }
+
+  // The defense's view of one round (see ActivationWindow), only for a
+  // bank that has a defense: a bank without one plans nothing more.
+  if (defense_) {
+    const std::size_t n = p.rows_.size();
+    p.defense_rows_.reserve(n);
+    for (const auto& hr : p.rows_) p.defense_rows_.push_back(hr.row);
+    p.defense_acts_.assign(n, 0);
+    for (const auto& dose : p.doses_) p.defense_acts_[dose.row] += dose.count;
+    // Last-ACT order: the distinct rows of the steps read backwards.
+    p.defense_recency_.reserve(n);
+    for (std::size_t k = st.size(); k-- > 0;) {
+      if (std::find(p.defense_recency_.begin(), p.defense_recency_.end(),
+                    st[k].row) == p.defense_recency_.end()) {
+        p.defense_recency_.push_back(st[k].row);
+      }
+    }
+  }
   return p;
 }
 
@@ -854,28 +872,31 @@ Cycle Bank::apply(const HammerPlan& plan, std::uint64_t iterations,
   counters_.hammer_dedup_hits +=
       static_cast<std::uint64_t>(steps.size() - plan.rows_.size());
 
-  // Sense every hammered row once at its first activation, so pre-existing
-  // dose materializes before the burst restores it. (Later activations of
-  // the same row within the burst sense a just-restored row: a no-op.)
-  for (const auto& hr : plan.rows_) {
-    RowState& rs = state(hr.row, start);
-    sense_and_restore(hr.row, rs, start + hr.first_offset);
-  }
-  // Create all victim states up front (inserts may grow the table), then
-  // resolve the pointers once; no inserts happen after this block.
-  for (const auto& hr : plan.rows_) {
-    for (int victim : hr.victims) {
-      if (victim >= 0) state(victim, start);
-    }
+  // Resolve every row state once. The table may grow by the window's rows
+  // and their victims; reserving that room first keeps each reference
+  // state() returns valid to the end of the window (no state is erased
+  // here: only a checkpoint rewind or drop_row_states erases).
+  const std::size_t grown =
+      rows_.size() + plan.rows_.size() * (1 + kDistances.size());
+  if (grown > rows_.capacity()) {
+    rows_.reserve(std::max(grown, 2 * rows_.capacity()));
   }
   auto& resolved = arena().hammered;
   resolved.resize(plan.rows_.size());
+  // Sense every hammered row once at its first activation, so pre-existing
+  // dose materializes before the burst restores it. (Later activations of
+  // the same row within the burst sense a just-restored row: a no-op.)
   for (std::size_t r = 0; r < plan.rows_.size(); ++r) {
     const auto& hr = plan.rows_[r];
-    resolved[r].state = find_state(hr.row);
+    RowState& rs = state(hr.row, start);
+    sense_and_restore(hr.row, rs, start + hr.first_offset);
+    resolved[r].state = &rs;
+  }
+  for (std::size_t r = 0; r < plan.rows_.size(); ++r) {
+    const auto& victims = plan.rows_[r].victims;
     for (std::size_t slot = 0; slot < kDistances.size(); ++slot) {
       resolved[r].victims[slot] =
-          hr.victims[slot] >= 0 ? find_state(hr.victims[slot]) : nullptr;
+          victims[slot] >= 0 ? &state(victims[slot], start) : nullptr;
     }
   }
 
@@ -889,12 +910,13 @@ Cycle Bank::apply(const HammerPlan& plan, std::uint64_t iterations,
                          dose.unit, dose.count * iterations);
     }
   }
-  // The defense sees every step, in step order: TRR samplers and window
-  // counts depend on activation order.
+  // The defense sees the window once, folded per distinct row.
   if (defense_) {
-    for (const auto& s : steps) {
-      defense_->on_activate_bulk(s.row, iterations, end);
+    if (plan.defense_rows_.empty()) {
+      throw std::logic_error("apply: plan made for a bank without defense");
     }
+    defense_->on_window({plan.defense_rows_, plan.defense_acts_,
+                         plan.defense_recency_, iterations, end});
   }
   counters_.activations +=
       static_cast<std::uint64_t>(steps.size()) * iterations;

@@ -72,10 +72,12 @@ class Bank;
 
 /// One hammer window, planned once by Bank::plan and replayed by
 /// Bank::apply: everything the window's steps alone decide, none of the
-/// bank's state. That is the physical steps, their canonical schedule,
-/// the distinct rows and the victims each of them disturbs, and the
-/// window's dose folded per (row, tAggON unit). Valid for the bank that
-/// planned it (or one with the same timing and fault model).
+/// bank's row state. That is the physical steps, their canonical schedule,
+/// the distinct rows and the victims each of them disturbs, the window's
+/// dose folded per (row, tAggON unit) and, when the planning bank has a
+/// defense, the defense's view of one round (ActivationWindow). Valid for
+/// the bank that planned it (or one with the same timing, fault model and
+/// defense presence).
 class HammerPlan {
  public:
   /// Steps (activations) of one round of the window.
@@ -109,6 +111,12 @@ class HammerPlan {
   Cycle period_ = 0;               // distance between round starts
   std::vector<Row> rows_;
   std::vector<Dose> doses_;
+  /// The defense's view of one round, filled only when the planning bank
+  /// has a defense: rows_ in first-activation order, each one's ACTs per
+  /// round, and the same rows by last ACT, newest first.
+  std::vector<int> defense_rows_;
+  std::vector<std::uint64_t> defense_acts_;
+  std::vector<int> defense_recency_;
 };
 
 /// The checkpoint ladder of a set of banks (a Stack's 256, or a test's
@@ -229,7 +237,9 @@ class Bank {
   // -- Hammer fast path ------------------------------------------------------
 
   /// Plans a window of ACT(+on-time)+PRE steps over physical rows. Each
-  /// step's on-time must be at least tRAS. Pure: reads no bank state.
+  /// step's on-time must be at least tRAS. Reads no row state; only
+  /// whether the bank has a defense decides if the plan carries the
+  /// defense's view of the window.
   [[nodiscard]] HammerPlan plan(std::vector<HammerStep> steps) const;
 
   /// Semantically equivalent to repeating the planned window `iterations`
@@ -240,8 +250,10 @@ class Bank {
   /// the same counts, as one add per activation. Victim dose is exact; the
   /// (negligible) residual self-dose of rows activated inside the loop is
   /// dropped (they are restored by their own activations). The defense
-  /// still sees every step, in step order. Returns the cycle at which the
-  /// burst completes (bank precharged).
+  /// sees the window in one on_window call: the plan's distinct rows, their
+  /// ACTs per round and their last-ACT order, which fold to the same
+  /// tracker state as every step in step order. Returns the cycle at which
+  /// the burst completes (bank precharged).
   Cycle apply(const HammerPlan& plan, std::uint64_t iterations, Cycle start);
 
   /// apply(plan(steps), iterations, start).

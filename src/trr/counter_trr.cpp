@@ -47,9 +47,11 @@ void CounterTrr::on_activate(int physical_row, dram::Cycle /*now*/) {
   note(physical_row, 1);
 }
 
-void CounterTrr::on_activate_bulk(int physical_row, std::uint64_t count,
-                                  dram::Cycle /*now*/) {
-  if (count > 0) note(physical_row, count);
+void CounterTrr::on_window(const dram::ActivationWindow& window) {
+  if (window.rounds == 0) return;
+  for (std::size_t i = 0; i < window.rows.size(); ++i) {
+    note(window.rows[i], window.acts[i] * window.rounds);
+  }
 }
 
 std::vector<int> CounterTrr::on_refresh(std::uint64_t ref) {

@@ -31,8 +31,8 @@ class CounterTrr final : public dram::ReadDisturbDefense {
   explicit CounterTrr(CounterTrrParams params = {});
 
   void on_activate(int physical_row, dram::Cycle now) override;
-  void on_activate_bulk(int physical_row, std::uint64_t count,
-                        dram::Cycle now) override;
+  /// Notes acts x rounds per row, in first-activation order.
+  void on_window(const dram::ActivationWindow& window) override;
   std::vector<int> on_refresh(std::uint64_t ref) override;
 
   [[nodiscard]] const CounterTrrParams& params() const { return p_; }

@@ -23,7 +23,8 @@ void UndocumentedTrr::latch_pending(int physical_row) {
   }
 }
 
-void UndocumentedTrr::note_activation(int physical_row, std::uint64_t count) {
+void UndocumentedTrr::count_activations(int physical_row,
+                                        std::uint64_t count) {
   const auto counted =
       std::find_if(window_counts_.begin(), window_counts_.end(),
                    [physical_row](const auto& e) {
@@ -35,12 +36,14 @@ void UndocumentedTrr::note_activation(int physical_row, std::uint64_t count) {
     window_counts_.emplace_back(physical_row, count);
   }
   window_total_ += count;
+}
 
+void UndocumentedTrr::on_activate(int physical_row, dram::Cycle /*now*/) {
+  count_activations(physical_row, 1);
   if (first_act_armed_) {
     first_act_armed_ = false;
     first_act_row_ = physical_row;
   }
-
   // Move-to-front recency sampler over distinct rows.
   const auto it = std::find(sampler_.begin(), sampler_.end(), physical_row);
   if (it != sampler_.end()) sampler_.erase(it);
@@ -50,14 +53,35 @@ void UndocumentedTrr::note_activation(int physical_row, std::uint64_t count) {
   }
 }
 
-void UndocumentedTrr::on_activate(int physical_row, dram::Cycle /*now*/) {
-  note_activation(physical_row, 1);
-}
-
-void UndocumentedTrr::on_activate_bulk(int physical_row, std::uint64_t count,
-                                       dram::Cycle /*now*/) {
-  if (count == 0) return;
-  note_activation(physical_row, count);
+void UndocumentedTrr::on_window(const dram::ActivationWindow& window) {
+  if (window.rounds == 0 || window.rows.empty()) return;
+  // Rows join window_counts_ in first-activation order, as per-step calls
+  // would add them: on_refresh latches pending rows in that order.
+  for (std::size_t i = 0; i < window.rows.size(); ++i) {
+    count_activations(window.rows[i], window.acts[i] * window.rounds);
+  }
+  if (first_act_armed_) {
+    first_act_armed_ = false;
+    first_act_row_ = window.rows.front();
+  }
+  // Move-to-front over every step leaves the window's rows in last-ACT
+  // order ahead of the old entries it did not touch; truncation to the
+  // capacity only ever drops the tail. Built in place: keep the untouched
+  // old entries that still fit, then shift them behind the recency list.
+  const auto capacity = static_cast<std::size_t>(p_.sampler_capacity);
+  const std::size_t fresh = std::min(capacity, window.recency.size());
+  const auto touched = [&window](int row) {
+    return std::find(window.rows.begin(), window.rows.end(), row) !=
+           window.rows.end();
+  };
+  sampler_.erase(std::remove_if(sampler_.begin(), sampler_.end(), touched),
+                 sampler_.end());
+  const std::size_t kept = std::min(sampler_.size(), capacity - fresh);
+  sampler_.resize(fresh + kept);
+  std::move_backward(sampler_.begin(),
+                     sampler_.begin() + static_cast<std::ptrdiff_t>(kept),
+                     sampler_.end());
+  std::copy_n(window.recency.begin(), fresh, sampler_.begin());
 }
 
 std::vector<int> UndocumentedTrr::on_refresh(std::uint64_t ref) {

@@ -41,8 +41,7 @@ class UndocumentedTrr final : public dram::ReadDisturbDefense {
   explicit UndocumentedTrr(TrrParams params = {});
 
   void on_activate(int physical_row, dram::Cycle now) override;
-  void on_activate_bulk(int physical_row, std::uint64_t count,
-                        dram::Cycle now) override;
+  void on_window(const dram::ActivationWindow& window) override;
   std::vector<int> on_refresh(std::uint64_t ref) override;
 
   // All tracker state (window counts, sampler, latches, pending queue) is
@@ -60,7 +59,7 @@ class UndocumentedTrr final : public dram::ReadDisturbDefense {
   [[nodiscard]] const std::vector<int>& pending() const { return pending_; }
 
  private:
-  void note_activation(int physical_row, std::uint64_t count);
+  void count_activations(int physical_row, std::uint64_t count);
   void latch_pending(int physical_row);
 
   TrrParams p_;

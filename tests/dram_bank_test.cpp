@@ -368,9 +368,9 @@ class CountingDefense : public ReadDisturbDefense {
     ++activations;
     last_row = row;
   }
-  void on_activate_bulk(int row, std::uint64_t count, Cycle) override {
-    activations += count;
-    last_row = row;
+  void on_window(const ActivationWindow& window) override {
+    for (auto acts : window.acts) activations += acts * window.rounds;
+    last_row = window.recency.front();
   }
   std::vector<int> on_refresh(std::uint64_t ref) override {
     ++refreshes;
@@ -400,6 +400,7 @@ TEST(Bank, DefenseHooksAreInvoked) {
   const std::array<HammerStep, 1> steps = {HammerStep{20, t.timing.t_ras}};
   t.now = t.bank.bulk_hammer(steps, 500, t.now) + 100;
   EXPECT_EQ(raw->activations, 501u);
+  EXPECT_EQ(raw->last_row, 20);
 
   t.channel.refresh(t.now);
   EXPECT_EQ(raw->refreshes, 1);

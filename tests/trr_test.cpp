@@ -5,6 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
+
+#include "util/rng.h"
 
 namespace hbmrd::trr {
 namespace {
@@ -12,6 +16,38 @@ namespace {
 bool contains(const std::vector<int>& xs, int x) {
   return std::find(xs.begin(), xs.end(), x) != xs.end();
 }
+
+/// One round of steps as on_window sees it, folded here independently of
+/// Bank::plan: distinct rows by first ACT, ACTs per row, rows by last ACT.
+struct FoldedRound {
+  std::vector<int> rows;
+  std::vector<std::uint64_t> acts;
+  std::vector<int> recency;
+
+  explicit FoldedRound(const std::vector<int>& steps) {
+    std::vector<std::size_t> last;
+    for (std::size_t k = 0; k < steps.size(); ++k) {
+      const auto it = std::find(rows.begin(), rows.end(), steps[k]);
+      const auto r = static_cast<std::size_t>(it - rows.begin());
+      if (it == rows.end()) {
+        rows.push_back(steps[k]);
+        acts.push_back(0);
+        last.push_back(0);
+      }
+      ++acts[r];
+      last[r] = k;
+    }
+    std::vector<std::size_t> order(rows.size());
+    for (std::size_t r = 0; r < order.size(); ++r) order[r] = r;
+    std::sort(order.begin(), order.end(),
+              [&last](auto a, auto b) { return last[a] > last[b]; });
+    for (auto r : order) recency.push_back(rows[r]);
+  }
+
+  [[nodiscard]] dram::ActivationWindow window(std::uint64_t rounds) const {
+    return {rows, acts, recency, rounds, 0};
+  }
+};
 
 TEST(UndocumentedTrr, Every17thRefIsTrrCapable) {
   UndocumentedTrr trr;
@@ -141,12 +177,58 @@ TEST(UndocumentedTrr, FourTrailingDummiesEvictAggressors) {
 TEST(UndocumentedTrr, BulkActivationMatchesRepeatedSingles) {
   UndocumentedTrr a;
   UndocumentedTrr b;
-  a.on_activate_bulk(42, 10, 0);
+  a.on_window(FoldedRound({42, 42}).window(5));
   for (int i = 0; i < 10; ++i) b.on_activate(42, 0);
   a.on_activate(43, 0);
   b.on_activate(43, 0);
   for (int ref = 1; ref <= 17; ++ref) {
     EXPECT_EQ(a.on_refresh(ref), b.on_refresh(ref));
+  }
+}
+
+TEST(UndocumentedTrr, WindowMatchesPerStepActivations) {
+  // One on_window call must leave the tracker exactly as the window's
+  // steps would, one on_activate each, round after round: same sampler,
+  // same pending latches, and the same victims at every later REF (the
+  // window counts and the first-ACT latch show there).
+  util::Stream rng(0x7e5a11);
+  constexpr int kWindows = 600;
+  // Rows are spaced so no two share a victim; the window draws from the
+  // first ten, the prior state from all sixteen.
+  const auto row_of = [](std::uint64_t i) {
+    return 1000 + 4 * static_cast<int>(i);
+  };
+  for (int w = 0; w < kWindows; ++w) {
+    TrrParams params;
+    params.sampler_capacity = static_cast<int>(rng.next_below(6));
+    params.pending_capacity = static_cast<int>(1 + rng.next_below(4));
+    UndocumentedTrr folded(params);
+    std::uint64_t ref = 1 + rng.next_below(17);
+    const auto prior_ops = rng.next_below(40);
+    for (std::uint64_t op = 0; op < prior_ops; ++op) {
+      if (rng.next_below(4) == 0) {
+        folded.on_refresh(ref++);
+      } else {
+        folded.on_activate(row_of(rng.next_below(16)), 0);
+      }
+    }
+    UndocumentedTrr stepped = folded;
+
+    const auto distinct = 1 + rng.next_below(10);
+    std::vector<int> steps(1 + rng.next_below(80));
+    for (int& row : steps) row = row_of(rng.next_below(distinct));
+    const std::uint64_t rounds = 1 + rng.next_below(3);
+
+    folded.on_window(FoldedRound(steps).window(rounds));
+    for (std::uint64_t round = 0; round < rounds; ++round) {
+      for (int row : steps) stepped.on_activate(row, 0);
+    }
+    ASSERT_EQ(folded.sampler(), stepped.sampler()) << "window " << w;
+    ASSERT_EQ(folded.pending(), stepped.pending()) << "window " << w;
+    for (int k = 0; k < 34; ++k, ++ref) {
+      ASSERT_EQ(folded.on_refresh(ref), stepped.on_refresh(ref))
+          << "window " << w << " ref " << ref;
+    }
   }
 }
 
@@ -205,7 +287,7 @@ TEST(CounterTrr, BoundedTableDecrements) {
   trr.on_activate(2, 0);
   trr.on_activate(3, 0);  // forces a decrement-all; both entries hit zero
   EXPECT_TRUE(trr.counters().empty());
-  trr.on_activate_bulk(4, 10, 0);
+  trr.on_window(FoldedRound({4, 4}).window(5));
   EXPECT_EQ(trr.counters().at(4), 10u);
 }
 
