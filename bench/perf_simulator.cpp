@@ -7,6 +7,8 @@
 // To archive a run for regression tracking, use the JSON reporter:
 //   ./bench/perf_simulator --benchmark_format=json > BENCH_simulator.json
 // (BENCH_*.json files are the conventional names for stored baselines.)
+// BM_RowWalkAnchor (bench/anchor.h) is the machine-speed anchor that
+// tools/bench_check.py normalizes by.
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -14,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "anchor.h"
 #include "arena/engine.h"
 #include "bender/executor.h"
 #include "bender/platform.h"
@@ -34,6 +37,9 @@ dram::StackConfig config() {
 }
 
 constexpr dram::BankAddress kBank{0, 0, 0};
+
+using bench::BM_RowWalkAnchor;
+BENCHMARK(BM_RowWalkAnchor);
 
 void BM_ActPrePair(benchmark::State& state) {
   dram::Stack stack(config());

@@ -8,16 +8,16 @@
 //     path: canonical-state restore + a full incremental HC search.
 //
 // The ratio of the two is the PR's index-vs-simulate speedup. The binary
-// carries its own BM_ActPrePair anchor so tools/bench_check.py can
-// normalize against bench/baselines/BENCH_serve.json on any machine:
+// carries the BM_RowWalkAnchor machine-speed anchor (bench/anchor.h) so
+// tools/bench_check.py can normalize against
+// bench/baselines/BENCH_serve.json on any machine:
 //   ./bench/serve_qps --benchmark_format=json > BENCH_serve.json
 #include <benchmark/benchmark.h>
 
 #include <string>
 
-#include "bender/executor.h"
+#include "anchor.h"
 #include "bender/platform.h"
-#include "bender/program.h"
 #include "dram/stack.h"
 #include "serve/engine.h"
 #include "serve/export.h"
@@ -28,22 +28,8 @@ namespace {
 
 using namespace hbmrd;
 
-constexpr dram::BankAddress kBank{0, 0, 0};
-
-/// Same anchor as perf_simulator: a trivial ACT+PRE pair tracking raw
-/// simulator/CPU speed, untouched by the serving layer.
-void BM_ActPrePair(benchmark::State& state) {
-  dram::StackConfig config;
-  config.disturb.seed = 0xBE7C4;
-  dram::Stack stack(config);
-  bender::Executor executor(&stack);
-  for (auto _ : state) {
-    bender::ProgramBuilder builder;
-    builder.act(kBank, 4300).pre(kBank);
-    benchmark::DoNotOptimize(executor.run(std::move(builder).build()));
-  }
-}
-BENCHMARK(BM_ActPrePair);
+using bench::BM_RowWalkAnchor;
+BENCHMARK(BM_RowWalkAnchor);
 
 /// A hand-built 4096-row index: the hit path only reads records, so the
 /// rung values need not come from simulation.

@@ -7,6 +7,10 @@
 # two runs, the run plays 30 matches (6 patterns x 5 defenses), and the
 # REF and ACT counters below are exact: they are pure functions of the
 # run, so any change is a change in the commands the arena represents.
+# So are the two threshold-cache counters: every sense that passes the
+# early-outs makes one cache lookup, so they pin which senses the REF and
+# ACT paths run (values recorded before the pointer-refresh rows went
+# straight from the slot table to the sense).
 #
 # golden.csv and golden.jsonl were recorded from
 #   arena_eval --chip 2 --windows 48 --benign-acts 2000 --fuzz 2
@@ -22,7 +26,9 @@ set(expected
     device.refs 4922528
     exec.refs 153829
     device.acts 698196
-    arena.periodic_refs 149139)
+    arena.periodic_refs 149139
+    cache.lookups 231
+    cache.summary_misses 225)
 
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
@@ -76,4 +82,4 @@ foreach(i RANGE 0 ${last} 2)
   endif()
 endforeach()
 message(STATUS "arena golden reproduced at --jobs 1 and 4; "
-               "counters identical across --jobs and REF/ACT counters exact")
+               "counters identical across --jobs; REF/ACT/cache counters exact")

@@ -53,9 +53,13 @@ struct DoseEpoch {
 /// the common case during hammering.
 class DoseLedger {
  public:
+  /// `aggressor_bits` is the aggressor row's own contents handle
+  /// (dram::Bank's RowState::bits), taken by reference to its exact type:
+  /// a merging add touches no reference count, and an add that opens an
+  /// epoch copies the handle once.
   void add(int distance, std::uint64_t aggressor_version,
-           const std::shared_ptr<const dram::RowBits>& aggressor_bits,
-           double unit, std::uint64_t count = 1) {
+           const std::shared_ptr<dram::RowBits>& aggressor_bits, double unit,
+           std::uint64_t count = 1) {
     // Scan backwards (lists stay tiny): the most recent epoch is the common
     // match during hammering, but an older one can still merge.
     for (auto it = epochs_.rbegin(); it != epochs_.rend(); ++it) {

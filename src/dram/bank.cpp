@@ -243,8 +243,7 @@ void CheckpointLadder::discard() {
 int RefreshChannel::refresh_pointer() const {
   const auto rows = static_cast<std::uint64_t>(kRowsPerBank);
   return static_cast<int>(clock_.refs % rows *
-                          static_cast<std::uint64_t>(timing_.rows_per_ref()) %
-                          rows);
+                          static_cast<std::uint64_t>(rows_per_ref_) % rows);
 }
 
 void RefreshChannel::refresh(Cycle now) {
@@ -667,19 +666,24 @@ double Bank::min_retention_ref_seconds(int physical_row) {
 }
 
 void Bank::disturb_neighbors(int aggressor_row, double dose, Cycle now) {
-  // First make sure every victim state exists; creating states can grow
-  // the table, so the aggressor is looked up afterwards.
-  for_each_victim(aggressor_row,
-                  [&](std::size_t, int victim) { state(victim, now); });
+  // With room reserved, creating a victim state cannot move the table, so
+  // every pointer below stays valid.
+  reserve_states(kDistances.size());
+  std::array<RowState*, kDistances.size()> victims{};
+  for_each_victim(aggressor_row, [&](std::size_t slot, int victim) {
+    victims[slot] = &state(victim, now);
+  });
   RowState* aggr = find_state(aggressor_row);
   if (aggr == nullptr) {
     throw std::logic_error("disturb_neighbors: aggressor has no state");
   }
-  for_each_victim(aggressor_row, [&](std::size_t, int victim) {
+  for (std::size_t slot = 0; slot < kDistances.size(); ++slot) {
     // The epoch records the aggressor's position relative to the victim.
-    find_state(victim)->ledger.add(aggressor_row - victim, aggr->version,
-                                   aggr->bits, dose);
-  });
+    if (victims[slot] != nullptr) {
+      victims[slot]->ledger.add(-kDistances[slot], aggr->version, aggr->bits,
+                                dose);
+    }
+  }
 }
 
 void Bank::activate(int physical_row, Cycle now) {
@@ -738,8 +742,9 @@ void Bank::refresh(Cycle now, std::uint64_t ref, int first_row) {
   cover_top_rung();
   // A listed bank may hold no row state (yet, or after drop_row_states).
   if (!rows_.empty()) {
-    for (int i = 0; i < timing_.rows_per_ref(); ++i) {
-      refresh_row((first_row + i) % kRowsPerBank, now);
+    for (int i = 0; i < channel_->rows_per_ref_; ++i) {
+      const int row = (first_row + i) % kRowsPerBank;
+      if (RowState* rs = find_state(row)) sense_and_restore(row, *rs, now);
     }
   }
   if (defense_) {
@@ -876,11 +881,7 @@ Cycle Bank::apply(const HammerPlan& plan, std::uint64_t iterations,
   // and their victims; reserving that room first keeps each reference
   // state() returns valid to the end of the window (no state is erased
   // here: only a checkpoint rewind or drop_row_states erases).
-  const std::size_t grown =
-      rows_.size() + plan.rows_.size() * (1 + kDistances.size());
-  if (grown > rows_.capacity()) {
-    rows_.reserve(std::max(grown, 2 * rows_.capacity()));
-  }
+  reserve_states(plan.rows_.size() * (1 + kDistances.size()));
   auto& resolved = arena().hammered;
   resolved.resize(plan.rows_.size());
   // Sense every hammered row once at its first activation, so pre-existing

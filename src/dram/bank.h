@@ -13,6 +13,7 @@
 // aggressor and by checkpoint pre-images, and a writer copies it first.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
@@ -161,7 +162,8 @@ class CheckpointLadder {
 /// changes nothing, and a REF costs O(listed banks), never O(banks).
 class RefreshChannel {
  public:
-  explicit RefreshChannel(TimingParams timing) : timing_(timing) {}
+  explicit RefreshChannel(TimingParams timing)
+      : timing_(timing), rows_per_ref_(timing.rows_per_ref()) {}
   RefreshChannel(const RefreshChannel&) = delete;
   RefreshChannel& operator=(const RefreshChannel&) = delete;
   /// Moves only before any bank has joined (banks point at the channel).
@@ -191,6 +193,9 @@ class RefreshChannel {
   friend class Bank;
 
   TimingParams timing_;
+  /// timing_.rows_per_ref(), computed once: it costs two divisions, and
+  /// every REF reads it once per listed bank.
+  int rows_per_ref_;
   RefreshClock clock_;
   std::uint64_t issued_ = 0;
   /// Banks that have had a command other than REF, in joining order.
@@ -403,11 +408,21 @@ class Bank {
   }
   /// Removes the row's state: the last table entry moves into its slot.
   void erase_state(int physical_row);
+  /// Makes room for `more` new row states, so that the next `more` state()
+  /// calls keep every RowState pointer and reference valid.
+  void reserve_states(std::size_t more) {
+    const std::size_t grown = rows_.size() + more;
+    if (grown > rows_.capacity()) {
+      rows_.reserve(std::max(grown, 2 * rows_.capacity()));
+    }
+  }
 
   /// This bank's share of REF number `ref` of its channel (validated by
-  /// RefreshChannel::refresh): refreshes the timing.rows_per_ref() rows
-  /// from `first_row` that have state, plus any victim rows the attached
-  /// defense requests.
+  /// RefreshChannel::refresh): senses and restores the channel's
+  /// rows_per_ref rows from `first_row` that have state (in range by
+  /// construction, so straight from the slot table, without
+  /// refresh_row's checks), plus any victim rows the attached defense
+  /// requests.
   void refresh(Cycle now, std::uint64_t ref, int first_row);
 
   /// The row's contents, materialized from its power-on contents first if
@@ -446,6 +461,9 @@ class Bank {
 
   /// Applies the disturbance of one aggressor activation burst to the
   /// aggressor's in-subarray neighbours. The aggressor must have state.
+  /// Reserves room for the victims first, so each victim is resolved once
+  /// (created if new); pre-images are recorded victims first, then the
+  /// aggressor.
   void disturb_neighbors(int aggressor_row, double dose, Cycle now);
 
   void check_row(int physical_row) const;

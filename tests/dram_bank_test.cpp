@@ -286,6 +286,48 @@ TEST(Bank, FoldedWindowDoseMatchesPerCommandEpochs) {
   EXPECT_EQ(f.hammer_dedup_hits, 3u);  // 5 steps over 2 distinct rows
 }
 
+TEST(Bank, PrechargeWhoseVictimsGrowTheRowTable) {
+  // disturb_neighbors resolves each victim once and keeps the pointers to
+  // the end, so creating the victims must not move the row table. Fill
+  // the table to every size up to 140 states, so that some run finds it
+  // full or one to three entries short of full whatever its growth
+  // policy, then ACT+PRE an aggressor whose four victims are all new.
+  constexpr int kFirst = 1000;  // subarray 1; kVictim's is subarray 5
+  for (int extra = 0; extra <= 135; ++extra) {
+    SCOPED_TRACE(extra);
+    TestBank t;
+    // Sweeping the aggressor up one row at a time adds one state per ACT
+    // after the first: its new +2 victim.
+    for (int row = kFirst; row <= kFirst + extra; ++row) {
+      t.bank.activate(row, t.now);
+      t.now += t.timing.t_ras;
+      t.bank.precharge(t.now);
+      t.now += t.timing.t_rp;
+    }
+    ASSERT_EQ(t.bank.touched_rows(), static_cast<std::size_t>(5 + extra));
+
+    const Cycle on = t.timing.t_ras + 50;
+    t.bank.activate(kVictim, t.now);
+    t.bank.precharge(t.now + on);
+    ASSERT_EQ(t.bank.touched_rows(), static_cast<std::size_t>(10 + extra));
+    for (int victim : {kVictim - 2, kVictim - 1, kVictim + 1, kVictim + 2}) {
+      SCOPED_TRACE(victim);
+      const auto* ledger = t.bank.ledger(victim);
+      ASSERT_NE(ledger, nullptr);
+      ASSERT_EQ(ledger->epochs().size(), 1u);
+      const auto& epoch = ledger->epochs()[0];
+      EXPECT_EQ(epoch.distance, kVictim - victim);
+      EXPECT_EQ(epoch.aggressor_version, 0u);
+      EXPECT_EQ(epoch.unit, t.fault.taggon_factor(on));
+      EXPECT_EQ(epoch.count, 1u);
+      EXPECT_EQ(epoch.aggressor_bits, nullptr);
+    }
+    // The swept rows keep their own victims' epochs.
+    ASSERT_NE(t.bank.ledger(kFirst + extra + 2), nullptr);
+    EXPECT_EQ(t.bank.ledger(kFirst + extra + 2)->epochs().size(), 1u);
+  }
+}
+
 TEST(Bank, RetentionDecayAppearsOverTime) {
   TestBank t;
   t.env.temperature_c = 90.0;

@@ -3,14 +3,12 @@
 
 Machine speeds differ between the box that recorded the baseline and the CI
 runner, so raw nanoseconds are not comparable. Every guarded benchmark is
-instead normalized by an anchor benchmark (BM_ActPrePair: a trivial
-ACT+PRE pair whose cost tracks raw simulator/CPU speed). The anchor runs
-the per-ACT device path, so it is not immune to optimization: a change
-that makes it faster raises every normalized ratio, and the gate then
-fails for benchmarks the change never touched. Such a change re-records
-the baselines (every entry, anchor included, the median of several runs)
-and states each entry's absolute time before and after, so the re-record
-hides no absolute regression. The check fails when
+instead normalized by an anchor benchmark (BM_RowWalkAnchor, bench/anchor.h:
+a fixed multiply-xorshift walk over RowBits-sized buffers). The anchor runs
+no simulator code, so no change to the simulator can move it: it tracks
+only the machine, and a change that speeds up one path (BM_ActPrePair, say)
+moves that benchmark's ratio alone. Baselines are recorded as the
+per-benchmark median of several runs. The check fails when
 
     (current[name] / current[anchor]) >
         (baseline[name] / baseline[anchor]) * (1 + tolerance)
@@ -20,7 +18,7 @@ the tolerance.
 
 Usage:
     bench_check.py BASELINE.json CURRENT.json [--tolerance 0.20]
-                   [--anchor BM_ActPrePair] [NAME ...]
+                   [--anchor BM_RowWalkAnchor] [NAME ...]
 
 With no NAMEs, every non-anchor benchmark present in the baseline is
 checked (benchmarks missing from the current run fail the check).
@@ -59,7 +57,7 @@ def main():
     parser.add_argument("current")
     parser.add_argument("names", nargs="*")
     parser.add_argument("--tolerance", type=float, default=0.20)
-    parser.add_argument("--anchor", default="BM_ActPrePair")
+    parser.add_argument("--anchor", default="BM_RowWalkAnchor")
     args = parser.parse_args()
 
     baseline = load_times(args.baseline)
