@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 
 #include "fault/faulty_store.h"
@@ -69,6 +70,26 @@ Observability flags (see docs/OBSERVABILITY.md):
   --progress         rate-limited live progress line on stderr
 )";
 
+/// Exits 2 with a one-line message unless flag `name`, when given, is an
+/// integer in [lo, hi).
+void require_flag_in_range(const util::Cli& cli, const std::string& name,
+                           std::int64_t lo, std::int64_t hi) {
+  if (!cli.has(name)) return;
+  try {
+    const auto value = cli.get_int(name, lo);
+    if (value >= lo && value < hi) return;
+    std::cerr << "error: " << name << " " << value << " is out of range ("
+              << (hi == std::numeric_limits<std::int64_t>::max()
+                      ? "expects >= " + std::to_string(lo)
+                      : "expects " + std::to_string(lo) + ".." +
+                            std::to_string(hi - 1))
+              << ")\n";
+  } catch (const std::invalid_argument& error) {
+    std::cerr << "error: " << error.what() << "\n";
+  }
+  std::exit(2);
+}
+
 }  // namespace
 
 BenchContext::BenchContext(int argc, char** argv, const std::string& title)
@@ -80,6 +101,10 @@ BenchContext::BenchContext(int argc, char** argv, const std::string& title)
     std::cout << title_ << "\n\n" << kHelpText;
     std::exit(0);
   }
+  constexpr auto kNoLimit = std::numeric_limits<std::int64_t>::max();
+  require_flag_in_range(cli_, "--chip", 0, platform_.chip_count());
+  require_flag_in_range(cli_, "--rows", 1, kNoLimit);
+  require_flag_in_range(cli_, "--channels", 1, kNoLimit);
   maps_.resize(static_cast<std::size_t>(platform_.chip_count()));
   std::cout << "=====================================================\n"
             << title_ << "\n"

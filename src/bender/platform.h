@@ -65,9 +65,6 @@ class HbmChip : public ChipSession {
   // snapshot; power_cycle() invalidates the whole ladder (the stack is
   // rebuilt), so restore() after a power cycle throws.
 
-  [[nodiscard]] bool supports_checkpoints() const override {
-    return stack_->checkpoint_supported();
-  }
   std::size_t checkpoint() override;
   void restore(std::size_t id) override;
   void discard_checkpoints() override;

@@ -6,14 +6,6 @@
 
 namespace hbmrd::bender {
 
-std::size_t ChipSession::checkpoint() {
-  throw std::logic_error("this session does not support device checkpoints");
-}
-
-void ChipSession::restore(std::size_t /*id*/) {
-  throw std::logic_error("this session does not support device checkpoints");
-}
-
 void ChipSession::write_row(const dram::RowAddress& address,
                             const dram::RowBits& bits) {
   ProgramBuilder builder;

@@ -55,37 +55,38 @@ class ChipSession {
   [[nodiscard]] virtual dram::Stack& stack() = 0;
 
   // -- Device-state checkpoints (incremental-dose probe engine) -------------
-  // Default implementations describe a session without checkpoint support;
-  // HbmChip overrides them (and FaultyChip forwards, so faults stay
-  // transparent to the probe engine).
+  // Every session checkpoints: HbmChip implements these, and a decorator
+  // (FaultyChip) must forward each one, so faults stay transparent to the
+  // probe engine. They are pure virtual so a decorator that drops one does
+  // not compile.
 
-  /// True when checkpoint()/restore() are usable on this session.
-  [[nodiscard]] virtual bool supports_checkpoints() const { return false; }
+  /// Always true; no code consults it. It stays only because perfbench's
+  /// TimedSession still overrides it, and it is deleted with the next
+  /// perfbench change (ROADMAP item 8).
+  [[nodiscard]] virtual bool supports_checkpoints() const { return true; }
 
   /// Captures the device state (copy-on-write) and returns a checkpoint id.
-  virtual std::size_t checkpoint();
+  virtual std::size_t checkpoint() = 0;
 
   /// Rewinds the device to checkpoint `id` (discarding younger ones; `id`
   /// stays valid). Throws after a power cycle: checkpoints do not survive
   /// the stack rebuild.
-  virtual void restore(std::size_t id);
+  virtual void restore(std::size_t id) = 0;
 
   /// Forgets all checkpoints without changing the current state.
-  virtual void discard_checkpoints() {}
+  virtual void discard_checkpoints() = 0;
 
   /// Probe-duration accounting: between begin and end, run() defers the
   /// thermal-rig advance and the caller replays the legacy-equivalent
   /// duration through account_thermal_cycles(), so checkpoint replays do
-  /// not double-charge wall-clock time. No-ops without checkpoint support.
-  virtual void begin_probe_accounting() {}
-  virtual void account_thermal_cycles(dram::Cycle cycles) { (void)cycles; }
-  virtual void end_probe_accounting() {}
+  /// not double-charge wall-clock time.
+  virtual void begin_probe_accounting() = 0;
+  virtual void account_thermal_cycles(dram::Cycle cycles) = 0;
+  virtual void end_probe_accounting() = 0;
 
   /// Cycles the next ACT to `bank` would still wait at the current clock.
-  [[nodiscard]] virtual dram::Cycle act_backlog(const dram::BankAddress& bank) {
-    (void)bank;
-    return 0;
-  }
+  [[nodiscard]] virtual dram::Cycle act_backlog(
+      const dram::BankAddress& bank) = 0;
 
   /// The session's probe-engine counters (see ProbeCounters).
   [[nodiscard]] ProbeCounters& probe_counters() { return probe_counters_; }

@@ -255,10 +255,6 @@ void RefreshChannel::refresh(Cycle now) {
 }
 
 void Bank::open_layer() {
-  if (defense_ && !defense_->checkpointable()) {
-    throw std::logic_error(
-        "checkpoint: attached defense is not checkpointable");
-  }
   // Nothing changed since the push of the top rung: the current scalars
   // are the pushed ones.
   if (layers_.empty()) ladder_->banks_.push_back(this);

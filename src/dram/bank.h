@@ -297,12 +297,6 @@ class Bank {
     return layers_.size();
   }
 
-  /// False when the attached defense cannot be cloned (opening a layer
-  /// would throw).
-  [[nodiscard]] bool checkpoint_supported() const {
-    return !defense_ || defense_->checkpointable();
-  }
-
   // -- Introspection / simulator-only helpers -------------------------------
 
   [[nodiscard]] bool is_open() const { return open_row_.has_value(); }

@@ -35,16 +35,10 @@ class ReadDisturbDefense {
  public:
   virtual ~ReadDisturbDefense() = default;
 
-  /// True when clone() returns a faithful deep copy of the tracker state.
-  /// The device checkpoint layer (Bank::push_checkpoint) refuses to
-  /// checkpoint a bank whose defense cannot be cloned, so sessions with
-  /// such defenses fall back to the from-scratch measurement path.
-  [[nodiscard]] virtual bool checkpointable() const { return false; }
-
-  /// Deep copy of the defense state, or null when unsupported.
-  [[nodiscard]] virtual std::unique_ptr<ReadDisturbDefense> clone() const {
-    return nullptr;
-  }
+  /// Deep copy of the tracker state. The device checkpoint layer keeps one
+  /// per rung a bank is mutated under (Bank::open_layer), so every defense
+  /// rides along in checkpoints and restores.
+  [[nodiscard]] virtual std::unique_ptr<ReadDisturbDefense> clone() const = 0;
 
   /// Called on every ACT to this bank (physical row index).
   virtual void on_activate(int physical_row, Cycle now) = 0;

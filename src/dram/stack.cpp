@@ -210,13 +210,6 @@ void Stack::discard_checkpoints() {
   rungs_.clear();
 }
 
-bool Stack::checkpoint_supported() const {
-  for (const auto& bank : banks_) {
-    if (!bank.checkpoint_supported()) return false;
-  }
-  return true;
-}
-
 void Stack::drop_row_states(const BankAddress& address) {
   bank(address).drop_row_states();
   // Drop the matching parity as well so a later ECC read does not decode

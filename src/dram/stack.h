@@ -101,10 +101,6 @@ class Stack {
     return ladder_.depth();
   }
 
-  /// False when any bank's defense cannot be cloned (its first mutation
-  /// under a checkpoint would throw).
-  [[nodiscard]] bool checkpoint_supported() const;
-
   // -- Environment -----------------------------------------------------------
 
   void set_temperature(double celsius) { env_.temperature_c = celsius; }

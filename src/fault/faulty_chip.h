@@ -52,9 +52,6 @@ class FaultyChip final : public bender::ChipSession {
   // draws on (trial, attempt, incarnation) only, and faults fire at run()
   // above, so checkpoint replays see exactly the draws the from-scratch
   // path would have seen.
-  [[nodiscard]] bool supports_checkpoints() const override {
-    return chip_.supports_checkpoints();
-  }
   std::size_t checkpoint() override { return chip_.checkpoint(); }
   void restore(std::size_t id) override { chip_.restore(id); }
   void discard_checkpoints() override { chip_.discard_checkpoints(); }

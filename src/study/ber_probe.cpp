@@ -10,21 +10,16 @@ BerProbe::BerProbe(bender::ChipSession& chip, const AddressMap& map,
       map_(map),
       victim_(victim),
       config_(config),
-      incremental_(chip.supports_checkpoints()),
       aggressors_(map.aggressors_of(victim.row)),
       t_rp_(chip.stack().timing().t_rp) {
-  if (incremental_) {
-    // Anchor the thermal rig: from here on run() defers rig advances and
-    // the engine replays the from-scratch probe durations explicitly.
-    chip_.begin_probe_accounting();
-  }
+  // Anchor the thermal rig: from here on run() defers rig advances and the
+  // engine replays the from-scratch probe durations explicitly.
+  chip_.begin_probe_accounting();
 }
 
 BerProbe::~BerProbe() {
-  if (incremental_) {
-    chip_.end_probe_accounting();
-    chip_.discard_checkpoints();
-  }
+  chip_.end_probe_accounting();
+  chip_.discard_checkpoints();
 }
 
 bender::Program BerProbe::make_init_program() const {
@@ -53,24 +48,7 @@ const RowBerResult& BerProbe::measure(std::uint64_t count) {
     return it->second;
   }
   ++chip_.probe_counters().hc_probes;
-  return incremental_ ? probe_incremental(count) : probe_scratch(count);
-}
-
-int BerProbe::bitflips_at(std::uint64_t count) {
-  return measure(count).bitflips;
-}
-
-const RowBerResult& BerProbe::probe_scratch(std::uint64_t count) {
-  BerConfig config = config_;
-  config.hammer_count = count;
-  auto result = measure_row_ber(chip_, map_, victim_, config);
-  chip_.probe_counters().hammers_replayed +=
-      count * static_cast<std::uint64_t>(aggressors_.size());
-  return memo_.emplace(count, std::move(result)).first->second;
-}
-
-const RowBerResult& BerProbe::probe_incremental(std::uint64_t count) {
-  const bool first = !initialized_;
+  const bool first = ladder_.empty();
   const dram::Cycle t0 = chip_.now();
   try {
     if (first) {
@@ -81,7 +59,6 @@ const RowBerResult& BerProbe::probe_incremental(std::uint64_t count) {
       ctx_backlog_ = chip_.act_backlog(victim_.bank);
       init_cycles_ = chip_.run(make_init_program()).elapsed();
       ladder_.push_back({0, chip_.checkpoint(), 0});
-      initialized_ = true;
     }
 
     // Nearest checkpoint at or below the requested count. The memo
@@ -106,7 +83,7 @@ const RowBerResult& BerProbe::probe_incremental(std::uint64_t count) {
     counters.hammers_saved += (count - delta) * steps;
 
     // Replay the from-scratch probe duration into the thermal rig in one
-    // piece, exactly as the legacy path's single-program run would have:
+    // piece, exactly as the from-scratch probe's single program would have:
     // the first probe pays the inherited ACT backlog; every later probe
     // starts tRP-1 cycles after the previous read's precharge.
     const dram::Cycle init_part =
@@ -125,41 +102,6 @@ const RowBerResult& BerProbe::probe_incremental(std::uint64_t count) {
     if (now > t0) chip_.account_thermal_cycles(now - t0);
     throw;
   }
-}
-
-std::optional<std::uint64_t> find_nth_flip(BerProbe& probe, int n,
-                                           std::uint64_t lower,
-                                           std::uint64_t max_count) {
-  // A single activation pair can already flip cells at extreme on-times
-  // (Sec. 6: HC_first of 1 at tAggON = 16 ms).
-  std::uint64_t lo = lower;
-  if (probe.bitflips_at(lo) >= n) return lo;
-
-  // Exponential bracketing from a coarse floor.
-  std::uint64_t hi = std::max<std::uint64_t>(lo * 2, 1024);
-  bool found = false;
-  while (hi < max_count) {
-    if (probe.bitflips_at(hi) >= n) {
-      found = true;
-      break;
-    }
-    lo = hi;
-    hi *= 2;
-  }
-  if (!found) {
-    hi = max_count;
-    if (probe.bitflips_at(hi) < n) return std::nullopt;
-  }
-  // Invariant: flips(lo) < n <= flips(hi).
-  while (lo + 1 < hi) {
-    const std::uint64_t mid = lo + (hi - lo) / 2;
-    if (probe.bitflips_at(mid) < n) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return hi;
 }
 
 }  // namespace hbmrd::study

@@ -8,6 +8,7 @@
 
 #include "bender/session.h"
 #include "study/address_map.h"
+#include "study/ber.h"
 #include "study/patterns.h"
 
 namespace hbmrd::study {
@@ -20,18 +21,15 @@ struct HcSearchConfig {
   int init_ring = 8;
 };
 
-/// Number of bitflips a given hammer count induces in the victim row.
-[[nodiscard]] int bitflips_at(bender::ChipSession& chip, const AddressMap& map,
-                              const dram::RowAddress& victim,
-                              std::uint64_t hammer_count,
-                              const HcSearchConfig& config);
+/// The BER measurement a search probes with: its pattern, on-time and
+/// initialization ring (the hammer count is the probe's).
+[[nodiscard]] BerConfig ber_config_of(const HcSearchConfig& config);
 
 /// Smallest hammer count that induces at least `n` bitflips, found by
 /// exponential bracketing + binary search (the device model is monotone in
 /// hammer count, which tests/ verifies as an invariant). Probes run on the
-/// checkpointed incremental-dose engine (study/ber_probe.h) when the
-/// session supports checkpoints. std::nullopt when even max_hammer_count
-/// does not induce n bitflips.
+/// checkpointed incremental-dose engine (study/ber_probe.h). std::nullopt
+/// when even max_hammer_count does not induce n bitflips.
 [[nodiscard]] std::optional<std::uint64_t> find_hc_nth(
     bender::ChipSession& chip, const AddressMap& map,
     const dram::RowAddress& victim, int n, const HcSearchConfig& config);

@@ -11,14 +11,10 @@ HcnResult measure_hcn(bender::ChipSession& chip, const AddressMap& map,
   result.victim = victim;
 
   // One shared probe engine for all ten searches: its memo makes every
-  // search resume exactly where the previous one stopped, and (on
-  // checkpoint-capable sessions) its checkpoint ladder carries the
-  // accumulated dose across the n = 1..10 chain.
-  BerConfig ber_config;
-  ber_config.pattern = config.pattern;
-  ber_config.on_cycles = config.on_cycles;
-  ber_config.init_ring = config.init_ring;
-  BerProbe probe(chip, map, victim, ber_config);
+  // search resume exactly where the previous one stopped, and its
+  // checkpoint ladder carries the accumulated dose across the n = 1..10
+  // chain.
+  BerProbe probe(chip, map, victim, ber_config_of(config));
 
   std::uint64_t lower = 1;  // flips(lower - 1) is known to be < n
   for (int n = 1; n <= kHcnFlips; ++n) {

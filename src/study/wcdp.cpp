@@ -15,11 +15,8 @@ WcdpResult select_row_wcdp(bender::ChipSession& chip, const AddressMap& map,
     result.hc_first[i] = find_hc_first(chip, map, victim, config);
     hc_for_rule[i] = result.hc_first[i].value_or(0);
 
-    BerConfig ber_config;
-    ber_config.pattern = kAllPatterns[i];
+    BerConfig ber_config = ber_config_of(config);
     ber_config.hammer_count = 256 * 1024;
-    ber_config.on_cycles = base.on_cycles;
-    ber_config.init_ring = base.init_ring;
     result.ber_at_256k[i] =
         measure_row_ber(chip, map, victim, ber_config).ber;
   }

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "dram/defense.h"
@@ -34,6 +35,12 @@ class CounterTrr final : public dram::ReadDisturbDefense {
   /// Notes acts x rounds per row, in first-activation order.
   void on_window(const dram::ActivationWindow& window) override;
   std::vector<int> on_refresh(std::uint64_t ref) override;
+
+  // The counter table and the params are plain copyable data.
+  [[nodiscard]] std::unique_ptr<dram::ReadDisturbDefense> clone()
+      const override {
+    return std::make_unique<CounterTrr>(*this);
+  }
 
   [[nodiscard]] const CounterTrrParams& params() const { return p_; }
   [[nodiscard]] const std::map<int, std::uint64_t>& counters() const {

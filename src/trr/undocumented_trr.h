@@ -46,7 +46,6 @@ class UndocumentedTrr final : public dram::ReadDisturbDefense {
 
   // All tracker state (window counts, sampler, latches, pending queue) is
   // plain copyable data, so the device checkpoint layer can snapshot it.
-  [[nodiscard]] bool checkpointable() const override { return true; }
   [[nodiscard]] std::unique_ptr<dram::ReadDisturbDefense> clone()
       const override {
     return std::make_unique<UndocumentedTrr>(*this);

@@ -406,6 +406,9 @@ TEST(Bank, RefAfterIdleRefsRefreshesTheChannelsPointerRows) {
 
 class CountingDefense : public ReadDisturbDefense {
  public:
+  std::unique_ptr<ReadDisturbDefense> clone() const override {
+    return std::make_unique<CountingDefense>(*this);
+  }
   void on_activate(int row, Cycle) override {
     ++activations;
     last_row = row;

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <vector>
 
+#include "trr/counter_trr.h"
 #include "trr/undocumented_trr.h"
 
 namespace hbmrd::dram {
@@ -24,6 +26,15 @@ StackConfig trr_config() {
   StackConfig config = test_config();
   config.defense_factory = [](const BankAddress&) {
     return std::make_unique<trr::UndocumentedTrr>();
+  };
+  return config;
+}
+
+/// test_config() with the alternative-hypothesis counter TRR in every bank.
+StackConfig counter_trr_config() {
+  StackConfig config = test_config();
+  config.defense_factory = [](const BankAddress&) {
+    return std::make_unique<trr::CounterTrr>();
   };
   return config;
 }
@@ -314,6 +325,66 @@ TEST(StackCheckpoint, RestoreRewindsRefAndPreaOfEveryBankInTheChannel) {
   f.stack.precharge(open.bank, f.now);
   f.now += f.timing.t_rfc + f.timing.t_rp + 100;
   EXPECT_EQ(f.read_row(open), RowBits::filled(0x5A));
+  f.stack.discard_checkpoints();
+}
+
+TEST(StackCheckpoint, CounterTrrReplaysIdenticallyAfterARestore) {
+  // A rung keeps a clone of the counter TRR of each bank mutated under it,
+  // so the counter table comes back with the rows: hammering again after
+  // the restore makes the same TRR decisions and flips as a straight run.
+  const BankAddress bank{0, 0, 0};
+  constexpr int kVictim = 4300;
+  const auto init = [&](StackFixture& f) {
+    f.write_row({bank, kVictim}, RowBits::filled(0x55));
+    f.write_row({bank, kVictim - 1}, RowBits::filled(0xAA));
+    f.write_row({bank, kVictim + 1}, RowBits::filled(0xAA));
+    for (int i = 0; i < 5; ++i) f.ref(bank.channel);
+  };
+  struct Outcome {
+    std::map<int, std::uint64_t> counters;
+    std::uint64_t victim_refreshes = 0;
+    RowBits victim;
+  };
+  const auto attack = [&](StackFixture& f) {
+    const auto before = f.stack.total_counters().defense_victim_refreshes;
+    const std::array<HammerStep, 3> steps = {
+        HammerStep{kVictim - 1, f.timing.t_ras},
+        HammerStep{kVictim + 1, f.timing.t_ras},
+        HammerStep{kVictim + 1, f.timing.t_ras}};
+    for (int w = 0; w < 40; ++w) {
+      f.now = f.stack.bulk_hammer(bank, steps, 20'000, f.now) + 100;
+      f.ref(bank.channel);
+    }
+    Outcome out;
+    out.victim = f.read_row({bank, kVictim});
+    out.victim_refreshes =
+        f.stack.total_counters().defense_victim_refreshes - before;
+    const auto* trr =
+        dynamic_cast<const trr::CounterTrr*>(f.stack.bank(bank).defense());
+    EXPECT_NE(trr, nullptr);
+    if (trr != nullptr) out.counters = trr->counters();
+    return out;
+  };
+
+  StackFixture straight{counter_trr_config()};
+  init(straight);
+  const Outcome expected = attack(straight);
+  EXPECT_GT(expected.victim_refreshes, 0u);
+  EXPECT_FALSE(expected.counters.empty());
+  EXPECT_GT(expected.victim.count_diff(RowBits::filled(0x55)), 0);
+
+  StackFixture f{counter_trr_config()};
+  init(f);
+  const Cycle pushed_at = f.now;
+  const auto k = f.stack.push_checkpoint();
+  const Outcome first = attack(f);
+  EXPECT_EQ(first.counters, expected.counters);
+  f.stack.restore_checkpoint(k);
+  f.now = pushed_at;
+  const Outcome replay = attack(f);
+  EXPECT_EQ(replay.counters, expected.counters);
+  EXPECT_EQ(replay.victim_refreshes, expected.victim_refreshes);
+  EXPECT_EQ(replay.victim, expected.victim);
   f.stack.discard_checkpoints();
 }
 

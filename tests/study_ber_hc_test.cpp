@@ -9,6 +9,16 @@
 namespace hbmrd::study {
 namespace {
 
+/// Number of bitflips one from-scratch measurement at `hammer_count`
+/// induces in the victim row.
+int bitflips_at(bender::ChipSession& chip, const AddressMap& map,
+                const dram::RowAddress& victim, std::uint64_t hammer_count,
+                const HcSearchConfig& config) {
+  BerConfig ber_config = ber_config_of(config);
+  ber_config.hammer_count = hammer_count;
+  return measure_row_ber(chip, map, victim, ber_config).bitflips;
+}
+
 struct StudyFixture : ::testing::Test {
   bender::Platform platform;
   bender::HbmChip& chip = platform.chip(2);  // identity mapping

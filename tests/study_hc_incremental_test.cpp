@@ -3,11 +3,11 @@
 // Contract under test: the incremental engine is an invisible perf
 // optimization. HC values, per-probe flip sets, campaign CSV checkpoints
 // and JSONL journals are byte-identical to the from-scratch oracle (the
-// same BerProbe on a session without checkpoint support) — across chips
-// (including chip 0's undocumented TRR), data patterns, aggressor
-// on-times, fault plans, --jobs counts, and kill + resume — while
-// executing several times fewer simulated activations (study.hammers_saved
-// / study.hammers_replayed).
+// test-local ScratchProbe below, driven through the same find_nth_flip) —
+// across chips (including chip 0's undocumented TRR), data patterns,
+// aggressor on-times, fault plans, --jobs counts, and kill + resume —
+// while executing several times fewer simulated activations
+// (study.hammers_saved / study.hammers_replayed).
 #include "study/ber_probe.h"
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include <array>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -32,34 +33,74 @@ namespace {
 
 constexpr dram::BankAddress kBank{0, 0, 0};
 
-/// The from-scratch oracle's session: forwards every device operation to
-/// the wrapped session but reports no checkpoint support, so BerProbe
-/// re-initializes and replays the whole hammer for every probe. Probe
-/// counters land on the wrapper.
-class ScratchSession final : public bender::ChipSession {
+/// The from-scratch oracle: every probe re-initializes the rows and replays
+/// the whole hammer in one program (measure_row_ber), with no checkpoint.
+/// Memoized like BerProbe, and it counts each probe on the session as the
+/// engine does, with every activation replayed and none saved.
+class ScratchProbe {
  public:
-  explicit ScratchSession(bender::ChipSession& inner) : inner_(inner) {}
+  ScratchProbe(bender::ChipSession& chip, const AddressMap& map,
+               const dram::RowAddress& victim, const BerConfig& config)
+      : chip_(chip),
+        map_(map),
+        victim_(victim),
+        config_(config),
+        steps_(map.aggressors_of(victim.row).size()) {}
 
-  [[nodiscard]] const dram::ChipProfile& profile() const override {
-    return inner_.profile();
+  const RowBerResult& measure(std::uint64_t count) {
+    if (const auto it = memo_.find(count); it != memo_.end()) {
+      return it->second;
+    }
+    auto& counters = chip_.probe_counters();
+    ++counters.hc_probes;
+    BerConfig config = config_;
+    config.hammer_count = count;
+    auto result = measure_row_ber(chip_, map_, victim_, config);
+    counters.hammers_replayed += count * steps_;
+    return memo_.emplace(count, std::move(result)).first->second;
   }
-  bender::ExecutionResult run(const bender::Program& program) override {
-    return inner_.run(program);
-  }
-  void idle(double seconds) override { inner_.idle(seconds); }
-  [[nodiscard]] dram::Cycle now() const override { return inner_.now(); }
-  [[nodiscard]] double temperature_c() override {
-    return inner_.temperature_c();
-  }
-  [[nodiscard]] dram::Stack& stack() override { return inner_.stack(); }
+
+  int bitflips_at(std::uint64_t count) { return measure(count).bitflips; }
 
  private:
-  bender::ChipSession& inner_;
+  bender::ChipSession& chip_;
+  const AddressMap& map_;
+  dram::RowAddress victim_;
+  BerConfig config_;
+  std::uint64_t steps_;
+  std::map<std::uint64_t, RowBerResult> memo_;
 };
 
-/// Runs one find_hc_nth against a fresh platform chip, returning the result
-/// plus the session's probe counters (fresh chip per call so the engine
-/// and the oracle start from the identical canonical state).
+/// find_hc_nth on the oracle.
+std::optional<std::uint64_t> scratch_hc_nth(bender::ChipSession& chip,
+                                            const AddressMap& map,
+                                            const dram::RowAddress& victim,
+                                            int n,
+                                            const HcSearchConfig& config) {
+  ScratchProbe probe(chip, map, victim, ber_config_of(config));
+  return find_nth_flip(probe, n, 1, config.max_hammer_count);
+}
+
+/// measure_hcn on the oracle: one memoized probe for all ten searches.
+HcnResult scratch_hcn(bender::ChipSession& chip, const AddressMap& map,
+                      const dram::RowAddress& victim,
+                      const HcSearchConfig& config) {
+  HcnResult result;
+  result.victim = victim;
+  ScratchProbe probe(chip, map, victim, ber_config_of(config));
+  std::uint64_t lower = 1;
+  for (int n = 1; n <= kHcnFlips; ++n) {
+    const auto hc = find_nth_flip(probe, n, lower, config.max_hammer_count);
+    if (!hc) break;
+    result.hc[static_cast<std::size_t>(n - 1)] = *hc;
+    lower = *hc;
+  }
+  return result;
+}
+
+/// Runs one HC_nth search against a fresh platform chip, returning the
+/// result plus the session's probe counters (fresh chip per call so the
+/// engine and the oracle start from the identical canonical state).
 struct SearchRun {
   std::optional<std::uint64_t> hc;
   bender::ProbeCounters probes;
@@ -69,13 +110,11 @@ SearchRun run_search(int chip_index, const dram::RowAddress& victim, int n,
                      const HcSearchConfig& config, bool scratch) {
   bender::Platform platform;
   auto& chip = platform.chip(chip_index);
-  ScratchSession oracle(chip);
-  bender::ChipSession& session =
-      scratch ? static_cast<bender::ChipSession&>(oracle) : chip;
   const auto map = AddressMap::from_scheme(chip.profile().mapping);
   SearchRun run;
-  run.hc = find_hc_nth(session, map, victim, n, config);
-  run.probes = session.probe_counters();
+  run.hc = scratch ? scratch_hc_nth(chip, map, victim, n, config)
+                   : find_hc_nth(chip, map, victim, n, config);
+  run.probes = chip.probe_counters();
   return run;
 }
 
@@ -135,12 +174,10 @@ TEST(HcIncremental, HcnSequenceMatchesScratch) {
   for (const bool incremental : {false, true}) {
     bender::Platform platform;
     auto& chip = platform.chip(2);
-    ScratchSession oracle(chip);
     const auto map = AddressMap::from_scheme(chip.profile().mapping);
     results[incremental] =
-        measure_hcn(incremental ? static_cast<bender::ChipSession&>(chip)
-                                : oracle,
-                    map, victim, HcSearchConfig{});
+        incremental ? measure_hcn(chip, map, victim, HcSearchConfig{})
+                    : scratch_hcn(chip, map, victim, HcSearchConfig{});
   }
   for (int k = 0; k < kHcnFlips; ++k) {
     ASSERT_EQ(results[0].hc[k].has_value(), results[1].hc[k].has_value())
@@ -161,14 +198,20 @@ TEST(HcIncremental, ProbeFlipSetsMatchScratchProbeForProbe) {
   for (const bool incremental : {false, true}) {
     bender::Platform platform;
     auto& chip = platform.chip(2);
-    ScratchSession oracle(chip);
     const auto map = AddressMap::from_scheme(chip.profile().mapping);
-    BerProbe probe(
-        incremental ? static_cast<bender::ChipSession&>(chip) : oracle, map,
-        victim, BerConfig{});
-    EXPECT_EQ(probe.incremental(), incremental);
-    for (const auto count : counts) {
-      results[incremental].push_back(probe.measure(count));
+    const auto measure_all = [&](auto& probe) {
+      for (const auto count : counts) {
+        results[incremental].push_back(probe.measure(count));
+      }
+      // The engine climbs a checkpoint ladder; the oracle never pushes one.
+      EXPECT_EQ(chip.stack().checkpoint_depth() > 0, incremental);
+    };
+    if (incremental) {
+      BerProbe probe(chip, map, victim, BerConfig{});
+      measure_all(probe);
+    } else {
+      ScratchProbe probe(chip, map, victim, BerConfig{});
+      measure_all(probe);
     }
   }
   for (std::size_t i = 0; i < counts.size(); ++i) {
@@ -211,7 +254,6 @@ TEST(HcIncremental, SavesAtLeastFiveXActivationsOnHcFirst) {
 TEST(DoseCheckpoint, RestoreRewindsRowsTouchedSincePush) {
   bender::Platform platform;
   auto& chip = platform.chip(2);
-  ASSERT_TRUE(chip.supports_checkpoints());
 
   const dram::RowAddress victim{kBank, 4300};
   const auto pattern = dram::RowBits::filled(0x55);
@@ -339,7 +381,6 @@ TEST(DoseCheckpoint, RestoringARungTwiceReplaysTrrIdentically) {
 
   bender::Platform platform;
   auto& chip = platform.chip(0);
-  ASSERT_TRUE(chip.supports_checkpoints());
   const auto id = chip.checkpoint();
   for (int replay = 0; replay < 3; ++replay) {
     if (replay > 0) chip.restore(id);
@@ -386,13 +427,12 @@ std::vector<runner::CampaignRunner::Trial> hc_trials(bool incremental) {
         {"row" + std::to_string(row),
          [row, incremental](bender::ChipSession& session)
              -> std::vector<std::string> {
-           ScratchSession oracle(session);
-           bender::ChipSession& probed =
-               incremental ? session
-                           : static_cast<bender::ChipSession&>(oracle);
            const auto map =
                AddressMap::from_scheme(session.profile().mapping);
-           const auto hc = find_hc_first(probed, map, {kBank, row}, {});
+           const dram::RowAddress victim{kBank, row};
+           const auto hc =
+               incremental ? find_hc_first(session, map, victim, {})
+                           : scratch_hc_nth(session, map, victim, 1, {});
            return {hc ? std::to_string(*hc) : ""};
          }});
   }
