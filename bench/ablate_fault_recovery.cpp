@@ -62,8 +62,12 @@ struct Outcome {
 
 int main(int argc, char** argv) {
   using namespace hbmrd;
-  bench::BenchContext ctx(argc, argv,
-                          "Ablation: fault injection vs campaign resilience");
+  bench::BenchContext ctx(
+      argc, argv, "Ablation: fault injection vs campaign resilience",
+      {bench::kObservabilityFlags,
+       {{"--shards", util::FlagKind::kInt,
+         "shard count for every process-chaos scenario (default: each "
+         "scenario's own)"}}});
   const int chip_index = static_cast<int>(ctx.cli().get_int("--chip", 1));
   const int n_rows = ctx.rows(6, 96);
   const auto& map = ctx.map_of(chip_index);

@@ -6,13 +6,6 @@
 // checkpointed campaign trial, so the leaderboard CSV (--results) and the
 // arena.* deterministic counters (--metrics-out) are byte-identical for
 // any --jobs N.
-//
-// Arena-specific flags:
-//   --windows N     attack-pattern length in tREFI windows (default 1024)
-//   --benign-acts N activations per benign tenant (default 20000)
-//   --fuzz N        fuzzed patterns appended to the catalogue (default 4)
-//   --fuzz-seed N   fuzzer enumeration seed (default 0xF022)
-//   --threshold N   protect threshold override (default: sampled HC_first/4)
 #include "common.h"
 
 #include <algorithm>
@@ -40,8 +33,22 @@ std::string per_chip_path(const std::string& path, int chip_index) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::BenchContext ctx(argc, argv,
-                          "Attack/defense arena (multi-tenant leaderboard)");
+  bench::BenchContext ctx(
+      argc, argv, "Attack/defense arena (multi-tenant leaderboard)",
+      {bench::kCampaignFlags,
+       bench::kShardFlags,
+       bench::kExportIndexFlags,
+       bench::kObservabilityFlags,
+       {{"--windows", util::FlagKind::kInt,
+         "attack-pattern length in tREFI windows (default 1024)"},
+        {"--benign-acts", util::FlagKind::kInt,
+         "activations per benign tenant (default 20000)"},
+        {"--fuzz", util::FlagKind::kInt,
+         "fuzzed patterns appended to the catalogue (default 4)"},
+        {"--fuzz-seed", util::FlagKind::kInt,
+         "fuzzer enumeration seed (default 0xF022)"},
+        {"--threshold", util::FlagKind::kInt,
+         "protect threshold override (default: sampled HC_first/4)"}}});
   const auto windows = static_cast<std::uint64_t>(
       ctx.cli().get_int("--windows", 1024));
   const auto benign_acts = static_cast<std::size_t>(

@@ -13,94 +13,57 @@
 
 namespace hbmrd::bench {
 
+using util::FlagKind;
+
 namespace {
 
-constexpr const char* kHelpText = R"(Shared flags (every harness):
-  --help             print this help and exit
-  --full             run at paper scale (default: scaled down)
-  --rows N           override the row-count knob
-  --chip N           restrict the sweep to one chip
-  --channels N       limit the sweep width
-  --seed N           platform seed (silicon lottery)
-  --trust-map        trust the profile's address map (skip probing)
-  --csv DIR          stream raw data series to DIR/<name>.csv
+/// The flags BenchContext itself reads, accepted by every harness.
+const std::vector<util::Flag> kBaseFlags = {
+    {"--full", FlagKind::kBool, "run at paper scale (default: scaled down)"},
+    {"--rows", FlagKind::kInt, "override the row-count knob"},
+    {"--chip", FlagKind::kInt, "restrict the sweep to one chip"},
+    {"--channels", FlagKind::kInt, "limit the sweep width"},
+    {"--seed", FlagKind::kInt, "platform seed (silicon lottery)"},
+    {"--trust-map", FlagKind::kBool,
+     "trust the profile's address map (skip probing)"},
+    {"--csv", FlagKind::kString, "stream raw data series to ARG/<name>.csv"},
+};
 
-Campaign flags (harnesses built on the resilient runner):
-  --jobs N           worker threads; output is byte-identical for any N
-  --results FILE     checkpointed results CSV (resumable)
-  --journal FILE     JSONL fault/retry journal
-  --resume           skip trials already committed in --results
-  --stop-after N     checkpoint + stop after N trials (kill point)
-  --fault-rate R     per-attempt transient-fault probability
-  --thermal-rate R   per-trial thermal-excursion probability
-  --persistent-rate R  per-trial persistent-fault probability
-  --fatal-rate R     per-trial host-crash probability
-  --fault-seed N     fault plan seed (decoupled from --seed)
-  --no-guard         disable the temperature guard band
-  --export-index F   after a successful run, export the campaign's
-                     results CSV into a .hbmidx query index at F
-                     (docs/SERVING.md); with --shards the export runs
-                     from the supervisor's post-merge hook
+std::vector<util::Flag> base_flags_plus(
+    std::initializer_list<std::vector<util::Flag>> groups) {
+  auto flags = kBaseFlags;
+  for (const auto& group : groups) {
+    flags.insert(flags.end(), group.begin(), group.end());
+  }
+  return flags;
+}
 
-Sharded campaign flags (process supervision; see docs/RESILIENCE.md):
-  --shards N         run the campaign as N supervised worker processes;
-                     the merged artifacts are byte-identical to --shards 1
-  --hang-timeout S   SIGKILL a worker silent for S wall seconds (def. 30)
-  --max-restarts N   quarantine a shard after N consecutive no-progress
-                     failures (default 5)
-  --worker-crash-trial K    inject: worker SIGKILLs itself inside trial
-                            K's commit (after the journal flush)
-  --worker-hang-trial K     inject: worker wedges before trial K
-  --worker-heartbeat-drop K inject: worker stops heartbeating after K
-                            trials (the watchdog must reap it)
-  --worker-crash-repeats N  injected worker faults fire for the first N
-                            incarnations of the shard (default 1)
-
-Storage flags (campaign persistence; see docs/RESILIENCE.md):
-  --durable-every N  fsync journal + checkpoint every N committed trials
-  --store-fault-rate R   per-write probability of an injected I/O error
-                         (EIO/ENOSPC/short write)
-  --store-crash-write N  simulate power loss at the Nth write operation
-  --store-crash-fsync N  simulate power loss at the Nth fsync operation
-
-Observability flags (see docs/OBSERVABILITY.md):
-  --metrics-out FILE JSON metrics + span snapshot, written atomically at
-                     exit; deterministic counters are byte-equal for any
-                     --jobs N
-  --progress         rate-limited live progress line on stderr
-)";
-
-/// Exits 2 with a one-line message unless flag `name`, when given, is an
-/// integer in [lo, hi).
+/// Exits 2 with a one-line message unless flag `name`, when given, is in
+/// [lo, hi).
 void require_flag_in_range(const util::Cli& cli, const std::string& name,
                            std::int64_t lo, std::int64_t hi) {
   if (!cli.has(name)) return;
-  try {
-    const auto value = cli.get_int(name, lo);
-    if (value >= lo && value < hi) return;
-    std::cerr << "error: " << name << " " << value << " is out of range ("
-              << (hi == std::numeric_limits<std::int64_t>::max()
-                      ? "expects >= " + std::to_string(lo)
-                      : "expects " + std::to_string(lo) + ".." +
-                            std::to_string(hi - 1))
-              << ")\n";
-  } catch (const std::invalid_argument& error) {
-    std::cerr << "error: " << error.what() << "\n";
-  }
+  const auto value = cli.get_int(name, lo);
+  if (value >= lo && value < hi) return;
+  std::cerr << "error: " << name << " " << value << " is out of range ("
+            << (hi == std::numeric_limits<std::int64_t>::max()
+                    ? "expects >= " + std::to_string(lo)
+                    : "expects " + std::to_string(lo) + ".." +
+                          std::to_string(hi - 1))
+            << ")\n";
   std::exit(2);
 }
 
 }  // namespace
 
-BenchContext::BenchContext(int argc, char** argv, const std::string& title)
-    : cli_(argc, argv),
+BenchContext::BenchContext(
+    int argc, char** argv, const std::string& title,
+    std::initializer_list<std::vector<util::Flag>> groups)
+    : cli_(util::Cli::parse_or_exit(argc, argv, base_flags_plus(groups),
+                                    title)),
       title_(title),
       platform_(static_cast<std::uint64_t>(cli_.get_int(
           "--seed", static_cast<std::int64_t>(dram::kDefaultPlatformSeed)))) {
-  if (cli_.has("--help")) {
-    std::cout << title_ << "\n\n" << kHelpText;
-    std::exit(0);
-  }
   constexpr auto kNoLimit = std::numeric_limits<std::int64_t>::max();
   require_flag_in_range(cli_, "--chip", 0, platform_.chip_count());
   require_flag_in_range(cli_, "--rows", 1, kNoLimit);
@@ -176,6 +139,12 @@ void BenchContext::banner(const std::string& section) const {
   util::print_banner(std::cout, section);
 }
 
+const std::vector<util::Flag> kObservabilityFlags = {
+    {"--metrics-out", FlagKind::kString,
+     "write a JSON metrics + span snapshot to ARG at exit"},
+    {"--progress", FlagKind::kBool, "live progress line on stderr"},
+};
+
 CampaignObservability::CampaignObservability(const util::Cli& cli)
     : metrics_out_(cli.get_string("--metrics-out", "")) {
   enabled_ = !metrics_out_.empty() || cli.has("--progress");
@@ -208,6 +177,42 @@ void CampaignObservability::finish() {
   metrics_.write_snapshot(*util::default_store(), metrics_out_, &trace_);
   std::cout << "(metrics snapshot written to " << metrics_out_ << ")\n";
 }
+
+const std::vector<util::Flag> kCampaignFlags = {
+    {"--jobs", FlagKind::kInt,
+     "worker threads; output is byte-identical for any N"},
+    {"--results", FlagKind::kString, "checkpointed results CSV (resumable)"},
+    {"--journal", FlagKind::kString, "JSONL fault/retry journal"},
+    {"--resume", FlagKind::kBool,
+     "skip trials already committed in --results"},
+    {"--stop-after", FlagKind::kInt,
+     "checkpoint + stop after N trials (kill point)"},
+    {"--fault-rate", FlagKind::kDouble,
+     "per-attempt transient-fault probability"},
+    {"--thermal-rate", FlagKind::kDouble,
+     "per-trial thermal-excursion probability"},
+    {"--persistent-rate", FlagKind::kDouble,
+     "per-trial persistent-fault probability"},
+    {"--fatal-rate", FlagKind::kDouble, "per-trial host-crash probability"},
+    {"--fault-seed", FlagKind::kInt, "fault plan seed (decoupled from --seed)"},
+    {"--no-guard", FlagKind::kBool, "disable the temperature guard band"},
+    {"--durable-every", FlagKind::kInt,
+     "fsync journal + checkpoint every N committed trials"},
+    {"--store-fault-rate", FlagKind::kDouble,
+     "per-write probability of an injected I/O error"},
+    {"--store-crash-write", FlagKind::kInt,
+     "simulate power loss at the Nth write"},
+    {"--store-crash-fsync", FlagKind::kInt,
+     "simulate power loss at the Nth fsync"},
+    {"--worker-crash-trial", FlagKind::kInt,
+     "--shards: a worker SIGKILLs itself in trial N's commit"},
+    {"--worker-hang-trial", FlagKind::kInt,
+     "--shards: a worker wedges before trial N"},
+    {"--worker-heartbeat-drop", FlagKind::kInt,
+     "--shards: a worker stops heartbeating after N trials"},
+    {"--worker-crash-repeats", FlagKind::kInt,
+     "--shards: injected worker faults fire for N incarnations (default 1)"},
+};
 
 runner::RunnerConfig campaign_config(const util::Cli& cli,
                                      std::vector<std::string> result_columns) {
@@ -245,6 +250,11 @@ runner::RunnerConfig campaign_config(const util::Cli& cli,
       static_cast<std::uint64_t>(cli.get_int("--worker-crash-repeats", 1));
   return config;
 }
+
+const std::vector<util::Flag> kExportIndexFlags = {
+    {"--export-index", FlagKind::kString,
+     "after a successful run, export --results into a .hbmidx index"},
+};
 
 namespace {
 
@@ -330,6 +340,15 @@ runner::CampaignReport run_supervised(
 }
 
 }  // namespace
+
+const std::vector<util::Flag> kShardFlags = {
+    {"--shards", FlagKind::kInt,
+     "run the campaign as N supervised worker processes"},
+    {"--hang-timeout", FlagKind::kDouble,
+     "SIGKILL a worker silent for X wall seconds (default 30)"},
+    {"--max-restarts", FlagKind::kInt,
+     "quarantine a shard after N no-progress failures (default 5)"},
+};
 
 runner::CampaignReport run_campaign_or_die(
     BenchContext& ctx, runner::CampaignRunner& campaign,

@@ -6,6 +6,7 @@
 // to the paper-reported reference values, and exits 0.
 #pragma once
 
+#include <initializer_list>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -26,9 +27,24 @@
 
 namespace hbmrd::bench {
 
+/// The shared flag groups, each declared in common.cpp next to the code
+/// that reads it: campaign_config (kCampaignFlags),
+/// run_campaign_or_die(ctx, ...) (kShardFlags, kExportIndexFlags) and
+/// CampaignObservability (kObservabilityFlags). A harness passes
+/// BenchContext the groups it uses plus its own flags; the union is what
+/// it accepts and what its --help prints.
+extern const std::vector<util::Flag> kCampaignFlags;
+extern const std::vector<util::Flag> kShardFlags;
+extern const std::vector<util::Flag> kExportIndexFlags;
+extern const std::vector<util::Flag> kObservabilityFlags;
+
 class BenchContext {
  public:
-  BenchContext(int argc, char** argv, const std::string& title);
+  /// Parses argv against the base flags (--full, --rows, --chip,
+  /// --channels, --seed, --trust-map, --csv) plus `groups`; a flag outside
+  /// them exits 2, and --help prints the title and the table.
+  BenchContext(int argc, char** argv, const std::string& title,
+               std::initializer_list<std::vector<util::Flag>> groups = {});
 
   [[nodiscard]] bender::Platform& platform() { return platform_; }
   [[nodiscard]] const util::Cli& cli() const { return cli_; }
@@ -68,10 +84,10 @@ class BenchContext {
   std::vector<std::unique_ptr<study::AddressMap>> maps_;
 };
 
-/// Observability sinks for campaign harnesses (docs/OBSERVABILITY.md):
-///   --metrics-out FILE   JSON metrics + span snapshot (atomic replace)
-///   --progress           rate-limited live progress line on stderr
-/// Attach to every RunnerConfig the harness builds — attaching changes no
+/// Observability sinks for campaign harnesses (docs/OBSERVABILITY.md),
+/// set by kObservabilityFlags: a JSON metrics + span snapshot (atomic
+/// replace) and a rate-limited live progress line on stderr. Attach to
+/// every RunnerConfig the harness builds — attaching changes no
 /// committed CSV/journal byte. Deterministic counters accumulate across
 /// every campaign the harness runs (e.g. fig06's per-chip campaigns); the
 /// snapshot is written once by finish() (the destructor is a backstop).
@@ -109,26 +125,8 @@ class CampaignObservability {
 /// Formats a BER as a percentage string.
 [[nodiscard]] std::string ber_pct(double ber, int precision = 3);
 
-/// Builds a campaign RunnerConfig from the shared resilience flags:
-///   --jobs N           worker threads (byte-identical output for any N)
-///   --results FILE     checkpointed results CSV (resumable)
-///   --journal FILE     JSONL fault/retry journal
-///   --resume           skip trials already committed in --results
-///   --stop-after N     checkpoint + stop after N trials (kill point)
-///   --fault-rate R     per-attempt transient-fault probability
-///   --thermal-rate R   per-trial thermal-excursion probability
-///   --persistent-rate R  per-trial persistent-fault probability
-///   --fatal-rate R     per-trial host-crash probability
-///   --fault-seed N     fault plan seed (decoupled from --seed)
-///   --no-guard         disable the temperature guard band
-///   --worker-crash-trial K / --worker-hang-trial K /
-///   --worker-heartbeat-drop K / --worker-crash-repeats N
-///                      injected worker-process fault schedule (fires in
-///                      supervised workers only; fault::WorkerFaultConfig)
-///   --durable-every N  fsync journal + checkpoint every N trials
-///   --store-fault-rate R   injected I/O error probability per write
-///   --store-crash-write N  simulate power loss at the Nth write
-///   --store-crash-fsync N  simulate power loss at the Nth fsync
+/// Builds a campaign RunnerConfig from kCampaignFlags (jobs, checkpoint
+/// and journal paths, resume, injected chip, worker and storage faults).
 [[nodiscard]] runner::RunnerConfig campaign_config(
     const util::Cli& cli, std::vector<std::string> result_columns);
 
@@ -144,13 +142,13 @@ class CampaignObservability {
     const std::vector<runner::CampaignRunner::Trial>& trials);
 
 /// The context-aware variant used by the sharded campaign harnesses
-/// (fig06/fig07/fig14): in addition to the above,
-///   `--shards N` (N > 1) runs the campaign under the process supervisor
-///   (runner/supervisor.h): each shard is a forked worker process whose
-///   output goes to `<shard>.log`, crashed/hung workers are restarted
-///   from their shard checkpoint, and the merged artifacts are
-///   byte-identical to the unsharded run. `--hang-timeout S` and
-///   `--max-restarts N` tune the watchdog.
+/// (fig06/fig07/fig14/arena_eval), which read kShardFlags and
+/// kExportIndexFlags: in addition to the above, `--shards N` (N > 1) runs
+/// the campaign under the process supervisor (runner/supervisor.h): each
+/// shard is a forked worker process whose output goes to `<shard>.log`,
+/// crashed/hung workers are restarted from their shard checkpoint, and
+/// the merged artifacts are byte-identical to the unsharded run.
+/// `--export-index` then exports the results into a query index.
 [[nodiscard]] runner::CampaignReport run_campaign_or_die(
     BenchContext& ctx, runner::CampaignRunner& campaign,
     const std::vector<runner::CampaignRunner::Trial>& trials);

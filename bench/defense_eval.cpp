@@ -40,8 +40,10 @@ std::unique_ptr<defense::ControllerDefense> make_defense(
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::BenchContext ctx(argc, argv,
-                          "Defense evaluation (Sec. 8.2 extension)");
+  bench::BenchContext ctx(
+      argc, argv, "Defense evaluation (Sec. 8.2 extension)",
+      {{{"--hammers", util::FlagKind::kInt,
+         "attack hammers per aggressor (default 200000)"}}});
   const int chip_index = static_cast<int>(ctx.cli().get_int("--chip", 4));
   auto& chip = ctx.platform().chip(chip_index);
   const auto& map = ctx.map_of(chip_index);

@@ -7,7 +7,10 @@
 
 int main(int argc, char** argv) {
   using namespace hbmrd;
-  bench::BenchContext ctx(argc, argv, "Fig. 3: chip temperature over 24 h");
+  bench::BenchContext ctx(
+      argc, argv, "Fig. 3: chip temperature over 24 h",
+      {{{"--hours", util::FlagKind::kDouble,
+         "trace length in hours (default 4; --full: 24)"}}});
 
   const double hours = ctx.full() ? 24.0 : ctx.cli().get_double("--hours", 4.0);
   const double sample_period_s = 5.0;

@@ -26,7 +26,10 @@ std::string per_chip_path(const std::string& path, int chip_index) {
 
 int main(int argc, char** argv) {
   using namespace hbmrd;
-  bench::BenchContext ctx(argc, argv, "Fig. 6: BER across channels");
+  bench::BenchContext ctx(argc, argv, "Fig. 6: BER across channels",
+                          {bench::kCampaignFlags, bench::kShardFlags,
+                           bench::kExportIndexFlags,
+                           bench::kObservabilityFlags});
   const int n_rows = ctx.rows(24, 16384);
   const auto chips = ctx.cli().has("--chip") ? ctx.chips()
                                              : std::vector<int>{0, 1, 4, 5};

@@ -7,7 +7,9 @@
 
 int main(int argc, char** argv) {
   using namespace hbmrd;
-  bench::BenchContext ctx(argc, argv, "Fig. 9: BER variation across banks");
+  bench::BenchContext ctx(argc, argv, "Fig. 9: BER variation across banks",
+                          {{{"--banks", util::FlagKind::kInt,
+                             "banks per channel (default 3; --full: 16)"}}});
   const int chip_index = static_cast<int>(ctx.cli().get_int("--chip", 0));
   auto& chip = ctx.platform().chip(chip_index);
   const auto& map = ctx.map_of(chip_index);

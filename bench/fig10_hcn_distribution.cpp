@@ -8,7 +8,9 @@
 int main(int argc, char** argv) {
   using namespace hbmrd;
   bench::BenchContext ctx(argc, argv,
-                          "Fig. 10: HC_1..HC_10 normalized to HC_first");
+                          "Fig. 10: HC_1..HC_10 normalized to HC_first",
+                          {{{"--pattern", util::FlagKind::kString,
+                             "data pattern (default Rowstripe1)"}}});
   // Paper: 32 rows from each of begin/middle/end of one bank in the two
   // most vulnerable channels of every chip.
   const int rows_per_region = ctx.rows(3, 32);

@@ -13,7 +13,14 @@
 
 int main(int argc, char** argv) {
   using namespace hbmrd;
-  bench::BenchContext ctx(argc, argv, "Fig. 14: TRR-bypass attack BER");
+  bench::BenchContext ctx(
+      argc, argv, "Fig. 14: TRR-bypass attack BER",
+      {bench::kCampaignFlags,
+       bench::kShardFlags,
+       bench::kExportIndexFlags,
+       bench::kObservabilityFlags,
+       {{"--windows", util::FlagKind::kInt,
+         "tREFI windows per victim (default 8205; --full: 16410)"}}});
   const int chip_index = static_cast<int>(ctx.cli().get_int("--chip", 0));
   auto& chip = ctx.platform().chip(chip_index);
   const auto& map = ctx.map_of(chip_index);

@@ -10,7 +10,9 @@
 int main(int argc, char** argv) {
   using namespace hbmrd;
   bench::BenchContext ctx(argc, argv,
-                          "Sec. 7 footnote 2: documented TRR Mode");
+                          "Sec. 7 footnote 2: documented TRR Mode",
+                          {{{"--windows", util::FlagKind::kInt,
+                             "tREFI windows per attack (default 8205)"}}});
   auto& chip = ctx.platform().chip(0);
   const auto& map = ctx.map_of(0);
   const auto windows = static_cast<std::uint64_t>(

@@ -31,7 +31,9 @@ void hammer_with_refresh(bender::HbmChip& chip, const dram::BankAddress& bank,
 
 int main(int argc, char** argv) {
   bench::BenchContext ctx(argc, argv,
-                          "Sec. 8.1: HalfDouble vector via TRR refreshes");
+                          "Sec. 8.1: HalfDouble vector via TRR refreshes",
+                          {{{"--windows", util::FlagKind::kInt,
+                             "tREFI windows per attack (default 16410)"}}});
   const auto windows = static_cast<std::uint64_t>(
       ctx.cli().get_int("--windows", 2 * 8205));
   const dram::BankAddress bank{0, 0, 0};

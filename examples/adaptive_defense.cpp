@@ -51,7 +51,13 @@ int attack_under_defense(bender::HbmChip& chip, const study::AddressMap& map,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
+  const auto cli = util::Cli::parse_or_exit(
+      argc, argv,
+      {{"--chip", util::FlagKind::kInt, "chip index (default 4)"},
+       {"--sample-rows", util::FlagKind::kInt,
+        "rows profiled per channel (default 8)"}},
+      "Vulnerability-adaptive defense (Sec. 8.2): per-channel thresholds vs "
+      "the global worst case");
   const int chip_index = static_cast<int>(cli.get_int("--chip", 4));
   const int sample_rows = static_cast<int>(cli.get_int("--sample-rows", 8));
   const std::uint64_t attack_hammers = 600'000;

@@ -12,7 +12,12 @@
 int main(int argc, char** argv) {
   using namespace hbmrd;
 
-  const util::Cli cli(argc, argv);
+  const auto cli = util::Cli::parse_or_exit(
+      argc, argv,
+      {{"--chip", util::FlagKind::kInt, "chip index (default 5)"},
+       {"--row", util::FlagKind::kInt, "victim row (default 4500)"}},
+      "Quickstart: map one chip, hammer a victim row, print its bitflips "
+      "and HC_first");
   const int chip_index = static_cast<int>(cli.get_int("--chip", 5));
   const int victim_row = static_cast<int>(cli.get_int("--row", 4500));
 

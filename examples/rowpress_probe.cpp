@@ -10,7 +10,11 @@
 
 int main(int argc, char** argv) {
   using namespace hbmrd;
-  const util::Cli cli(argc, argv);
+  const auto cli = util::Cli::parse_or_exit(
+      argc, argv,
+      {{"--chip", util::FlagKind::kInt, "chip index (default 2)"},
+       {"--row", util::FlagKind::kInt, "victim row (default 4500)"}},
+      "RowPress probe (Sec. 6): HC_first as the aggressor on-time grows");
   const int chip_index = static_cast<int>(cli.get_int("--chip", 2));
   const int row = static_cast<int>(cli.get_int("--row", 4500));
 

@@ -64,7 +64,14 @@ TemplateResult template_channel(bender::HbmChip& chip,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
+  const auto cli = util::Cli::parse_or_exit(
+      argc, argv,
+      {{"--chip", util::FlagKind::kInt, "chip index (default 0)"},
+       {"--survey-rows", util::FlagKind::kInt,
+        "rows surveyed per channel to rank them (default 10)"},
+       {"--scan-rows", util::FlagKind::kInt,
+        "rows templated per channel (default 64)"}},
+      "Memory templating (Sec. 8.1): channel-aware templating speedup");
   const int chip_index = static_cast<int>(cli.get_int("--chip", 0));
   const int survey_rows = static_cast<int>(cli.get_int("--survey-rows", 10));
   const int scan_rows = static_cast<int>(cli.get_int("--scan-rows", 64));

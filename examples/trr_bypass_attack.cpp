@@ -44,7 +44,11 @@ int naive_attack(bender::HbmChip& chip, const study::AddressMap& map,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
+  const auto cli = util::Cli::parse_or_exit(
+      argc, argv,
+      {{"--windows", util::FlagKind::kInt,
+        "tREFI windows per attack (default 8205, one tREFW)"}},
+      "TRR-bypass attack (Sec. 7) on Chip 0 under full periodic refresh");
   const auto windows = static_cast<std::uint64_t>(
       cli.get_int("--windows", 8205));  // one tREFW worth of tREFI windows
 

@@ -2,16 +2,16 @@
 
 #include <istream>
 #include <iterator>
-#include <map>
 #include <optional>
 #include <ostream>
-#include <set>
 
 #include "dram/timing.h"
 #include "obs/metrics.h"
 #include "runner/shard.h"
 #include "serve/export.h"
 #include "serve/server.h"
+#include "util/cli.h"
+#include "util/csv.h"
 #include "util/parse.h"
 #include "util/store.h"
 
@@ -19,103 +19,56 @@ namespace hbmrd::serve {
 
 namespace {
 
-std::string usage_text() {
-  return
-      "usage: export --index PATH (--from-campaign CSV | --measure)\n"
-      "              [--seed N] [--chip N] [--hc-depth N] [--max-count N]\n"
-      "              measure: [--channel N] [--pc N] [--bank N|LO..HI]\n"
-      "                       --rows LO..HI [--patterns P,..|*]\n"
-      "                       [--on NS,..] [--retention]\n"
-      "       query  (--index PATH [--force-miss] [--no-fallback]\n"
-      "               | --socket PATH) [--batch FILE|-] [--metrics-out F]\n"
-      "       serve  --index PATH --socket PATH [--threads N]\n"
-      "              [--force-miss] [--metrics-out F]\n";
+constexpr const char* kUsage =
+    "usage: hbmrd_shell export|query|serve [flags]; <verb> --help lists "
+    "the verb's flags\n";
+
+/// Each verb's flags. The numeric ones are text: they take a u64 in any
+/// radix (util::parse_u64 base 0), checked by flag_u64.
+std::vector<util::Flag> flags_of(const std::string& verb) {
+  constexpr auto kBool = util::FlagKind::kBool;
+  constexpr auto kText = util::FlagKind::kString;
+  if (verb == "export") {
+    return {{"--index", kText, "index file to write"},
+            {"--from-campaign", kText, "source: a campaign CSV (or --measure)"},
+            {"--measure", kBool, "source: measure the chip live"},
+            {"--seed", kText, "platform seed"},
+            {"--chip", kText, "chip index (default 0)"},
+            {"--hc-depth", kText, "HC_nth rungs per record, 1..255"},
+            {"--max-count", kText, "HC search bound in hammers"},
+            {"--channel", kText, "measure: channel (default 0)"},
+            {"--pc", kText, "measure: pseudo channel (default 0)"},
+            {"--bank", kText, "measure: bank N or LO..HI (default 0)"},
+            {"--rows", kText, "measure: rows LO..HI (required)"},
+            {"--patterns", kText, "measure: patterns P,.. or * (default *)"},
+            {"--on", kText, "measure: aggressor on-times NS,.. (default 0)"},
+            {"--retention", kBool, "measure: also record retention times"}};
+  }
+  if (verb == "query") {
+    return {{"--index", kText, "answer from this index (or --socket)"},
+            {"--socket", kText, "send the batch to this server"},
+            {"--batch", kText, "batch file, - for stdin (default -)"},
+            {"--force-miss", kBool, "--index: simulate every query"},
+            {"--no-fallback", kBool, "--index: refuse queries it lacks"},
+            {"--metrics-out", kText, "write serve.* counters as JSON"}};
+  }
+  return {{"--index", kText, "index file to serve"},
+          {"--socket", kText, "Unix socket to listen on"},
+          {"--threads", kText, "worker threads, 1..256 (default 1)"},
+          {"--force-miss", kBool, "simulate every query"},
+          {"--metrics-out", kText, "write serve.* counters as JSON"}};
 }
 
-/// Strict flag parser: every flag must be known, value flags must have a
-/// value; anything else is a usage error (exit 2 per the shell's
-/// convention).
-class Flags {
- public:
-  Flags(const std::vector<std::string>& args, std::size_t first,
-        std::set<std::string> value_flags, std::set<std::string> bool_flags)
-      : value_flags_(std::move(value_flags)),
-        bool_flags_(std::move(bool_flags)) {
-    for (std::size_t i = first; i < args.size(); ++i) {
-      const auto& arg = args[i];
-      if (bool_flags_.count(arg) != 0) {
-        values_[arg];  // present, empty value
-        continue;
-      }
-      if (value_flags_.count(arg) != 0) {
-        if (i + 1 >= args.size()) {
-          error_ = arg + " needs a value";
-          return;
-        }
-        values_[arg] = args[++i];
-        continue;
-      }
-      error_ = "unknown argument " + arg;
-      return;
-    }
-  }
-
-  [[nodiscard]] const std::string& error() const { return error_; }
-  [[nodiscard]] bool has(const std::string& name) const {
-    return values_.count(name) != 0;
-  }
-  [[nodiscard]] std::string get(const std::string& name,
-                                std::string fallback = "") const {
-    const auto it = values_.find(name);
-    return it == values_.end() ? fallback : it->second;
-  }
-
- private:
-  std::set<std::string> value_flags_;
-  std::set<std::string> bool_flags_;
-  std::map<std::string, std::string> values_;
-  std::string error_;
-};
-
 int usage_error(std::ostream& err, const std::string& what) {
-  err << "error: " << what << "\n" << usage_text();
+  err << "error: " << what << "\n" << kUsage;
   return 2;
 }
 
-std::optional<std::uint64_t> flag_u64(const Flags& flags,
+std::optional<std::uint64_t> flag_u64(const util::Cli& cli,
                                       const std::string& name,
                                       std::uint64_t fallback) {
-  if (!flags.has(name)) return fallback;
-  return util::parse_u64(flags.get(name), 0);
-}
-
-/// "LO..HI" (inclusive) or a single value.
-std::optional<std::pair<std::uint64_t, std::uint64_t>> flag_range(
-    const std::string& text) {
-  const auto dots = text.find("..");
-  std::optional<std::uint64_t> lo;
-  std::optional<std::uint64_t> hi;
-  if (dots == std::string::npos) {
-    lo = util::parse_u64(text);
-    hi = lo;
-  } else {
-    lo = util::parse_u64(text.substr(0, dots));
-    hi = util::parse_u64(text.substr(dots + 2));
-  }
-  if (!lo || !hi || *lo > *hi) return std::nullopt;
-  return std::make_pair(*lo, *hi);
-}
-
-std::vector<std::string> split_commas(const std::string& text) {
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    auto comma = text.find(',', pos);
-    if (comma == std::string::npos) comma = text.size();
-    out.push_back(text.substr(pos, comma - pos));
-    pos = comma + 1;
-  }
-  return out;
+  if (!cli.has(name)) return fallback;
+  return util::parse_u64(cli.get_string(name, ""), 0);
 }
 
 void add_counters(obs::MetricsRegistry& metrics,
@@ -142,21 +95,21 @@ void write_metrics(const std::string& path, const ServeCounters& counters,
 
 // -- export -----------------------------------------------------------------
 
-int run_export(const Flags& flags, std::ostream& out, std::ostream& err) {
-  const auto index_path = flags.get("--index");
+int run_export(const util::Cli& cli, std::ostream& out, std::ostream& err) {
+  const auto index_path = cli.get_string("--index", "");
   if (index_path.empty()) return usage_error(err, "--index PATH required");
-  const bool from_campaign = flags.has("--from-campaign");
-  const bool measure = flags.has("--measure");
+  const bool from_campaign = cli.has("--from-campaign");
+  const bool measure = cli.has("--measure");
   if (from_campaign == measure) {
     return usage_error(err,
                        "pick exactly one of --from-campaign / --measure");
   }
 
   ExportSpec spec;
-  const auto seed = flag_u64(flags, "--seed", spec.platform_seed);
-  const auto chip = flag_u64(flags, "--chip", spec.chip_index);
-  const auto depth = flag_u64(flags, "--hc-depth", spec.hc_depth);
-  const auto max_count = flag_u64(flags, "--max-count",
+  const auto seed = flag_u64(cli, "--seed", spec.platform_seed);
+  const auto chip = flag_u64(cli, "--chip", spec.chip_index);
+  const auto depth = flag_u64(cli, "--hc-depth", spec.hc_depth);
+  const auto max_count = flag_u64(cli, "--max-count",
                                   spec.max_hammer_count);
   if (!seed || !chip || *chip >= dram::kChipCount) {
     return usage_error(err, "bad --seed / --chip");
@@ -170,104 +123,95 @@ int run_export(const Flags& flags, std::ostream& out, std::ostream& err) {
   spec.hc_depth = static_cast<std::uint32_t>(*depth);
   spec.max_hammer_count = *max_count;
 
-  try {
-    IndexBuilder builder(manifest_for(spec));
-    if (from_campaign) {
-      const auto report = export_campaign_csv(
-          *util::default_store(), flags.get("--from-campaign"), builder);
-      out << "export: ingested " << report.rows_ingested << " row(s), "
-          << "skipped " << report.rows_skipped << "\n";
-    } else {
-      const auto channel = flag_u64(flags, "--channel", 0);
-      const auto pc = flag_u64(flags, "--pc", 0);
-      if (!channel || *channel >= dram::kChannels || !pc ||
-          *pc >= dram::kPseudoChannels) {
-        return usage_error(err, "bad --channel / --pc");
-      }
-      const auto banks = flag_range(flags.get("--bank", "0"));
-      if (!banks || banks->second >= dram::kBanksPerPseudoChannel) {
-        return usage_error(err, "bad --bank");
-      }
-      if (!flags.has("--rows")) {
-        return usage_error(err, "--measure needs --rows LO..HI");
-      }
-      const auto rows = flag_range(flags.get("--rows"));
-      if (!rows || rows->second >= dram::kRowsPerBank) {
-        return usage_error(err, "bad --rows");
-      }
-
-      MeasureSpec measure_spec;
-      for (auto bank = banks->first; bank <= banks->second; ++bank) {
-        measure_spec.banks.push_back({static_cast<int>(*channel),
-                                      static_cast<int>(*pc),
-                                      static_cast<int>(bank)});
-      }
-      for (auto row = rows->first; row <= rows->second; ++row) {
-        measure_spec.rows.push_back(static_cast<int>(row));
-      }
-      const auto patterns = flags.get("--patterns", "*");
-      if (patterns == "*") {
-        measure_spec.patterns.assign(study::kAllPatterns.begin(),
-                                     study::kAllPatterns.end());
-      } else {
-        for (const auto& name : split_commas(patterns)) {
-          const auto pattern = parse_pattern(name);
-          if (!pattern) return usage_error(err, "bad pattern " + name);
-          measure_spec.patterns.push_back(*pattern);
-        }
-      }
-      measure_spec.on_cycles_list.clear();
-      for (const auto& ns_text : split_commas(flags.get("--on", "0"))) {
-        const auto ns = util::parse_double(ns_text);
-        if (!ns || *ns < 0.0 || *ns > 1e12) {
-          return usage_error(err, "bad --on value " + ns_text);
-        }
-        measure_spec.on_cycles_list.push_back(
-            static_cast<std::uint64_t>(dram::ns_to_cycles(*ns)));
-      }
-      measure_spec.retention = flags.has("--retention");
-
-      auto chip_obj = bender::HbmChip(
-          dram::chip_profiles(spec.platform_seed)[spec.chip_index]);
-      const auto map = study::AddressMap::from_scheme(
-          chip_obj.profile().mapping);
-      FallbackSession session(chip_obj, map);
-      const auto report = export_measured(builder, session, measure_spec);
-      out << "export: measured " << report.hc_searches
-          << " HC search(es), " << report.retention_rows
-          << " retention row(s)\n";
+  IndexBuilder builder(manifest_for(spec));
+  if (from_campaign) {
+    const auto report = export_campaign_csv(
+        *util::default_store(), cli.get_string("--from-campaign", ""), builder);
+    out << "export: ingested " << report.rows_ingested << " row(s), "
+        << "skipped " << report.rows_skipped << "\n";
+  } else {
+    const auto channel = flag_u64(cli, "--channel", 0);
+    const auto pc = flag_u64(cli, "--pc", 0);
+    if (!channel || *channel >= dram::kChannels || !pc ||
+        *pc >= dram::kPseudoChannels) {
+      return usage_error(err, "bad --channel / --pc");
     }
-    builder.write(*util::default_store(), index_path);
-    out << "export: wrote " << index_path << " ("
-        << builder.population_count() << " population(s), "
-        << builder.row_count() << " row record(s))\n";
-    return 0;
-  } catch (const IndexError& e) {
-    err << e.what() << "\n";
-    return 1;
-  } catch (const util::StoreError& e) {
-    err << e.what() << "\n";
-    return 1;
+    const auto banks = parse_range(cli.get_string("--bank", "0"),
+                                   dram::kBanksPerPseudoChannel);
+    if (!banks) return usage_error(err, "bad --bank");
+    if (!cli.has("--rows")) {
+      return usage_error(err, "--measure needs --rows LO..HI");
+    }
+    const auto rows =
+        parse_range(cli.get_string("--rows", ""), dram::kRowsPerBank);
+    if (!rows) return usage_error(err, "bad --rows");
+
+    MeasureSpec measure_spec;
+    for (auto bank = banks->lo; bank <= banks->hi; ++bank) {
+      measure_spec.banks.push_back({static_cast<int>(*channel),
+                                    static_cast<int>(*pc),
+                                    static_cast<int>(bank)});
+    }
+    for (auto row = rows->lo; row <= rows->hi; ++row) {
+      measure_spec.rows.push_back(static_cast<int>(row));
+    }
+    const auto patterns = cli.get_string("--patterns", "*");
+    if (patterns == "*") {
+      measure_spec.patterns.assign(study::kAllPatterns.begin(),
+                                   study::kAllPatterns.end());
+    } else {
+      for (const auto& name : util::split_csv_line(patterns)) {
+        const auto pattern = parse_pattern(name);
+        if (!pattern) return usage_error(err, "bad pattern " + name);
+        measure_spec.patterns.push_back(*pattern);
+      }
+    }
+    measure_spec.on_cycles_list.clear();
+    const auto on_list = util::split_csv_line(cli.get_string("--on", "0"));
+    for (const auto& ns_text : on_list) {
+      const auto ns = util::parse_double(ns_text);
+      if (!ns || *ns < 0.0 || *ns > 1e12) {
+        return usage_error(err, "bad --on value " + ns_text);
+      }
+      measure_spec.on_cycles_list.push_back(
+          static_cast<std::uint64_t>(dram::ns_to_cycles(*ns)));
+    }
+    measure_spec.retention = cli.has("--retention");
+
+    auto chip_obj = bender::HbmChip(
+        dram::chip_profiles(spec.platform_seed)[spec.chip_index]);
+    const auto map = study::AddressMap::from_scheme(
+        chip_obj.profile().mapping);
+    FallbackSession session(chip_obj, map);
+    const auto report = export_measured(builder, session, measure_spec);
+    out << "export: measured " << report.hc_searches
+        << " HC search(es), " << report.retention_rows
+        << " retention row(s)\n";
   }
+  builder.write(*util::default_store(), index_path);
+  out << "export: wrote " << index_path << " ("
+      << builder.population_count() << " population(s), "
+      << builder.row_count() << " row record(s))\n";
+  return 0;
 }
 
 // -- query ------------------------------------------------------------------
 
-int run_query(const Flags& flags, std::istream& in, std::ostream& out,
+int run_query(const util::Cli& cli, std::istream& in, std::ostream& out,
               std::ostream& err) {
-  const auto index_path = flags.get("--index");
-  const auto socket_path = flags.get("--socket");
+  const auto index_path = cli.get_string("--index", "");
+  const auto socket_path = cli.get_string("--socket", "");
   if (index_path.empty() == socket_path.empty()) {
     return usage_error(err, "pick exactly one of --index / --socket");
   }
   if (!socket_path.empty() &&
-      (flags.has("--force-miss") || flags.has("--no-fallback"))) {
+      (cli.has("--force-miss") || cli.has("--no-fallback"))) {
     return usage_error(
         err, "--force-miss/--no-fallback are local --index modes");
   }
 
   std::string batch;
-  const auto batch_path = flags.get("--batch", "-");
+  const auto batch_path = cli.get_string("--batch", "-");
   if (batch_path == "-") {
     batch.assign(std::istreambuf_iterator<char>(in),
                  std::istreambuf_iterator<char>());
@@ -291,76 +235,55 @@ int run_query(const Flags& flags, std::istream& in, std::ostream& out,
     return 0;
   }
 
-  try {
-    auto index = Index::load(*util::default_store(), index_path);
-    const auto& manifest = index.manifest();
-    auto chip = bender::HbmChip(
-        dram::chip_profiles(manifest.platform_seed)[manifest.chip_index]);
-    const auto map =
-        study::AddressMap::from_scheme(chip.profile().mapping);
-    FallbackSession session(chip, map);
-    QueryEngine engine(std::move(index));
-    engine.set_bypass_index(flags.has("--force-miss"));
-    engine.set_fallback_enabled(!flags.has("--no-fallback"));
-    QueryScratch scratch;
-    std::string response;
-    ServeCounters counters;
-    engine.run_batch(batch, response, scratch, &session, counters);
-    out << response;
-    write_metrics(flags.get("--metrics-out"), counters, 0);
-    return 0;
-  } catch (const IndexError& e) {
-    err << e.what() << "\n";
-    return 1;
-  } catch (const util::StoreError& e) {
-    err << e.what() << "\n";
-    return 1;
-  }
+  auto index = Index::load(*util::default_store(), index_path);
+  const auto& manifest = index.manifest();
+  auto chip = bender::HbmChip(
+      dram::chip_profiles(manifest.platform_seed)[manifest.chip_index]);
+  const auto map =
+      study::AddressMap::from_scheme(chip.profile().mapping);
+  FallbackSession session(chip, map);
+  QueryEngine engine(std::move(index));
+  engine.set_bypass_index(cli.has("--force-miss"));
+  engine.set_fallback_enabled(!cli.has("--no-fallback"));
+  QueryScratch scratch;
+  std::string response;
+  ServeCounters counters;
+  engine.run_batch(batch, response, scratch, &session, counters);
+  out << response;
+  write_metrics(cli.get_string("--metrics-out", ""), counters, 0);
+  return 0;
 }
 
 // -- serve ------------------------------------------------------------------
 
-int run_serve(const Flags& flags, std::ostream& out, std::ostream& err) {
-  const auto index_path = flags.get("--index");
-  const auto socket_path = flags.get("--socket");
+int run_serve(const util::Cli& cli, std::ostream& out, std::ostream& err) {
+  const auto index_path = cli.get_string("--index", "");
+  const auto socket_path = cli.get_string("--socket", "");
   if (index_path.empty() || socket_path.empty()) {
     return usage_error(err, "serve needs --index PATH and --socket PATH");
   }
-  const auto threads = flag_u64(flags, "--threads", 1);
+  const auto threads = flag_u64(cli, "--threads", 1);
   if (!threads || *threads < 1 || *threads > 256) {
     return usage_error(err, "bad --threads (want 1..256)");
   }
 
-  try {
-    auto index = Index::load(*util::default_store(), index_path);
-    BatchServerOptions options;
-    options.socket_path = socket_path;
-    options.threads = static_cast<int>(*threads);
-    options.bypass_index = flags.has("--force-miss");
-    options.log = &out;
-    runner::install_graceful_stop();
-    options.should_stop = [] { return runner::graceful_stop_requested(); };
-    BatchServer server(std::move(index), options);
-    const auto report = server.run();
-    write_metrics(flags.get("--metrics-out"), report.counters,
-                  report.connections);
-    out << "serve: " << report.connections << " connection(s), "
-        << report.counters.hits << " index hit(s), "
-        << report.counters.fallback_simulations
-        << " fallback simulation(s)\n";
-    return 0;
-  } catch (const IndexError& e) {
-    err << e.what() << "\n";
-    return 1;
-  } catch (const util::StoreError& e) {
-    err << e.what() << "\n";
-    return 1;
-  } catch (const std::invalid_argument& e) {
-    return usage_error(err, e.what());
-  } catch (const std::runtime_error& e) {
-    err << e.what() << "\n";
-    return 1;
-  }
+  auto index = Index::load(*util::default_store(), index_path);
+  BatchServerOptions options;
+  options.socket_path = socket_path;
+  options.threads = static_cast<int>(*threads);
+  options.bypass_index = cli.has("--force-miss");
+  options.log = &out;
+  runner::install_graceful_stop();
+  options.should_stop = [] { return runner::graceful_stop_requested(); };
+  BatchServer server(std::move(index), options);
+  const auto report = server.run();
+  write_metrics(cli.get_string("--metrics-out", ""), report.counters,
+                report.connections);
+  out << "serve: " << report.connections << " connection(s), "
+      << report.counters.hits << " index hit(s), "
+      << report.counters.fallback_simulations
+      << " fallback simulation(s)\n";
+  return 0;
 }
 
 }  // namespace
@@ -369,36 +292,27 @@ bool handles_verb(const std::string& verb) {
   return verb == "export" || verb == "query" || verb == "serve";
 }
 
-std::string usage() { return usage_text(); }
-
 int cli_main(const std::vector<std::string>& args, std::istream& in,
              std::ostream& out, std::ostream& err) {
   if (args.empty()) return usage_error(err, "no verb");
   const auto& verb = args[0];
-  if (verb == "export") {
-    Flags flags(args, 1,
-                {"--index", "--from-campaign", "--seed", "--chip",
-                 "--hc-depth", "--max-count", "--channel", "--pc", "--bank",
-                 "--rows", "--patterns", "--on"},
-                {"--measure", "--retention"});
-    if (!flags.error().empty()) return usage_error(err, flags.error());
-    return run_export(flags, out, err);
+  if (!handles_verb(verb)) return usage_error(err, "unknown verb " + verb);
+  try {
+    const util::Cli cli(args, flags_of(verb));
+    if (cli.has("--help")) {
+      out << "usage: hbmrd_shell " << verb << " [flags]\n\n";
+      cli.print_flags(out);
+      return 0;
+    }
+    if (verb == "export") return run_export(cli, out, err);
+    if (verb == "query") return run_query(cli, in, out, err);
+    return run_serve(cli, out, err);
+  } catch (const std::invalid_argument& error) {  // util::CliError too
+    return usage_error(err, error.what());
+  } catch (const std::runtime_error& error) {  // IndexError, StoreError
+    err << error.what() << "\n";
+    return 1;
   }
-  if (verb == "query") {
-    Flags flags(args, 1,
-                {"--index", "--socket", "--batch", "--metrics-out"},
-                {"--force-miss", "--no-fallback"});
-    if (!flags.error().empty()) return usage_error(err, flags.error());
-    return run_query(flags, in, out, err);
-  }
-  if (verb == "serve") {
-    Flags flags(args, 1,
-                {"--index", "--socket", "--threads", "--metrics-out"},
-                {"--force-miss"});
-    if (!flags.error().empty()) return usage_error(err, flags.error());
-    return run_serve(flags, out, err);
-  }
-  return usage_error(err, "unknown verb " + verb);
 }
 
 }  // namespace hbmrd::serve

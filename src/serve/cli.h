@@ -9,8 +9,10 @@
 // Exit codes follow the repo convention: 0 success, 1 runtime failure
 // (bad index, unreachable server, storage error), 2 usage error (unknown
 // flag, missing required flag, malformed value) with the usage text on
-// stderr. `cli_main` is a pure function of (args, streams) so the
-// exit-code audit in tests/serve_cli_test.cpp drives it in-process.
+// stderr. Each verb declares its flags as a util::Cli table; `--help`
+// prints the usage text and that table. `cli_main` is a pure function of
+// (args, streams) so the exit-code audit in tests/serve_cli_test.cpp
+// drives it in-process.
 #pragma once
 
 #include <iosfwd>
@@ -27,8 +29,5 @@ int cli_main(const std::vector<std::string>& args, std::istream& in,
 
 /// True when `verb` is one this module handles (the shell's dispatcher).
 [[nodiscard]] bool handles_verb(const std::string& verb);
-
-/// The usage text printed on exit-2 paths.
-[[nodiscard]] std::string usage();
 
 }  // namespace hbmrd::serve

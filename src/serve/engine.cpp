@@ -58,29 +58,6 @@ void tokenize(std::string_view line,
   }
 }
 
-struct Range {
-  std::uint32_t lo = 0;
-  std::uint32_t hi = 0;  // inclusive
-};
-
-/// "<n>" or "<lo>..<hi>" (inclusive), bounded by `limit` (exclusive).
-std::optional<Range> parse_range(std::string_view text,
-                                 std::uint32_t limit) {
-  const auto dots = text.find("..");
-  std::optional<std::uint64_t> lo;
-  std::optional<std::uint64_t> hi;
-  if (dots == std::string_view::npos) {
-    lo = util::parse_u64(text);
-    hi = lo;
-  } else {
-    lo = util::parse_u64(text.substr(0, dots));
-    hi = util::parse_u64(text.substr(dots + 2));
-  }
-  if (!lo || !hi || *lo > *hi || *hi >= limit) return std::nullopt;
-  return Range{static_cast<std::uint32_t>(*lo),
-               static_cast<std::uint32_t>(*hi)};
-}
-
 void emit_error(std::string& response, std::size_t line_no,
                 std::string_view message, ServeCounters& counters) {
   response += "error,";
@@ -99,6 +76,23 @@ std::optional<study::DataPattern> parse_pattern(std::string_view name) {
     if (name == names[i]) return study::kAllPatterns[i];
   }
   return std::nullopt;
+}
+
+std::optional<Range> parse_range(std::string_view text,
+                                 std::uint32_t limit) {
+  const auto dots = text.find("..");
+  std::optional<std::uint64_t> lo;
+  std::optional<std::uint64_t> hi;
+  if (dots == std::string_view::npos) {
+    lo = util::parse_u64(text);
+    hi = lo;
+  } else {
+    lo = util::parse_u64(text.substr(0, dots));
+    hi = util::parse_u64(text.substr(dots + 2));
+  }
+  if (!lo || !hi || *lo > *hi || *hi >= limit) return std::nullopt;
+  return Range{static_cast<std::uint32_t>(*lo),
+               static_cast<std::uint32_t>(*hi)};
 }
 
 std::uint64_t simulate_hc_nth(FallbackSession& session,

@@ -143,6 +143,17 @@ class FallbackSession {
 [[nodiscard]] std::optional<study::DataPattern> parse_pattern(
     std::string_view name);
 
+struct Range {
+  std::uint32_t lo = 0;
+  std::uint32_t hi = 0;  // inclusive
+};
+
+/// "<n>" or "<lo>..<hi>" (inclusive); nullopt when malformed, reversed or
+/// reaching `limit` (exclusive). Batch lines and the export verb's
+/// `--bank`/`--rows` share it.
+[[nodiscard]] std::optional<Range> parse_range(std::string_view text,
+                                               std::uint32_t limit);
+
 class QueryEngine {
  public:
   explicit QueryEngine(Index index) : index_(std::move(index)) {}

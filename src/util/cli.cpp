@@ -1,65 +1,106 @@
 #include "util/cli.h"
 
-#include <stdexcept>
+#include <algorithm>
+#include <cstdlib>
+#include <iostream>
 
 #include "util/parse.h"
 
 namespace hbmrd::util {
 
-Cli::Cli(int argc, const char* const* argv) {
-  if (argc > 0) program_ = argv[0];
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
+namespace {
+
+/// "--rows N": the flag with its value placeholder.
+std::string synopsis(const Flag& flag) {
+  constexpr const char* kPlaceholder[] = {"", " N", " X", " ARG"};  // by FlagKind
+  return flag.name + kPlaceholder[static_cast<int>(flag.kind)];
+}
+
+}  // namespace
+
+Cli::Cli(const std::vector<std::string>& args, std::vector<Flag> flags)
+    : flags_(std::move(flags)) {
+  flags_.insert(flags_.begin(),
+                {"--help", FlagKind::kBool, "print this help and exit"});
+  for (std::size_t i = 1; i < args.size(); ++i) {
+    const auto& arg = args[i];
     if (arg.rfind("--", 0) != 0) {
-      positional_.push_back(std::move(arg));
-      continue;
+      throw CliError("unexpected argument '" + arg + "'");
     }
     const auto eq = arg.find('=');
-    if (eq != std::string::npos) {
-      flags_[arg.substr(0, eq)] = arg.substr(eq + 1);
-      continue;
+    const auto name = arg.substr(0, eq);
+    const auto flag =
+        std::find_if(flags_.begin(), flags_.end(),
+                     [&](const Flag& f) { return f.name == name; });
+    if (flag == flags_.end()) throw CliError("unknown flag " + name);
+    std::string value;
+    if (flag->kind == FlagKind::kBool) {
+      if (eq != std::string::npos) throw CliError(name + " takes no value");
+    } else if (eq != std::string::npos) {
+      value = arg.substr(eq + 1);
+    } else if (i + 1 < args.size() && args[i + 1].rfind("--", 0) != 0) {
+      value = args[++i];
     }
-    // `--name value` form: consume the next token as the value unless it is
-    // itself a flag.
-    if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      flags_[arg] = argv[++i];
-    } else {
-      flags_[arg] = "";
+    if (flag->kind != FlagKind::kBool && value.empty()) {
+      throw CliError(name + " needs a value");
     }
+    if (flag->kind == FlagKind::kInt && !parse_i64(value)) {
+      throw CliError(name + " expects an integer, got '" + value + "'");
+    }
+    if (flag->kind == FlagKind::kDouble && !parse_double(value)) {
+      throw CliError(name + " expects a number, got '" + value + "'");
+    }
+    values_[name] = std::move(value);
   }
 }
 
-bool Cli::has(const std::string& name) const { return flags_.contains(name); }
+Cli Cli::parse_or_exit(int argc, const char* const* argv,
+                       std::vector<Flag> flags, const std::string& about) {
+  try {
+    Cli cli(std::vector<std::string>(argv, argv + argc), std::move(flags));
+    if (!cli.has("--help")) return cli;
+    std::cout << about << "\n\n";
+    cli.print_flags(std::cout);
+    std::exit(0);
+  } catch (const CliError& error) {
+    std::cerr << "error: " << error.what() << "\n";
+    std::exit(2);
+  }
+}
 
+bool Cli::has(const std::string& name) const { return values_.contains(name); }
+
+// The values were checked against the flag's kind when parsed; value()
+// throws only when a program reads a flag as a kind it did not declare.
 std::int64_t Cli::get_int(const std::string& name,
                           std::int64_t fallback) const {
-  const auto it = flags_.find(name);
-  if (it == flags_.end() || it->second.empty()) return fallback;
-  // Full-token parse: "12x" is rejected, where stoll would silently read 12.
-  const auto value = parse_i64(it->second);
-  if (!value) {
-    throw std::invalid_argument("flag " + name + " expects an integer, got '" +
-                                it->second + "'");
-  }
-  return *value;
+  const auto it = values_.find(name);
+  return it == values_.end() ? fallback : parse_i64(it->second).value();
 }
 
 double Cli::get_double(const std::string& name, double fallback) const {
-  const auto it = flags_.find(name);
-  if (it == flags_.end() || it->second.empty()) return fallback;
-  const auto value = parse_double(it->second);
-  if (!value) {
-    throw std::invalid_argument("flag " + name + " expects a number, got '" +
-                                it->second + "'");
-  }
-  return *value;
+  const auto it = values_.find(name);
+  return it == values_.end() ? fallback : parse_double(it->second).value();
 }
 
 std::string Cli::get_string(const std::string& name,
                             std::string fallback) const {
-  const auto it = flags_.find(name);
-  if (it == flags_.end()) return fallback;
+  const auto it = values_.find(name);
+  if (it == values_.end()) return fallback;
   return it->second;
+}
+
+void Cli::print_flags(std::ostream& out) const {
+  std::size_t width = 0;
+  for (const auto& flag : flags_) {
+    width = std::max(width, synopsis(flag).size());
+  }
+  out << "flags:\n";
+  for (const auto& flag : flags_) {
+    const auto text = synopsis(flag);
+    out << "  " << text << std::string(width + 2 - text.size(), ' ')
+        << flag.help << "\n";
+  }
 }
 
 }  // namespace hbmrd::util

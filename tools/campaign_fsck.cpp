@@ -40,14 +40,12 @@ constexpr const char* kHelp =
     "unless every shard is complete and clean; it never modifies the\n"
     "shard stores, so a failed or killed merge can simply be rerun.\n"
     "\n"
-    "--metrics-out writes the fsck.* counters as a JSON metrics snapshot.\n"
-    "\n"
     "exit status:\n"
     "  0  artifacts verified clean (or merge succeeded)\n"
     "  1  issues found and repaired; the artifacts are now clean\n"
     "  2  unrepairable: issues without --repair, repair left the\n"
     "     artifacts dirty, not a campaign checkpoint, merge refused,\n"
-    "     or a usage error\n";
+    "     or a usage error";
 
 int run_merge(const hbmrd::runner::FsckOptions& options) {
   hbmrd::runner::MergeOptions merge;
@@ -78,27 +76,29 @@ int run_merge(const hbmrd::runner::FsckOptions& options) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  hbmrd::runner::FsckOptions options;
-  std::string metrics_out;
-  bool merge_mode = false;
-  try {
-    const hbmrd::util::Cli cli(argc, argv);
-    if (cli.has("--help") || !cli.has("--results")) {
-      std::fputs(kHelp, cli.has("--help") ? stdout : stderr);
-      return cli.has("--help") ? 0 : 2;
-    }
-    options.results_path = cli.get_string("--results", "");
-    options.journal_path = cli.get_string("--journal", "");
-    options.repair = cli.has("--repair");
-    merge_mode = cli.has("--merge-shards");
-    metrics_out = cli.get_string("--metrics-out", "");
-  } catch (const std::exception& error) {
-    // A malformed flag is a usage error, not a crash.
-    std::fprintf(stderr, "campaign_fsck: %s\n%s", error.what(), kHelp);
+  using hbmrd::util::FlagKind;
+  const auto cli = hbmrd::util::Cli::parse_or_exit(
+      argc, argv,
+      {{"--results", FlagKind::kString, "campaign results CSV (required)"},
+       {"--journal", FlagKind::kString, "the campaign's JSONL journal"},
+       {"--repair", FlagKind::kBool,
+        "rewrite the artifacts down to the verified state"},
+       {"--merge-shards", FlagKind::kBool,
+        "merge the shard stores into the canonical artifacts"},
+       {"--metrics-out", FlagKind::kString,
+        "write the fsck.* counters as a JSON snapshot"}},
+      kHelp);
+  if (!cli.has("--results")) {
+    std::fputs("error: --results is required (see --help)\n", stderr);
     return 2;
   }
+  hbmrd::runner::FsckOptions options;
+  options.results_path = cli.get_string("--results", "");
+  options.journal_path = cli.get_string("--journal", "");
+  options.repair = cli.has("--repair");
+  const auto metrics_out = cli.get_string("--metrics-out", "");
 
-  if (merge_mode) return run_merge(options);
+  if (cli.has("--merge-shards")) return run_merge(options);
 
   hbmrd::runner::FsckReport report;
   try {

@@ -17,22 +17,14 @@ int main(int argc, char** argv) {
     const std::vector<std::string> args(argv + 1, argv + argc);
     return hbmrd::serve::cli_main(args, std::cin, std::cout, std::cerr);
   }
-  std::uint64_t seed = hbmrd::dram::kDefaultPlatformSeed;
-  try {
-    const hbmrd::util::Cli cli(argc, argv);
-    if (!cli.positional().empty()) {
-      std::cerr << "hbmrd_shell: unknown verb '" << cli.positional().front()
-                << "' (want export/query/serve, or no verb for the REPL)\n"
-                << hbmrd::serve::usage();
-      return 2;
-    }
-    seed = static_cast<std::uint64_t>(
-        cli.get_int("--seed", static_cast<std::int64_t>(seed)));
-  } catch (const std::exception& error) {
-    // A malformed flag is a usage error, not a crash.
-    std::cerr << "hbmrd_shell: " << error.what() << "\n";
-    return 2;
-  }
+  const auto cli = hbmrd::util::Cli::parse_or_exit(
+      argc, argv,
+      {{"--seed", hbmrd::util::FlagKind::kInt,
+        "platform seed of the REPL's testbed"}},
+      "Interactive shell over the simulated HBM2 testbed ('help' lists its\n"
+      "commands). Verbs: hbmrd_shell export|query|serve, each with --help.");
+  const auto seed = static_cast<std::uint64_t>(cli.get_int(
+      "--seed", static_cast<std::int64_t>(hbmrd::dram::kDefaultPlatformSeed)));
   hbmrd::shell::Shell shell(seed);
   return shell.run(std::cin, std::cout) == 0 ? 0 : 1;
 }
