@@ -22,6 +22,9 @@ int main(int argc, char** argv) {
   std::uint64_t checkered0_beyond = 0;
   std::uint64_t checkered0_words = 0;
   int overall_max = 0;
+  auto csv = ctx.csv("fig15_word_bitflips",
+                     {"pattern", "channel", "row", "bitflips", "words_1",
+                      "words_2", "words_beyond"});
   for (auto pattern : study::kAllPatterns) {
     study::BerConfig config;
     config.pattern = pattern;
@@ -31,6 +34,21 @@ int main(int argc, char** argv) {
         const auto result =
             study::measure_row_ber(chip, map, {{ch, 0, 0}, row}, config);
         analysis.accumulate(result.flipped_bits);
+        if (csv) {
+          study::WordAnalysis row_words;
+          row_words.accumulate(result.flipped_bits);
+          csv->add()
+              .cell(study::to_string(pattern))
+              .cell(ch)
+              .cell(row)
+              .cell(static_cast<long long>(result.flipped_bits.size()))
+              .cell(static_cast<unsigned long long>(
+                  row_words.secded_corrected()))
+              .cell(static_cast<unsigned long long>(
+                  row_words.secded_detected()))
+              .cell(static_cast<unsigned long long>(
+                  row_words.secded_beyond_guarantee()));
+        }
       }
     }
     table.row()

@@ -53,6 +53,11 @@ class ProgramBuilder {
                          std::span<const int> rows, std::uint64_t count,
                          dram::Cycle on_cycles = 0);
 
+  /// Reserves room for `instructions` instructions in total.
+  void reserve(std::size_t instructions) {
+    program_.instructions.reserve(instructions);
+  }
+
   [[nodiscard]] Program build() &&;
 
  private:

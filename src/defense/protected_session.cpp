@@ -12,6 +12,10 @@ namespace {
 /// builder memory during long attack runs.
 constexpr std::size_t kFlushThreshold = 200'000;
 
+/// Room past kFlushThreshold for the append that crosses it (periodic REFs
+/// of every channel, a stall, ACT, on-time WAIT, PRE, a few refreshes).
+constexpr std::size_t kAppendHeadroom = 32;
+
 }  // namespace
 
 ProtectedSession::ProtectedSession(bender::ChipSession* chip,
@@ -113,16 +117,32 @@ void ProtectedSession::flush() {
   next_refresh_ += drift;
 }
 
+void ProtectedSession::reserve_program(std::uint64_t activations_left) {
+  // At least an ACT and a PRE per activation, so the program grows from
+  // its reserve without regrowing (periodic REFs and refreshes aside).
+  if (pending_instructions_ != 0) return;
+  builder_.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
+                       2 * activations_left, kFlushThreshold)) +
+                   kAppendHeadroom);
+}
+
 void ProtectedSession::run(std::span<const Activation> activations) {
-  for (const auto& activation : activations) append(activation);
+  for (std::size_t i = 0; i < activations.size(); ++i) {
+    reserve_program(activations.size() - i);
+    append(activations[i]);
+  }
   flush();
 }
 
 void ProtectedSession::hammer(const dram::BankAddress& bank,
                               std::span<const int> rows,
                               std::uint64_t count) {
+  std::uint64_t left = count * rows.size();
   for (std::uint64_t i = 0; i < count; ++i) {
-    for (int row : rows) append(Activation{bank, row});
+    for (int row : rows) {
+      reserve_program(left--);
+      append(Activation{bank, row});
+    }
   }
   flush();
 }

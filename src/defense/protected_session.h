@@ -69,6 +69,8 @@ class ProtectedSession {
 
  private:
   void append(const Activation& activation);
+  /// Reserves a fresh program for the next `activations_left` activations.
+  void reserve_program(std::uint64_t activations_left);
   void flush();
   /// Fires window-boundary callbacks based on the estimated cycle cursor.
   void advance_estimate(dram::Cycle cycles);

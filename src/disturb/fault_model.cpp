@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 
 #include "util/rng.h"
 
@@ -298,28 +299,6 @@ void FaultModel::fill_membership_plane(std::uint64_t prefix, double fraction,
   }
 }
 
-void FaultModel::fill_uniform_row(std::uint64_t prefix,
-                                  std::span<double> out) noexcept {
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = util::to_unit(util::mix64(prefix ^ static_cast<std::uint64_t>(i)));
-  }
-}
-
-void FaultModel::fill_retention_uniform_row(
-    std::uint64_t leaky_prefix, std::uint64_t normal_prefix,
-    std::span<const std::uint64_t> leaky_plane,
-    std::span<double> out) noexcept {
-  for (std::size_t w = 0; w < leaky_plane.size(); ++w) {
-    const std::uint64_t plane = leaky_plane[w];
-    const std::uint64_t base = static_cast<std::uint64_t>(w) << 6;
-    for (std::uint64_t b = 0; b < 64 && base + b < out.size(); ++b) {
-      const std::uint64_t prefix =
-          ((plane >> b) & 1u) ? leaky_prefix : normal_prefix;
-      out[base + b] = util::to_unit(util::mix64(prefix ^ (base + b)));
-    }
-  }
-}
-
 void FaultModel::fill_power_on_row(const dram::BankAddress& bank,
                                    int physical_row,
                                    std::span<std::uint64_t> out) const {
@@ -327,6 +306,40 @@ void FaultModel::fill_power_on_row(const dram::BankAddress& bank,
   for (std::size_t w = 0; w < out.size(); ++w) {
     out[w] = power_on_word_at(prefix, static_cast<int>(w));
   }
+}
+
+double retention_floor_seconds(const DisturbParams& params,
+                               std::uint64_t min_leaky_key,
+                               std::uint64_t min_normal_key) {
+  const auto retention = [](std::uint64_t key, double median, double sigma) {
+    const double u = util::to_unit(key << 11);
+    return median *
+           std::exp(sigma * util::inverse_normal_cdf(std::max(1e-300, u)));
+  };
+  double minimum = std::numeric_limits<double>::max();
+  if (min_leaky_key != kNoCell) {
+    minimum = std::min(minimum,
+                       retention(min_leaky_key, params.leaky_retention_median_s,
+                                 params.leaky_retention_sigma));
+  }
+  if (min_normal_key != kNoCell) {
+    minimum = std::min(
+        minimum, retention(min_normal_key, params.normal_retention_median_s,
+                           params.normal_retention_sigma));
+  }
+  return minimum;
+}
+
+double min_retention_ref_seconds(const FaultModel& model,
+                                 const dram::BankAddress& bank,
+                                 int physical_row) {
+  const auto prefixes = model.row_hash_prefixes(bank, physical_row);
+  std::array<std::uint64_t, dram::kRowBits / 64> leaky_plane;
+  FaultModel::fill_membership_plane(prefixes.leaky,
+                                    model.params().leaky_cell_fraction,
+                                    leaky_plane);
+  return min_retention_ref_seconds(model.params(), prefixes, leaky_plane,
+                                   [](std::uint64_t, bool, std::uint64_t) {});
 }
 
 }  // namespace hbmrd::disturb

@@ -11,6 +11,7 @@
 // under heavy RowPress amplification.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -154,7 +155,7 @@ class FaultModel {
   // prefix can be hoisted once per row, leaving one mix64 round per cell.
   // The helpers below exploit that seam: mixing a hoisted prefix with a
   // bit index is integer-identical to the corresponding per-cell call, so
-  // planes and uniform rows built from a RowHashPrefixes reproduce the
+  // planes and uniforms computed from a RowHashPrefixes reproduce the
   // scalar hashes bit for bit (asserted by tests/device_bitplane_test.cpp).
 
   /// Hoisted per-row hash prefixes, one per per-cell hash domain.
@@ -175,18 +176,6 @@ class FaultModel {
   /// spans kRowBits/64 words.
   static void fill_membership_plane(std::uint64_t prefix, double fraction,
                                     std::span<std::uint64_t> out) noexcept;
-
-  /// Fills one uniform per cell; out.size() == kRowBits.
-  static void fill_uniform_row(std::uint64_t prefix,
-                               std::span<double> out) noexcept;
-
-  /// Fills each cell's retention uniform from its own population's hash
-  /// domain, selected per cell by `leaky_plane` (as filled above).
-  static void fill_retention_uniform_row(std::uint64_t leaky_prefix,
-                                         std::uint64_t normal_prefix,
-                                         std::span<const std::uint64_t>
-                                             leaky_plane,
-                                         std::span<double> out) noexcept;
 
   /// Fills a row's power-on contents (power_on_word of every word) from
   /// one hoisted prefix; `out` spans kRowBits/64 words.
@@ -211,5 +200,54 @@ class FaultModel {
   /// Stack and driven from one thread, like the threshold cache.
   mutable std::vector<std::pair<dram::Cycle, double>> taggon_memo_;
 };
+
+/// Minimum uniform key of an empty population (no 53-bit key reaches it).
+inline constexpr std::uint64_t kNoCell = ~std::uint64_t{0};
+
+/// Retention at the reference temperature of a row's weakest leaky and
+/// weakest normal cell, given each population's minimum 53-bit uniform key
+/// (kNoCell for an empty population); the smaller of the two, seconds.
+[[nodiscard]] double retention_floor_seconds(const DisturbParams& params,
+                                             std::uint64_t min_leaky_key,
+                                             std::uint64_t min_normal_key);
+
+/// Minimum cell retention of a row at the reference temperature, seconds,
+/// from the row's hash prefixes and its leaky plane (fill_membership_plane
+/// of prefixes.leaky). The scan hashes each cell's retention uniform once
+/// and hands it to `visit(bit, leaky, key)`, where util::to_unit(key << 11)
+/// is the uniform, so a caller that needs every key pays no second pass.
+template <typename Visit>
+[[nodiscard]] double min_retention_ref_seconds(
+    const DisturbParams& params, const FaultModel::RowHashPrefixes& prefixes,
+    std::span<const std::uint64_t> leaky_plane, Visit&& visit) {
+  // to_unit is exact and monotone, so the minimum key gives the minimum
+  // uniform bit for bit.
+  std::uint64_t min_leaky = kNoCell;
+  std::uint64_t min_normal = kNoCell;
+  for (std::size_t w = 0; w < leaky_plane.size(); ++w) {
+    const std::uint64_t plane = leaky_plane[w];
+    const std::uint64_t base = static_cast<std::uint64_t>(w) << 6;
+    for (std::uint64_t b = 0; b < 64; ++b) {
+      const bool leaky = (plane >> b) & 1u;
+      const std::uint64_t key =
+          util::mix64((leaky ? prefixes.leaky_retention
+                             : prefixes.normal_retention) ^
+                      (base + b)) >>
+          11;
+      visit(base + b, leaky, key);
+      if (leaky) {
+        min_leaky = std::min(min_leaky, key);
+      } else {
+        min_normal = std::min(min_normal, key);
+      }
+    }
+  }
+  return retention_floor_seconds(params, min_leaky, min_normal);
+}
+
+/// The same floor for one row of `model`, filling the leaky plane itself.
+[[nodiscard]] double min_retention_ref_seconds(const FaultModel& model,
+                                               const dram::BankAddress& bank,
+                                               int physical_row);
 
 }  // namespace hbmrd::disturb

@@ -7,15 +7,15 @@
 // a summary never goes stale, not even across power cycles or board resets,
 // because the seed defines it.
 //
-// A RowThresholdSummary materializes one row's per-cell uniforms and flags,
-// plus each population's cells sorted ascending by uniform. Since a cell's
-// threshold is median * exp(sigma * Phi^-1(u)), the sorted order IS the
-// threshold order: the head of the weakest population is the row's HC_first
-// cell, and walking the sorted tail yields the HC_2nd..HC_nth thresholds
-// that BER-vs-hammer-count queries sweep across. Every sense reads its
-// row's summary: the prefixes of the sorted lists that a conservative dose
-// (or elapsed-time) bound cannot rule out form the sense's candidate mask,
-// and the bit planes below decide those candidates a word at a time.
+// A RowThresholdSummary holds what every sense of its row reads: the
+// population bit planes, and each population's cells grouped by the top
+// bits of their uniform. A cell's threshold is median * exp(sigma *
+// Phi^-1(u)), so "which cells can flip at this dose" is "which cells of
+// each population have u <= bound": every bucket below the bound's own is
+// taken whole, and only the bound's bucket compares uniforms. Those cells
+// form the sense's candidate mask, and the bit planes below decide them a
+// word at a time. The summary stores no uniform: a candidate's is one hash
+// of a stored per-row prefix, bit-identical to the fault model's.
 //
 // Threading: a cache belongs to one dram::Stack owner and is accessed from
 // a single thread (the parallel campaign runner gives every worker its own
@@ -26,49 +26,109 @@
 #include <cstdint>
 #include <list>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "disturb/fault_model.h"
 #include "dram/geometry.h"
+#include "util/rng.h"
 
 namespace hbmrd::disturb {
 
-struct RowThresholdSummary {
-  // Population/orientation flags, one byte per cell.
-  static constexpr std::uint8_t kTrueCell = 1;  // charged state stores 1
-  static constexpr std::uint8_t kLeaky = 2;     // leaky retention population
-  static constexpr std::uint8_t kOutlier = 4;   // outlier threshold population
-  static constexpr std::uint8_t kWeak = 8;      // weak threshold population
+/// One population family's cells, grouped by population and then by
+/// uniform bucket: population p's bucket k holds, in ascending bit order,
+/// the cells whose uniform lies in [k, k + 1) / kBuckets. The family
+/// partitions the row, so every cell appears exactly once.
+template <int kPopulations>
+struct BucketedCells {
+  static constexpr int kBucketBits = 11;
+  static constexpr int kBuckets = 1 << kBucketBits;
+  static_assert(dram::kRowBits <= 0xFFFF,
+                "cell indices and offsets are uint16_t");
 
+  /// Bucket of a cell whose hash is `h` (uniform = util::to_unit(h)).
+  [[nodiscard]] static constexpr int bucket_of(std::uint64_t h) noexcept {
+    return static_cast<int>(h >> (64 - kBucketBits));
+  }
+
+  /// cells[starts[p * kBuckets + k] .. starts[p * kBuckets + k + 1]) is
+  /// population p's bucket k.
+  std::array<std::uint16_t, dram::kRowBits> cells;
+  std::array<std::uint16_t, kPopulations * kBuckets + 1> starts;
+
+  /// Population p's cells, bucket by bucket.
+  [[nodiscard]] std::span<const std::uint16_t> population(int p) const {
+    return range(p * kBuckets, (p + 1) * kBuckets);
+  }
+  /// Cells of population p's buckets [first, last).
+  [[nodiscard]] std::span<const std::uint16_t> buckets(int p, int first,
+                                                       int last) const {
+    return range(p * kBuckets + first, p * kBuckets + last);
+  }
+
+ private:
+  [[nodiscard]] std::span<const std::uint16_t> range(int first,
+                                                     int last) const {
+    return std::span(cells).subspan(
+        starts[static_cast<std::size_t>(first)],
+        static_cast<std::size_t>(starts[static_cast<std::size_t>(last)] -
+                                 starts[static_cast<std::size_t>(first)]));
+  }
+};
+
+struct RowThresholdSummary {
   /// One bit per cell, 64 cells per word (bit b of word w = cell 64*w+b).
   static constexpr int kPlaneWords = dram::kRowBits / 64;
   using BitPlane = std::array<std::uint64_t, kPlaneWords>;
 
+  /// Threshold populations (membership precedence: outlier over weak).
+  enum ThresholdPopulation { kOutlier, kWeak, kBulk };
+  /// Retention populations.
+  enum RetentionPopulation { kLeaky, kNormal };
+
   RowContext ctx;
   /// Minimum cell retention at the reference temperature, seconds
-  /// (bit-identical to Bank's lazy per-row scan).
+  /// (disturb::min_retention_ref_seconds of this row).
   double min_retention_ref_s = 0.0;
 
-  /// Per-cell raw uniforms (verbatim fault-model hash results).
-  std::vector<double> cell_u;       // threshold deviate uniform
-  std::vector<double> retention_u;  // retention deviate uniform (own pop.)
-  std::vector<std::uint8_t> flags;
+  /// Hash prefixes of the per-cell uniforms (FaultModel::RowHashPrefixes).
+  std::uint64_t threshold_prefix = 0;
+  std::uint64_t leaky_retention_prefix = 0;
+  std::uint64_t normal_retention_prefix = 0;
 
-  /// Cells of each threshold population, sorted ascending by cell_u —
-  /// i.e. weakest threshold first (HC_first at the head).
-  std::vector<int> outlier_by_u;
-  std::vector<int> weak_by_u;
-  std::vector<int> bulk_by_u;
-  /// Cells of each retention population, sorted ascending by retention_u.
-  std::vector<int> leaky_by_u;
-  std::vector<int> normal_by_u;
+  /// Raw uniform of a cell's threshold deviate
+  /// (FaultModel::cell_threshold_uniform, bit for bit).
+  [[nodiscard]] double threshold_u(int bit) const noexcept {
+    return util::to_unit(
+        util::mix64(threshold_prefix ^ static_cast<std::uint64_t>(bit)));
+  }
+  /// Raw uniform of a cell's retention deviate in its own population
+  /// (FaultModel::retention_uniform, bit for bit).
+  [[nodiscard]] double retention_u(int bit, bool leaky) const noexcept {
+    return util::to_unit(
+        util::mix64((leaky ? leaky_retention_prefix : normal_retention_prefix) ^
+                    static_cast<std::uint64_t>(bit)));
+  }
 
-  /// The same memberships as `flags`, one bit per cell, for the
-  /// word-parallel sense path (dram/bank.cpp): a cell is charged iff its
-  /// stored bit equals its true_plane bit, a whole word at a time.
-  /// weak_plane excludes outlier cells (same precedence as `flags`).
+  /// Set the mask bit of every cell of one population whose uniform is
+  /// <= `bound`: the cells a sense cannot rule out. Whole buckets below the
+  /// bound's are marked without reading a uniform.
+  void mark_threshold_at_most(ThresholdPopulation p, double bound,
+                              std::span<std::uint64_t> mask) const;
+  void mark_retention_at_most(RetentionPopulation p, double bound,
+                              std::span<std::uint64_t> mask) const;
+
+  /// Outlier, weak and bulk cells by threshold uniform.
+  BucketedCells<3> by_threshold;
+  /// Leaky and normal cells by retention uniform.
+  BucketedCells<2> by_retention;
+
+  /// Population memberships, one bit per cell, for the word-parallel sense
+  /// path (dram/bank.cpp): a cell is charged iff its stored bit equals its
+  /// true_plane bit, a whole word at a time. weak_plane excludes outlier
+  /// cells; a cell in neither is bulk.
   BitPlane true_plane{};
   BitPlane leaky_plane{};
   BitPlane outlier_plane{};
@@ -78,23 +138,12 @@ struct RowThresholdSummary {
   BitPlane power_on{};
 };
 
-/// Reusable sort scratch for build_row_summary; owning one amortizes the
-/// allocation across builds (BankThresholdCache keeps one per bank).
-struct SummaryBuildScratch {
-  /// (integer uniform key, bit) pairs; the 53-bit key reproduces the
-  /// double uniform exactly, so integer order == double order.
-  std::vector<std::pair<std::uint64_t, int>> keyed;
-  std::vector<std::pair<std::uint64_t, int>> sorted;
-  std::vector<std::uint32_t> bucket_heads;
-};
-
-/// Builds the summary for one row (pure function of the model's seed and
-/// the coordinates; exposed for tests and benchmarks). `scratch` is
-/// optional; passing one makes repeated builds allocation-free apart from
-/// the summary's own storage.
-[[nodiscard]] RowThresholdSummary build_row_summary(
-    const FaultModel& model, const dram::BankAddress& bank, int physical_row,
-    SummaryBuildScratch* scratch = nullptr);
+/// Builds one row's summary into `out`, overwriting all of it (a pure
+/// function of the model's seed and the coordinates). Reusing `out` makes
+/// a rebuild allocation-free; BankThresholdCache rebuilds into the entry
+/// it evicts.
+void build_row_summary(const FaultModel& model, const dram::BankAddress& bank,
+                       int physical_row, RowThresholdSummary& out);
 
 struct ThresholdCacheStats {
   std::uint64_t hits = 0;
@@ -124,7 +173,8 @@ struct ThresholdCacheStats {
   [[nodiscard]] std::uint64_t lookups() const { return hits + misses; }
 };
 
-/// LRU over one bank's rows. Entries are immutable once built.
+/// LRU over one bank's rows. Entries are immutable once built; a miss on a
+/// full cache rebuilds the least recently used entry in place.
 class BankThresholdCache {
  public:
   BankThresholdCache(dram::BankAddress address, std::size_t capacity)
@@ -155,7 +205,6 @@ class BankThresholdCache {
   /// Rows looked up since the last begin_epoch() (summary_* accounting).
   std::unordered_set<int> epoch_rows_;
   ThresholdCacheStats stats_;
-  SummaryBuildScratch build_scratch_;
 };
 
 /// Stack-level owner: one lazily created BankThresholdCache per bank.

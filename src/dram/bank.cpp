@@ -4,10 +4,7 @@
 #include <array>
 #include <bit>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
-
-#include "util/rng.h"
 
 namespace hbmrd::dram {
 
@@ -57,16 +54,6 @@ struct DoseProb {
   double bulk_probability;
 };
 
-/// Sets the mask bit of every cell at the head of a population's
-/// sorted-by-uniform order whose uniform is <= `bound`.
-void mark_prefix(const std::vector<int>& order, const std::vector<double>& u,
-                 double bound, std::span<std::uint64_t> mask) {
-  for (int bit : order) {
-    if (u[static_cast<std::size_t>(bit)] > bound) break;
-    mask[static_cast<std::size_t>(bit >> 6)] |= 1ull << (bit & 63);
-  }
-}
-
 }  // namespace
 
 /// Per-bank scratch for the sense/hammer hot paths; lazily allocated so
@@ -89,10 +76,6 @@ struct Bank::SenseArena {
   /// Candidate cells of the sense in progress, one bit per cell. All zero
   /// between senses: the word loop clears each word it consumes.
   std::array<std::uint64_t, RowBits::kWords> candidates{};
-
-  // Leaky plane and retention uniforms of min_retention_ref_seconds().
-  std::array<std::uint64_t, RowBits::kWords> leaky_plane{};
-  std::vector<double> retention_u;
 
   // Ping-pong buffers for the per-word class split (<= 64 non-empty
   // groups can exist at any stage: they partition 64 bits).
@@ -337,11 +320,16 @@ void Bank::sense_and_restore(int physical_row, RowState& row, Cycle now) {
     // senses below it skip the per-cell retention pass entirely. A cached
     // summary (if the row's is already built) carries the identical value.
     if (row.min_retention_ref_s < 0.0) {
-      const disturb::RowThresholdSummary* cached =
-          threshold_cache_->peek(physical_row);
-      row.min_retention_ref_s = cached
-                                    ? cached->min_retention_ref_s
-                                    : min_retention_ref_seconds(physical_row);
+      if (const auto* cached = threshold_cache_->peek(physical_row)) {
+        row.min_retention_ref_s = cached->min_retention_ref_s;
+      } else {
+        // Counted as the two plane passes it costs (leaky membership and
+        // retention uniforms).
+        counters_.sense_word_ops +=
+            static_cast<std::uint64_t>(2 * RowBits::kWords);
+        row.min_retention_ref_s = disturb::min_retention_ref_seconds(
+            *fault_, address_, physical_row);
+      }
     }
     const auto& params = fault_->params();
     const double min_at_temp =
@@ -405,23 +393,23 @@ void Bank::sense_and_restore(int physical_row, RowState& row, Cycle now) {
     return;
   }
 
-  // Candidate mask: per population, the sorted-by-uniform prefix of cells
-  // that the conservative bounds cannot rule out. The decisions below are
+  // Candidate mask: per population, the cells whose uniform the
+  // conservative bounds cannot rule out. The decisions below are
   // exact for any superset of the flipping cells, so one union mask serves
   // retention and disturbance alike.
-  const disturb::RowThresholdSummary& summary =
-      threshold_cache_->get(*fault_, physical_row);
+  using Summary = disturb::RowThresholdSummary;
+  const Summary& summary = threshold_cache_->get(*fault_, physical_row);
   SenseArena& a = arena();
   if (check_retention) {
     // A cell loses its charge only if its retention uniform is <= its
-    // population's u_max; the prefixes cover exactly those cells.
+    // population's u_max; the marks cover exactly those cells.
     if (leaky_u_max > 0.0) {
-      mark_prefix(summary.leaky_by_u, summary.retention_u, leaky_u_max,
-                  a.candidates);
+      summary.mark_retention_at_most(Summary::kLeaky, leaky_u_max,
+                                     a.candidates);
     }
     if (normal_u_max > 0.0) {
-      mark_prefix(summary.normal_by_u, summary.retention_u, normal_u_max,
-                  a.candidates);
+      summary.mark_retention_at_most(Summary::kNormal, normal_u_max,
+                                     a.candidates);
     }
   }
   if (check_disturb) {
@@ -439,14 +427,16 @@ void Bank::sense_and_restore(int physical_row, RowState& row, Cycle now) {
     const double bulk_bound =
         flip_probability(dose_bound, ctx.bulk_median, ctx.bulk_sigma);
     if (outlier_bound > 0.0) {
-      mark_prefix(summary.outlier_by_u, summary.cell_u, outlier_bound,
-                  a.candidates);
+      summary.mark_threshold_at_most(Summary::kOutlier, outlier_bound,
+                                     a.candidates);
     }
     if (weak_bound > 0.0) {
-      mark_prefix(summary.weak_by_u, summary.cell_u, weak_bound, a.candidates);
+      summary.mark_threshold_at_most(Summary::kWeak, weak_bound,
+                                     a.candidates);
     }
     if (bulk_bound > 0.0) {
-      mark_prefix(summary.bulk_by_u, summary.cell_u, bulk_bound, a.candidates);
+      summary.mark_threshold_at_most(Summary::kBulk, bulk_bound,
+                                     a.candidates);
     }
   }
 
@@ -523,9 +513,9 @@ void Bank::sense_and_restore(int physical_row, RowState& row, Cycle now) {
       while (cand != 0) {
         const int b = std::countr_zero(cand);
         cand &= cand - 1;
-        const double u_max = ((lk >> b) & 1u) ? leaky_u_max : normal_u_max;
-        if (summary.retention_u[static_cast<std::size_t>(w * 64 + b)] <=
-            u_max) {
+        const bool leaky = (lk >> b) & 1u;
+        if (summary.retention_u(w * 64 + b, leaky) <=
+            (leaky ? leaky_u_max : normal_u_max)) {
           flips |= 1ull << b;
         }
       }
@@ -583,7 +573,7 @@ void Bank::sense_and_restore(int physical_row, RowState& row, Cycle now) {
         while (m != 0) {
           const int b = std::countr_zero(m);
           m &= m - 1;
-          const double u = summary.cell_u[static_cast<std::size_t>(w * 64 + b)];
+          const double u = summary.threshold_u(w * 64 + b);
           // Sound screen: every population's probability <= p_max.
           if (u > p_max) continue;
           double probability = p.bulk_probability;
@@ -616,49 +606,6 @@ void Bank::sense_and_restore(int physical_row, RowState& row, Cycle now) {
 
   row.ledger.clear();
   row.last_restore = now;
-}
-
-double Bank::min_retention_ref_seconds(int physical_row) {
-  const auto& params = fault_->params();
-  // Word-batched: one hoisted hash prefix per property instead of two
-  // hash_key folds per cell; the resulting uniforms are bit-identical.
-  const auto prefixes = fault_->row_hash_prefixes(address_, physical_row);
-  SenseArena& a = arena();
-  disturb::FaultModel::fill_membership_plane(
-      prefixes.leaky, params.leaky_cell_fraction, a.leaky_plane);
-  a.retention_u.resize(static_cast<std::size_t>(kRowBits));
-  disturb::FaultModel::fill_retention_uniform_row(
-      prefixes.leaky_retention, prefixes.normal_retention, a.leaky_plane,
-      a.retention_u);
-  counters_.sense_word_ops +=
-      static_cast<std::uint64_t>(2 * RowBits::kWords);
-  double min_u_leaky = 2.0;
-  double min_u_normal = 2.0;
-  for (int bit = 0; bit < kRowBits; ++bit) {
-    const double u = a.retention_u[static_cast<std::size_t>(bit)];
-    if ((a.leaky_plane[static_cast<std::size_t>(bit >> 6)] >> (bit & 63)) &
-        1u) {
-      min_u_leaky = std::min(min_u_leaky, u);
-    } else {
-      min_u_normal = std::min(min_u_normal, u);
-    }
-  }
-  double minimum = std::numeric_limits<double>::max();
-  if (min_u_leaky <= 1.0) {
-    minimum = std::min(
-        minimum, params.leaky_retention_median_s *
-                     std::exp(params.leaky_retention_sigma *
-                              util::inverse_normal_cdf(
-                                  std::max(1e-300, min_u_leaky))));
-  }
-  if (min_u_normal <= 1.0) {
-    minimum = std::min(
-        minimum, params.normal_retention_median_s *
-                     std::exp(params.normal_retention_sigma *
-                              util::inverse_normal_cdf(
-                                  std::max(1e-300, min_u_normal))));
-  }
-  return minimum;
 }
 
 void Bank::disturb_neighbors(int aggressor_row, double dose, Cycle now) {

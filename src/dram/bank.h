@@ -450,9 +450,6 @@ class Bank {
   /// without contents) and writes flips into a fresh buffer.
   void sense_and_restore(int physical_row, RowState& row, Cycle now);
 
-  /// Minimum cell retention of a row at the reference temperature.
-  [[nodiscard]] double min_retention_ref_seconds(int physical_row);
-
   /// Applies the disturbance of one aggressor activation burst to the
   /// aggressor's in-subarray neighbours. The aggressor must have state.
   /// Reserves room for the victims first, so each victim is resolved once

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <charconv>
 
-#include "disturb/threshold_cache.h"
+#include "disturb/fault_model.h"
 #include "dram/timing.h"
 #include "study/hc_first.h"
 #include "util/parse.h"
@@ -137,9 +137,8 @@ double simulate_min_retention(FallbackSession& session,
                               const dram::RowAddress& victim) {
   auto& chip = session.canonical();
   const int physical = session.map().to_physical(victim.row);
-  return disturb::build_row_summary(chip.stack().fault_model(), victim.bank,
-                                    physical)
-      .min_retention_ref_s;
+  return disturb::min_retention_ref_seconds(chip.stack().fault_model(),
+                                            victim.bank, physical);
 }
 
 bool QueryEngine::overlay_find(const OverlayKey& key, std::uint64_t* value) {

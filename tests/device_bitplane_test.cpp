@@ -5,7 +5,7 @@
 // for every device state, and campaign artifacts stay byte-identical
 // across --jobs. These tests pin that down at three levels: the plane-fill
 // primitives against the per-cell fault-model hashes, the cached summary's
-// planes against its per-cell flags, and a seeded differential fuzz that
+// planes against the per-cell predicates, and a seeded differential fuzz that
 // checks every read of a warm-cache and a cold-cache bank against the
 // oracle.
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -85,25 +86,17 @@ TEST(BitplanePrimitives, MembershipPlanesMatchPerCellPredicates) {
 }
 
 TEST(BitplanePrimitives, UniformRowsMatchPerCellHashes) {
+  // The summary recomputes each uniform from a stored row prefix.
   const disturb::FaultModel model(test_params());
-  const auto& params = model.params();
   for (int row : {3, 4300}) {
-    const auto prefixes = model.row_hash_prefixes(kAddr, row);
-    std::array<std::uint64_t, RowBits::kWords> leaky{};
-    disturb::FaultModel::fill_membership_plane(
-        prefixes.leaky, params.leaky_cell_fraction, leaky);
-    std::vector<double> cell_u(kRowBits);
-    std::vector<double> retention_u(kRowBits);
-    disturb::FaultModel::fill_uniform_row(prefixes.cell_threshold, cell_u);
-    disturb::FaultModel::fill_retention_uniform_row(
-        prefixes.leaky_retention, prefixes.normal_retention, leaky,
-        retention_u);
+    disturb::RowThresholdSummary s;
+    disturb::build_row_summary(model, kAddr, row, s);
     for (int bit = 0; bit < kRowBits; ++bit) {
-      const auto i = static_cast<std::size_t>(bit);
-      ASSERT_EQ(cell_u[i], model.cell_threshold_uniform(kAddr, row, bit))
+      ASSERT_EQ(s.threshold_u(bit),
+                model.cell_threshold_uniform(kAddr, row, bit))
           << "row " << row << " bit " << bit;
       const bool is_leaky = model.is_leaky_cell(kAddr, row, bit);
-      ASSERT_EQ(retention_u[i],
+      ASSERT_EQ(s.retention_u(bit, is_leaky),
                 model.retention_uniform(kAddr, row, bit, is_leaky))
           << "row " << row << " bit " << bit;
     }
@@ -130,28 +123,36 @@ TEST(BitplanePrimitives, MembershipThresholdMatchesUnitCompare) {
 }
 
 // ---------------------------------------------------------------------------
-// Cached summary: planes agree with the per-cell flags and power-on words.
+// Cached summary: planes and retention floor agree with the per-cell
+// fault-model predicates.
 
-TEST(BitplaneSummary, PlanesMatchFlagsAndPowerOn) {
+TEST(BitplaneSummary, PlanesMatchPredicatesAndPowerOn) {
   const disturb::FaultModel model(test_params());
-  const auto s = disturb::build_row_summary(model, kAddr, 4300);
-  using Summary = disturb::RowThresholdSummary;
+  constexpr int kRow = 4300;
+  disturb::RowThresholdSummary s;
+  disturb::build_row_summary(model, kAddr, kRow, s);
+  double min_retention = std::numeric_limits<double>::max();
   for (int bit = 0; bit < kRowBits; ++bit) {
     const auto w = static_cast<std::size_t>(bit >> 6);
     const int b = bit & 63;
-    const std::uint8_t flags = s.flags[static_cast<std::size_t>(bit)];
+    const bool outlier = model.is_outlier_cell(kAddr, kRow, bit);
+    const bool weak =
+        !outlier && model.is_weak_cell(kAddr, kRow, bit, s.ctx.weak_density);
+    const bool leaky = model.is_leaky_cell(kAddr, kRow, bit);
     EXPECT_EQ((s.true_plane[w] >> b) & 1u,
-              (flags & Summary::kTrueCell) ? 1u : 0u);
-    EXPECT_EQ((s.leaky_plane[w] >> b) & 1u,
-              (flags & Summary::kLeaky) ? 1u : 0u);
-    EXPECT_EQ((s.outlier_plane[w] >> b) & 1u,
-              (flags & Summary::kOutlier) ? 1u : 0u);
-    EXPECT_EQ((s.weak_plane[w] >> b) & 1u,
-              (flags & Summary::kWeak) ? 1u : 0u);
+              model.is_true_cell(kAddr, kRow, bit) ? 1u : 0u);
+    EXPECT_EQ((s.leaky_plane[w] >> b) & 1u, leaky ? 1u : 0u);
+    EXPECT_EQ((s.outlier_plane[w] >> b) & 1u, outlier ? 1u : 0u);
+    EXPECT_EQ((s.weak_plane[w] >> b) & 1u, weak ? 1u : 0u);
+    min_retention = std::min(
+        min_retention,
+        model.retention_seconds(kAddr, kRow, bit,
+                                test_params().retention_ref_temp_c));
   }
+  EXPECT_DOUBLE_EQ(s.min_retention_ref_s, min_retention);
   for (int w = 0; w < RowBits::kWords; ++w) {
     EXPECT_EQ(s.power_on[static_cast<std::size_t>(w)],
-              model.power_on_word(kAddr, 4300, w))
+              model.power_on_word(kAddr, kRow, w))
         << "word " << w;
   }
 }
