@@ -5,7 +5,9 @@
 # with no value and a value of the wrong kind must each end the program
 # with exit code 2 and a one-line message naming the flag, not an
 # uncaught exception (exit 134), a silently ignored flag, or a failure
-# deep inside the sweep.
+# deep inside the sweep. The hbmrd_shell verbs read numbers as every
+# harness does (decimal integers), so a hex --seed is a value of the
+# wrong kind; a verb follows its message with its usage line.
 #
 # Usage: cmake -DFIG04=<binary> -DFIG07=<binary> -DFIG10=<binary>
 #              -DSHELL=<binary> -DWORK_DIR=<dir> -P check.cmake
@@ -51,3 +53,7 @@ if(EXISTS "${metrics}")
   message(FATAL_ERROR "fig10 wrote ${metrics} although it rejected the flag")
 endif()
 expect_rejected("error: unknown flag --bogus" "${SHELL}" --bogus)
+expect_rejected("error: --seed expects an integer, got '0x10'\nusage: \
+hbmrd_shell export|query|serve [flags]; <verb> --help lists the verb's flags"
+                "${SHELL}" export --index "${WORK_DIR}/x.hbmidx" --measure
+                --rows 0..1 --seed 0x10)

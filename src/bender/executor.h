@@ -22,6 +22,7 @@
 
 #include "bender/program.h"
 #include "dram/stack.h"
+#include "util/counters.h"
 
 namespace hbmrd::bender {
 
@@ -37,6 +38,13 @@ struct ExecutorCounters {
   std::uint64_t pres = 0;  // PRE and PREA commands
   std::uint64_t refs = 0;
   std::uint64_t bulk_hammer_windows = 0;
+
+  static constexpr util::CounterField<ExecutorCounters> kCounterFields[] = {
+      {"exec.acts", &ExecutorCounters::acts},
+      {"exec.pres", &ExecutorCounters::pres},
+      {"exec.refs", &ExecutorCounters::refs},
+      {"exec.hammer_windows", &ExecutorCounters::bulk_hammer_windows},
+  };
 };
 
 struct ExecutionResult {

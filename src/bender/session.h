@@ -17,6 +17,7 @@
 #include "bender/program.h"
 #include "dram/chip_profiles.h"
 #include "dram/stack.h"
+#include "util/counters.h"
 
 namespace hbmrd::bender {
 
@@ -32,6 +33,12 @@ struct ProbeCounters {
   /// Aggressor activations a from-scratch probe would have replayed but a
   /// checkpoint restore skipped.
   std::uint64_t hammers_saved = 0;
+
+  static constexpr util::CounterField<ProbeCounters> kCounterFields[] = {
+      {"study.hc_probes", &ProbeCounters::hc_probes},
+      {"study.hammers_replayed", &ProbeCounters::hammers_replayed},
+      {"study.hammers_saved", &ProbeCounters::hammers_saved},
+  };
 };
 
 class ChipSession {

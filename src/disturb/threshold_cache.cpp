@@ -164,14 +164,7 @@ const RowThresholdSummary& BankThresholdCache::get(const FaultModel& model,
 ThresholdCacheStats ThresholdCache::totals() const {
   ThresholdCacheStats total;
   for (const auto& bank : banks_) {
-    if (!bank) continue;
-    total.hits += bank->stats().hits;
-    total.misses += bank->stats().misses;
-    total.builds += bank->stats().builds;
-    total.evictions += bank->stats().evictions;
-    total.summary_hits += bank->stats().summary_hits;
-    total.summary_misses += bank->stats().summary_misses;
-    total.summary_evictions += bank->stats().summary_evictions;
+    if (bank) util::fold_counters(total, bank->stats());
   }
   return total;
 }

@@ -33,6 +33,7 @@
 
 #include "disturb/fault_model.h"
 #include "dram/geometry.h"
+#include "util/counters.h"
 #include "util/rng.h"
 
 namespace hbmrd::disturb {
@@ -171,6 +172,18 @@ struct ThresholdCacheStats {
   /// cache served the trial (telemetry). docs/OBSERVABILITY.md states the
   /// contract. summary_hits + summary_misses == lookups() always.
   [[nodiscard]] std::uint64_t lookups() const { return hits + misses; }
+
+  /// `cache.lookups` is derived, so the campaign runner adds it itself.
+  using enum util::MetricKind;
+  static constexpr util::CounterField<ThresholdCacheStats> kCounterFields[] = {
+      {"cache.hits", &ThresholdCacheStats::hits, kTelemetry},
+      {"cache.misses", &ThresholdCacheStats::misses, kTelemetry},
+      {"cache.builds", &ThresholdCacheStats::builds, kTelemetry},
+      {"cache.evictions", &ThresholdCacheStats::evictions, kTelemetry},
+      {"cache.summary_hits", &ThresholdCacheStats::summary_hits},
+      {"cache.summary_misses", &ThresholdCacheStats::summary_misses},
+      {"cache.summary_evictions", &ThresholdCacheStats::summary_evictions},
+  };
 };
 
 /// LRU over one bank's rows. Entries are immutable once built; a miss on a

@@ -29,6 +29,7 @@
 #include "dram/geometry.h"
 #include "dram/row_data.h"
 #include "dram/timing.h"
+#include "util/counters.h"
 
 namespace hbmrd::dram {
 
@@ -57,8 +58,19 @@ struct BankCounters {
   /// floor scan.
   std::uint64_t sense_word_ops = 0;
   /// Candidate cells of senses: the popcount of each sense's candidate
-  /// mask (the union of the summary prefixes the bounds cannot rule out).
+  /// mask (the population buckets the bounds cannot rule out).
   std::uint64_t sense_cells_visited = 0;
+
+  static constexpr util::CounterField<BankCounters> kCounterFields[] = {
+      {"device.acts", &BankCounters::activations},
+      {"device.refs", &BankCounters::refresh_commands},
+      {"device.victim_refreshes", &BankCounters::defense_victim_refreshes},
+      {"device.bitflips", &BankCounters::bitflips_materialized},
+      {"device.hammer_windows", &BankCounters::bulk_hammer_windows},
+      {"device.dedup_hits", &BankCounters::hammer_dedup_hits},
+      {"device.sense_word_ops", &BankCounters::sense_word_ops},
+      {"device.sense_cells_visited", &BankCounters::sense_cells_visited},
+  };
 };
 
 /// One activation of the hammer fast path: a row kept open for `on_cycles`.
@@ -443,9 +455,9 @@ class Bank {
 
   /// Sense: applies retention decay and disturbance flips to the stored
   /// bits, then clears the dose ledger and resets the retention clock.
-  /// Three stages: the deterministic early-outs; a candidate mask built
-  /// from the row summary's sorted population prefixes; one word loop that
-  /// decides the candidates 64 cells at a time. The loop reads the
+  /// Three stages: the deterministic early-outs; a candidate mask of the
+  /// row summary's population buckets the bounds cannot rule out; one word
+  /// loop that decides the candidates 64 cells at a time. The loop reads the
   /// pre-sense contents in place (the summary's power-on plane for a row
   /// without contents) and writes flips into a fresh buffer.
   void sense_and_restore(int physical_row, RowState& row, Cycle now);

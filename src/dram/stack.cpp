@@ -165,16 +165,7 @@ Cycle Stack::bulk_hammer(const BankAddress& address,
 
 BankCounters Stack::total_counters() const {
   BankCounters totals;
-  for (const auto& bank : banks_) {
-    const auto& c = bank.counters();
-    totals.activations += c.activations;
-    totals.defense_victim_refreshes += c.defense_victim_refreshes;
-    totals.bitflips_materialized += c.bitflips_materialized;
-    totals.bulk_hammer_windows += c.bulk_hammer_windows;
-    totals.hammer_dedup_hits += c.hammer_dedup_hits;
-    totals.sense_word_ops += c.sense_word_ops;
-    totals.sense_cells_visited += c.sense_cells_visited;
-  }
+  for (const auto& bank : banks_) util::fold_counters(totals, bank.counters());
   for (const auto& channel : channels_) {
     totals.refresh_commands +=
         channel.issued() * static_cast<std::uint64_t>(kBanksPerChannel);

@@ -16,6 +16,7 @@
 #include "bender/platform.h"
 #include "bender/session.h"
 #include "fault/fault_plan.h"
+#include "util/counters.h"
 
 namespace hbmrd::fault {
 
@@ -79,12 +80,17 @@ class FaultyChip final : public bender::ChipSession {
       return by_kind[static_cast<std::size_t>(kind)];
     }
 
+    /// The scalar counters; by_kind is folded by merge() alone.
+    static constexpr util::CounterField<Stats> kCounterFields[] = {
+        {"faults.injected", &Stats::injected_total},
+        {"faults.thermal_excursions", &Stats::thermal_excursions},
+    };
+
     void merge(const Stats& other) {
-      injected_total += other.injected_total;
+      util::fold_counters(*this, other);
       for (std::size_t k = 0; k < by_kind.size(); ++k) {
         by_kind[k] += other.by_kind[k];
       }
-      thermal_excursions += other.thermal_excursions;
     }
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }

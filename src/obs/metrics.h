@@ -30,16 +30,14 @@
 #include <string_view>
 #include <vector>
 
+#include "util/counters.h"
 #include "util/store.h"
 
 namespace hbmrd::obs {
 
 class TraceRecorder;
 
-enum class MetricKind {
-  kDeterministic,  // must match across --jobs N; part of the fingerprint
-  kTelemetry,      // host-side observation; excluded from the fingerprint
-};
+using util::MetricKind;
 
 struct Histogram {
   /// Upper bounds of the finite buckets, ascending; values above the last
@@ -104,5 +102,22 @@ class MetricsRegistry {
   std::map<std::string, double, std::less<>> gauges_;
   std::map<std::string, Histogram, std::less<>> histograms_;
 };
+
+/// Adds each counter in S's field list under its metric name and kind.
+template <class S>
+void add_counters(MetricsRegistry& metrics, const S& counters) {
+  for (const auto& field : S::kCounterFields) {
+    metrics.add(field.name, counters.*field.member, field.kind);
+  }
+}
+
+/// Registers S's deterministic counters at zero, so a snapshot carries them
+/// even when a count stays zero. Telemetry counters appear when first added.
+template <class S>
+void preregister(MetricsRegistry& metrics) {
+  for (const auto& field : S::kCounterFields) {
+    if (field.kind == MetricKind::kDeterministic) metrics.add(field.name, 0);
+  }
+}
 
 }  // namespace hbmrd::obs

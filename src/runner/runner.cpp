@@ -29,42 +29,16 @@ struct Recovery {
   bool journal_has_begin = false;
 };
 
-void accumulate(dram::BankCounters& into, const dram::BankCounters& delta) {
-  into.activations += delta.activations;
-  into.refresh_commands += delta.refresh_commands;
-  into.defense_victim_refreshes += delta.defense_victim_refreshes;
-  into.bitflips_materialized += delta.bitflips_materialized;
-  into.bulk_hammer_windows += delta.bulk_hammer_windows;
-  into.hammer_dedup_hits += delta.hammer_dedup_hits;
-  into.sense_word_ops += delta.sense_word_ops;
-  into.sense_cells_visited += delta.sense_cells_visited;
-}
-
-/// Deterministic counter names pre-registered at campaign start, so every
-/// snapshot carries the full catalog even when a count stays zero (the CI
-/// smoke job diffs the key set). docs/OBSERVABILITY.md documents each.
+/// The runner's own deterministic counters, pre-registered at campaign
+/// start with the counter structs' (obs::preregister) so every snapshot
+/// carries the full catalogue. docs/OBSERVABILITY.md documents each.
 constexpr const char* kDeterministicCatalog[] = {
     "campaign.trials",        "campaign.completed",
     "campaign.resumed",       "campaign.quarantined",
     "campaign.retries",       "campaign.guard_blocks",
     "campaign.aborts",        "recovery.corrupt_rows",
     "recovery.rolled_back_rows", "recovery.tail_truncations",
-    "recovery.header_rebuilds",  "exec.acts",
-    "exec.pres",              "exec.refs",
-    "exec.hammer_windows",    "device.acts",
-    "device.refs",            "device.victim_refreshes",
-    "device.bitflips",        "device.hammer_windows",
-    "device.dedup_hits",      "device.sense_word_ops",
-    "device.sense_cells_visited", "cache.lookups",
-    "cache.summary_hits",     "cache.summary_misses",
-    "cache.summary_evictions",
-    "study.hc_probes",        "study.hammers_replayed",
-    "study.hammers_saved",    "faults.injected",
-    "faults.thermal_excursions",
-    "store.appends",          "store.append_bytes",
-    "store.fsyncs",           "store.replaces",
-    "store.reads",            "store.opens",
-    "store.truncates",        "store.removes",
+    "recovery.header_rebuilds",  "cache.lookups",
 };
 
 std::string hex32(std::uint32_t value) { return util::crc32c_hex(value); }
@@ -225,6 +199,11 @@ CampaignReport CampaignRunner::run(const std::vector<Trial>& trials) {
     // deterministic.
     store = std::make_shared<obs::InstrumentedStore>(store, metrics);
     for (const char* name : kDeterministicCatalog) metrics->add(name, 0);
+    obs::preregister<bender::ExecutorCounters>(*metrics);
+    obs::preregister<dram::BankCounters>(*metrics);
+    obs::preregister<disturb::ThresholdCacheStats>(*metrics);
+    obs::preregister<bender::ProbeCounters>(*metrics);
+    obs::preregister<fault::FaultyChip::Stats>(*metrics);
     metrics->add("campaign.trials",
                  static_cast<std::uint64_t>(trials.size()));
   }
@@ -434,51 +413,18 @@ CampaignReport CampaignRunner::run(const std::vector<Trial>& trials) {
     if (metrics == nullptr) return;
     metrics->add("campaign.retries", out.retries);
     metrics->add("campaign.guard_blocks", out.guard_blocks);
-    metrics->add("exec.acts", out.exec.acts);
-    metrics->add("exec.pres", out.exec.pres);
-    metrics->add("exec.refs", out.exec.refs);
-    metrics->add("exec.hammer_windows", out.exec.bulk_hammer_windows);
-    metrics->add("device.acts", out.device.activations);
-    metrics->add("device.refs", out.device.refresh_commands);
-    metrics->add("device.victim_refreshes",
-                 out.device.defense_victim_refreshes);
-    metrics->add("device.bitflips", out.device.bitflips_materialized);
-    metrics->add("device.hammer_windows", out.device.bulk_hammer_windows);
-    metrics->add("device.dedup_hits", out.device.hammer_dedup_hits);
-    // Deterministic: a sense's candidate mask is a pure function of device
-    // state, never of scheduling.
-    metrics->add("device.sense_word_ops", out.device.sense_word_ops);
-    metrics->add("device.sense_cells_visited",
-                 out.device.sense_cells_visited);
+    obs::add_counters(*metrics, out.exec);
+    obs::add_counters(*metrics, out.device);
     metrics->add("cache.lookups", out.cache.lookups());
-    // Epoch-relative summary counters: pure functions of the trial body
-    // (the worker power-cycles at trial start, opening a fresh epoch), so
-    // they stay in the deterministic fingerprint unlike the raw split.
-    metrics->add("cache.summary_hits", out.cache.summary_hits);
-    metrics->add("cache.summary_misses", out.cache.summary_misses);
-    metrics->add("cache.summary_evictions", out.cache.summary_evictions);
-    metrics->add("study.hc_probes", out.probes.hc_probes);
-    metrics->add("study.hammers_replayed", out.probes.hammers_replayed);
-    metrics->add("study.hammers_saved", out.probes.hammers_saved);
-    // The hit/miss/build/eviction split depends on which worker's cache
-    // served the trial: telemetry, excluded from the fingerprint.
-    metrics->add("cache.hits", out.cache.hits, obs::MetricKind::kTelemetry);
-    metrics->add("cache.misses", out.cache.misses,
-                 obs::MetricKind::kTelemetry);
-    metrics->add("cache.builds", out.cache.builds,
-                 obs::MetricKind::kTelemetry);
-    metrics->add("cache.evictions", out.cache.evictions,
-                 obs::MetricKind::kTelemetry);
-    metrics->add("faults.injected", out.fault_delta.injected_total);
-    metrics->add("faults.thermal_excursions",
-                 out.fault_delta.thermal_excursions);
+    obs::add_counters(*metrics, out.cache);
+    obs::add_counters(*metrics, out.probes);
+    obs::add_counters(*metrics, out.fault_delta);
     metrics->observe("trial.wall_s", out.wall_s);
   };
   // Run-level gauges (telemetry): simulated totals plus the wall clock.
   const auto finish_observability = [&] {
     campaign_span.stop();
     if (metrics != nullptr) {
-      metrics->add("campaign.completed", 0);  // ensure key exists
       metrics->set_gauge("campaign.sim_seconds", report.campaign_seconds);
       metrics->set_gauge("campaign.guard_wait_s", report.guard_wait_s);
       metrics->set_gauge("campaign.backoff_wait_s", report.backoff_wait_s);
@@ -557,7 +503,7 @@ CampaignReport CampaignRunner::run(const std::vector<Trial>& trials) {
     report.guard_wait_s += out.guard_wait_s;
     report.backoff_wait_s += out.backoff_wait_s;
     report.campaign_seconds += out.trial_s;
-    accumulate(report.device_counters, out.device);
+    util::fold_counters(report.device_counters, out.device);
     meter_trial(out);
 
     if (out.fatal) {

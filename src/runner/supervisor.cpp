@@ -109,7 +109,6 @@ class SupervisorRun {
   // -- Teardown.
   void terminate_all();
   void finish(SupervisorReport& report);
-  void publish_metrics(const SupervisorReport& report);
 
   [[nodiscard]] std::string shard_csv_path(const ShardSpec& spec) const {
     return shard_artifact_path(campaign_.results_path, spec.id);
@@ -612,31 +611,6 @@ void SupervisorRun::finish(SupervisorReport& report) {
   }
 }
 
-void SupervisorRun::publish_metrics(const SupervisorReport& report) {
-  auto* metrics = campaign_.metrics;
-  if (metrics == nullptr) return;
-  // The configured partition is campaign configuration (like
-  // campaign.trials); runtime supervision counts are host observations.
-  metrics->add("supervisor.shards", report.shards);
-  using obs::MetricKind;
-  metrics->add("supervisor.final_shards", report.final_shards,
-               MetricKind::kTelemetry);
-  metrics->add("supervisor.spawns", report.spawns, MetricKind::kTelemetry);
-  metrics->add("supervisor.restarts", report.restarts,
-               MetricKind::kTelemetry);
-  metrics->add("supervisor.crashes", report.crashes, MetricKind::kTelemetry);
-  metrics->add("supervisor.hangs_killed", report.hangs_killed,
-               MetricKind::kTelemetry);
-  metrics->add("supervisor.heartbeats", report.heartbeats,
-               MetricKind::kTelemetry);
-  metrics->add("supervisor.shards_stolen", report.shards_stolen,
-               MetricKind::kTelemetry);
-  metrics->add("supervisor.shards_quarantined", report.shards_quarantined,
-               MetricKind::kTelemetry);
-  metrics->add("supervisor.worker_fsck_repairs", report.worker_fsck_repairs,
-               MetricKind::kTelemetry);
-}
-
 SupervisorReport SupervisorRun::run() {
   report_.shards = config_.shards;
 
@@ -665,7 +639,7 @@ SupervisorReport SupervisorRun::run() {
 
   write_index();
   finish(report_);
-  publish_metrics(report_);
+  if (auto* metrics = campaign_.metrics) obs::add_counters(*metrics, report_);
   return report_;
 }
 

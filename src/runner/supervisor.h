@@ -42,6 +42,7 @@
 
 #include "runner/retry_policy.h"
 #include "runner/runner.h"
+#include "util/counters.h"
 
 namespace hbmrd::runner {
 
@@ -85,6 +86,25 @@ struct SupervisorReport {
   std::uint64_t worker_fsck_repairs = 0;  // dead-shard stores repaired
   /// "shard <id> [lo, hi)" for every quarantined shard.
   std::vector<std::string> quarantined_shards;
+
+  /// The configured partition is campaign configuration; the runtime
+  /// counts depend on failure schedules and steal decisions (wall clock).
+  using enum util::MetricKind;
+  static constexpr util::CounterField<SupervisorReport> kCounterFields[] = {
+      {"supervisor.shards", &SupervisorReport::shards},
+      {"supervisor.final_shards", &SupervisorReport::final_shards, kTelemetry},
+      {"supervisor.spawns", &SupervisorReport::spawns, kTelemetry},
+      {"supervisor.restarts", &SupervisorReport::restarts, kTelemetry},
+      {"supervisor.crashes", &SupervisorReport::crashes, kTelemetry},
+      {"supervisor.hangs_killed", &SupervisorReport::hangs_killed, kTelemetry},
+      {"supervisor.heartbeats", &SupervisorReport::heartbeats, kTelemetry},
+      {"supervisor.shards_stolen", &SupervisorReport::shards_stolen,
+       kTelemetry},
+      {"supervisor.shards_quarantined", &SupervisorReport::shards_quarantined,
+       kTelemetry},
+      {"supervisor.worker_fsck_repairs",
+       &SupervisorReport::worker_fsck_repairs, kTelemetry},
+  };
 };
 
 /// The body of a shard worker process (the supervisor's forked child):

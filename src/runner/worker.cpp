@@ -23,32 +23,6 @@ constexpr double kGuardMaxWaitS = 900.0;
 /// 0.5 s up to 60 s.
 constexpr RetryPolicy kRetry{5, 0.5, 60.0};
 
-disturb::ThresholdCacheStats cache_delta(
-    const disturb::ThresholdCacheStats& now,
-    const disturb::ThresholdCacheStats& before) {
-  disturb::ThresholdCacheStats d;
-  d.hits = now.hits - before.hits;
-  d.misses = now.misses - before.misses;
-  d.builds = now.builds - before.builds;
-  d.evictions = now.evictions - before.evictions;
-  d.summary_hits = now.summary_hits - before.summary_hits;
-  d.summary_misses = now.summary_misses - before.summary_misses;
-  d.summary_evictions = now.summary_evictions - before.summary_evictions;
-  return d;
-}
-
-fault::FaultyChip::Stats fault_stats_delta(
-    const fault::FaultyChip::Stats& now,
-    const fault::FaultyChip::Stats& before) {
-  fault::FaultyChip::Stats d;
-  d.injected_total = now.injected_total - before.injected_total;
-  for (std::size_t k = 0; k < d.by_kind.size(); ++k) {
-    d.by_kind[k] = now.by_kind[k] - before.by_kind[k];
-  }
-  d.thermal_excursions = now.thermal_excursions - before.thermal_excursions;
-  return d;
-}
-
 }  // namespace
 
 void validate_csv_cell(const std::string& cell, const char* what) {
@@ -120,13 +94,9 @@ TrialOutcome TrialWorker::run(const CampaignRunner::Trial& trial,
     out.trial_s = chip_.rig().time_s() - trial_t0_;
     out.device = chip_.stack().total_counters();
     out.exec = chip_.executor_counters();
-    out.cache = cache_delta(chip_.threshold_cache_stats(), cache0);
-    out.fault_delta = fault_stats_delta(faulty_.stats(), faults0);
-    const auto& probes = faulty_.probe_counters();
-    out.probes.hc_probes = probes.hc_probes - probes0.hc_probes;
-    out.probes.hammers_replayed =
-        probes.hammers_replayed - probes0.hammers_replayed;
-    out.probes.hammers_saved = probes.hammers_saved - probes0.hammers_saved;
+    out.cache = util::counter_delta(chip_.threshold_cache_stats(), cache0);
+    out.fault_delta = util::counter_delta(faulty_.stats(), faults0);
+    out.probes = util::counter_delta(faulty_.probe_counters(), probes0);
     out.wall_s = obs::monotonic_seconds() - wall_t0;
   };
 

@@ -51,9 +51,10 @@ struct TrialOutcome {
   /// the device counters, so they land in the deterministic metrics
   /// catalog (study.*).
   bender::ProbeCounters probes;
-  /// Injected-fault stats delta over this trial (pure function of trial
+  /// Injected-fault counters over this trial (pure function of trial
   /// index / attempt / incarnation, so commit-order accumulation is
   /// deterministic even when a fatal abort discards in-flight trials).
+  /// by_kind stays zero: the per-kind split is read from stats().
   fault::FaultyChip::Stats fault_delta;
   /// Host wall-clock seconds the trial consumed (telemetry only; never
   /// enters an artifact).

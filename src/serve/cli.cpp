@@ -23,21 +23,21 @@ constexpr const char* kUsage =
     "usage: hbmrd_shell export|query|serve [flags]; <verb> --help lists "
     "the verb's flags\n";
 
-/// Each verb's flags. The numeric ones are text: they take a u64 in any
-/// radix (util::parse_u64 base 0), checked by flag_u64.
+/// Each verb's flags.
 std::vector<util::Flag> flags_of(const std::string& verb) {
   constexpr auto kBool = util::FlagKind::kBool;
+  constexpr auto kInt = util::FlagKind::kInt;
   constexpr auto kText = util::FlagKind::kString;
   if (verb == "export") {
     return {{"--index", kText, "index file to write"},
             {"--from-campaign", kText, "source: a campaign CSV (or --measure)"},
             {"--measure", kBool, "source: measure the chip live"},
-            {"--seed", kText, "platform seed"},
-            {"--chip", kText, "chip index (default 0)"},
-            {"--hc-depth", kText, "HC_nth rungs per record, 1..255"},
-            {"--max-count", kText, "HC search bound in hammers"},
-            {"--channel", kText, "measure: channel (default 0)"},
-            {"--pc", kText, "measure: pseudo channel (default 0)"},
+            {"--seed", kInt, "platform seed"},
+            {"--chip", kInt, "chip index (default 1)"},
+            {"--hc-depth", kInt, "HC_nth rungs per record, 1..255"},
+            {"--max-count", kInt, "HC search bound in hammers"},
+            {"--channel", kInt, "measure: channel (default 0)"},
+            {"--pc", kInt, "measure: pseudo channel (default 0)"},
             {"--bank", kText, "measure: bank N or LO..HI (default 0)"},
             {"--rows", kText, "measure: rows LO..HI (required)"},
             {"--patterns", kText, "measure: patterns P,.. or * (default *)"},
@@ -54,7 +54,7 @@ std::vector<util::Flag> flags_of(const std::string& verb) {
   }
   return {{"--index", kText, "index file to serve"},
           {"--socket", kText, "Unix socket to listen on"},
-          {"--threads", kText, "worker threads, 1..256 (default 1)"},
+          {"--threads", kInt, "worker threads, 1..256 (default 1)"},
           {"--force-miss", kBool, "simulate every query"},
           {"--metrics-out", kText, "write serve.* counters as JSON"}};
 }
@@ -64,32 +64,12 @@ int usage_error(std::ostream& err, const std::string& what) {
   return 2;
 }
 
-std::optional<std::uint64_t> flag_u64(const util::Cli& cli,
-                                      const std::string& name,
-                                      std::uint64_t fallback) {
-  if (!cli.has(name)) return fallback;
-  return util::parse_u64(cli.get_string(name, ""), 0);
-}
-
-void add_counters(obs::MetricsRegistry& metrics,
-                  const ServeCounters& counters,
-                  std::uint64_t connections) {
-  metrics.add("serve.batches", counters.batches);
-  metrics.add("serve.queries", counters.queries);
-  metrics.add("serve.index_hits", counters.hits);
-  metrics.add("serve.overlay_hits", counters.overlay_hits);
-  metrics.add("serve.misses", counters.misses);
-  metrics.add("serve.fallback_simulations", counters.fallback_simulations);
-  metrics.add("serve.errors", counters.errors);
-  metrics.add("serve.bytes_served", counters.bytes_served);
-  metrics.add("serve.connections", connections);
-}
-
 void write_metrics(const std::string& path, const ServeCounters& counters,
                    std::uint64_t connections) {
   if (path.empty()) return;
   obs::MetricsRegistry metrics;
-  add_counters(metrics, counters, connections);
+  obs::add_counters(metrics, counters);
+  metrics.add("serve.connections", connections);
   metrics.write_snapshot(*util::default_store(), path);
 }
 
@@ -106,22 +86,22 @@ int run_export(const util::Cli& cli, std::ostream& out, std::ostream& err) {
   }
 
   ExportSpec spec;
-  const auto seed = flag_u64(cli, "--seed", spec.platform_seed);
-  const auto chip = flag_u64(cli, "--chip", spec.chip_index);
-  const auto depth = flag_u64(cli, "--hc-depth", spec.hc_depth);
-  const auto max_count = flag_u64(cli, "--max-count",
-                                  spec.max_hammer_count);
-  if (!seed || !chip || *chip >= dram::kChipCount) {
+  const auto seed = cli.get_int(
+      "--seed", static_cast<std::int64_t>(spec.platform_seed));
+  const auto chip = cli.get_int("--chip", spec.chip_index);
+  const auto depth = cli.get_int("--hc-depth", spec.hc_depth);
+  const auto max_count = cli.get_int(
+      "--max-count", static_cast<std::int64_t>(spec.max_hammer_count));
+  if (seed < 0 || chip < 0 || chip >= dram::kChipCount) {
     return usage_error(err, "bad --seed / --chip");
   }
-  if (!depth || *depth < 1 || *depth > 255 || !max_count ||
-      *max_count == 0) {
+  if (depth < 1 || depth > 255 || max_count <= 0) {
     return usage_error(err, "bad --hc-depth / --max-count");
   }
-  spec.platform_seed = *seed;
-  spec.chip_index = static_cast<std::uint32_t>(*chip);
-  spec.hc_depth = static_cast<std::uint32_t>(*depth);
-  spec.max_hammer_count = *max_count;
+  spec.platform_seed = static_cast<std::uint64_t>(seed);
+  spec.chip_index = static_cast<std::uint32_t>(chip);
+  spec.hc_depth = static_cast<std::uint32_t>(depth);
+  spec.max_hammer_count = static_cast<std::uint64_t>(max_count);
 
   IndexBuilder builder(manifest_for(spec));
   if (from_campaign) {
@@ -130,10 +110,10 @@ int run_export(const util::Cli& cli, std::ostream& out, std::ostream& err) {
     out << "export: ingested " << report.rows_ingested << " row(s), "
         << "skipped " << report.rows_skipped << "\n";
   } else {
-    const auto channel = flag_u64(cli, "--channel", 0);
-    const auto pc = flag_u64(cli, "--pc", 0);
-    if (!channel || *channel >= dram::kChannels || !pc ||
-        *pc >= dram::kPseudoChannels) {
+    const auto channel = cli.get_int("--channel", 0);
+    const auto pc = cli.get_int("--pc", 0);
+    if (channel < 0 || channel >= dram::kChannels || pc < 0 ||
+        pc >= dram::kPseudoChannels) {
       return usage_error(err, "bad --channel / --pc");
     }
     const auto banks = parse_range(cli.get_string("--bank", "0"),
@@ -148,8 +128,8 @@ int run_export(const util::Cli& cli, std::ostream& out, std::ostream& err) {
 
     MeasureSpec measure_spec;
     for (auto bank = banks->lo; bank <= banks->hi; ++bank) {
-      measure_spec.banks.push_back({static_cast<int>(*channel),
-                                    static_cast<int>(*pc),
+      measure_spec.banks.push_back({static_cast<int>(channel),
+                                    static_cast<int>(pc),
                                     static_cast<int>(bank)});
     }
     for (auto row = rows->lo; row <= rows->hi; ++row) {
@@ -262,15 +242,15 @@ int run_serve(const util::Cli& cli, std::ostream& out, std::ostream& err) {
   if (index_path.empty() || socket_path.empty()) {
     return usage_error(err, "serve needs --index PATH and --socket PATH");
   }
-  const auto threads = flag_u64(cli, "--threads", 1);
-  if (!threads || *threads < 1 || *threads > 256) {
+  const auto threads = cli.get_int("--threads", 1);
+  if (threads < 1 || threads > 256) {
     return usage_error(err, "bad --threads (want 1..256)");
   }
 
   auto index = Index::load(*util::default_store(), index_path);
   BatchServerOptions options;
   options.socket_path = socket_path;
-  options.threads = static_cast<int>(*threads);
+  options.threads = static_cast<int>(threads);
   options.bypass_index = cli.has("--force-miss");
   options.log = &out;
   runner::install_graceful_stop();

@@ -51,6 +51,7 @@
 #include "study/address_map.h"
 #include "study/patterns.h"
 #include "thermal/rig.h"
+#include "util/counters.h"
 
 namespace hbmrd::serve {
 
@@ -65,16 +66,16 @@ struct ServeCounters {
   std::uint64_t errors = 0;        // malformed request lines
   std::uint64_t bytes_served = 0;  // response payload bytes
 
-  void fold(const ServeCounters& other) {
-    batches += other.batches;
-    queries += other.queries;
-    hits += other.hits;
-    overlay_hits += other.overlay_hits;
-    misses += other.misses;
-    fallback_simulations += other.fallback_simulations;
-    errors += other.errors;
-    bytes_served += other.bytes_served;
-  }
+  static constexpr util::CounterField<ServeCounters> kCounterFields[] = {
+      {"serve.batches", &ServeCounters::batches},
+      {"serve.queries", &ServeCounters::queries},
+      {"serve.index_hits", &ServeCounters::hits},
+      {"serve.overlay_hits", &ServeCounters::overlay_hits},
+      {"serve.misses", &ServeCounters::misses},
+      {"serve.fallback_simulations", &ServeCounters::fallback_simulations},
+      {"serve.errors", &ServeCounters::errors},
+      {"serve.bytes_served", &ServeCounters::bytes_served},
+  };
 };
 
 /// Per-thread parse scratch; reusing one keeps the hot path allocation-free.

@@ -223,7 +223,7 @@ BatchServerReport BatchServer::run() {
                          &worker.fallback, batch);
       {
         const std::lock_guard<std::mutex> lock(fold_mutex);
-        report.counters.fold(batch);
+        util::fold_counters(report.counters, batch);
       }
       if (!write_frame(fd, worker.response)) break;
       if (stop()) break;

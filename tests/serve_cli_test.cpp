@@ -75,6 +75,11 @@ TEST(ServeCli, UsageErrorsExitTwoWithUsageText) {
       {"serve", "--socket", "s"},                    // missing --index
       {"serve", "--index", "x", "--socket", "s", "--threads", "0"},
       {"serve", "--index", "x", "--socket", "s", "--threads", "999"},
+      {"serve", "--index", "x", "--socket", "s", "--threads", "-1"},
+      {"export", "--index", "x", "--measure", "--rows", "1..2", "--seed",
+       "-1"},                                        // negative
+      {"export", "--index", "x", "--measure", "--rows", "1..2", "--seed",
+       "0x10"},                                      // decimal only
   };
   for (const auto& args : bad) {
     const auto result = run_cli(args);

@@ -7,8 +7,11 @@ instead normalized by an anchor benchmark (BM_RowWalkAnchor, bench/anchor.h:
 a fixed multiply-xorshift walk over RowBits-sized buffers). The anchor runs
 no simulator code, so no change to the simulator can move it: it tracks
 only the machine, and a change that speeds up one path (BM_ActPrePair, say)
-moves that benchmark's ratio alone. Baselines are recorded as the
-per-benchmark median of several runs. The check fails when
+moves that benchmark's ratio alone. Both inputs are runs with
+--benchmark_repetitions=5 --benchmark_report_aggregates_only=true, and
+each benchmark's time is its `_median` aggregate: one sample of a guarded
+benchmark varies by more than the tolerance between runs, the median of
+five much less. The check fails when
 
     (current[name] / current[anchor]) >
         (baseline[name] / baseline[anchor]) * (1 + tolerance)
@@ -34,20 +37,23 @@ NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
 def load_times(path):
-    """Real time of every non-aggregate benchmark in `path`, in ns."""
+    """Median real time of every benchmark in `path`, in ns, by run name."""
     with open(path) as fh:
         doc = json.load(fh)
     times = {}
     for bench in doc.get("benchmarks", []):
-        if bench.get("run_type") == "aggregate":
+        if bench.get("aggregate_name") != "median":
             continue
         unit = bench.get("time_unit", "ns")
         if unit not in NS_PER_UNIT:
             sys.exit(f"bench_check: unknown time_unit {unit!r} for "
                      f"{bench['name']} in {path}")
-        times[bench["name"]] = float(bench["real_time"]) * NS_PER_UNIT[unit]
+        times[bench["run_name"]] = (float(bench["real_time"]) *
+                                    NS_PER_UNIT[unit])
     if not times:
-        sys.exit(f"bench_check: no benchmarks in {path}")
+        sys.exit(f"bench_check: no median aggregates in {path}; run with "
+                 f"--benchmark_repetitions=5 "
+                 f"--benchmark_report_aggregates_only=true")
     return times
 
 
@@ -76,8 +82,10 @@ def main():
     missing_from_baseline = sorted(n for n in guarded if n not in baseline)
     if missing_from_baseline:
         howto = (f"add one to {args.baseline}: re-run the benchmark with "
-                 f"--benchmark_format=json and merge its entry (keep the "
-                 f"{args.anchor} anchor from the same run)")
+                 f"--benchmark_repetitions=5 "
+                 f"--benchmark_report_aggregates_only=true "
+                 f"--benchmark_format=json and merge its aggregates (keep "
+                 f"the {args.anchor} anchor from the same run)")
         for name in missing_from_baseline:
             print(f"bench_check: no baseline entry for {name}; {howto}",
                   file=sys.stderr)
