@@ -17,27 +17,12 @@
 #include "study/hc_first.h"
 #include "study/row_selection.h"
 
-namespace {
-
-using namespace hbmrd;
-
-/// Per-chip checkpoint path: "out.csv" -> "out.chip3.csv".
-std::string per_chip_path(const std::string& path, int chip_index) {
-  if (path.empty()) return path;
-  const auto dot = path.rfind('.');
-  const std::string tag = ".chip" + std::to_string(chip_index);
-  if (dot == std::string::npos || dot == 0) return path + tag;
-  return path.substr(0, dot) + tag + path.substr(dot);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using namespace hbmrd;
   bench::BenchContext ctx(
       argc, argv, "Attack/defense arena (multi-tenant leaderboard)",
       {bench::kCampaignFlags,
        bench::kShardFlags,
-       bench::kExportIndexFlags,
        bench::kObservabilityFlags,
        {{"--windows", util::FlagKind::kInt,
          "attack-pattern length in tREFI windows (default 1024)"},
@@ -108,8 +93,10 @@ int main(int argc, char** argv) {
 
     auto config =
         bench::campaign_config(ctx.cli(), arena::leaderboard_columns());
-    config.results_path = per_chip_path(config.results_path, chip_index);
-    config.journal_path = per_chip_path(config.journal_path, chip_index);
+    config.results_path =
+        bench::per_chip_path(config.results_path, chip_index);
+    config.journal_path =
+        bench::per_chip_path(config.journal_path, chip_index);
     obs.attach(config);
     runner::CampaignRunner campaign(chip, config);
 

@@ -7,8 +7,6 @@
 
 #include "fault/faulty_store.h"
 #include "runner/checkpoint.h"
-#include "runner/merge.h"
-#include "serve/export.h"
 #include "util/store.h"
 
 namespace hbmrd::bench {
@@ -26,7 +24,6 @@ const std::vector<util::Flag> kBaseFlags = {
     {"--seed", FlagKind::kInt, "platform seed (silicon lottery)"},
     {"--trust-map", FlagKind::kBool,
      "trust the profile's address map (skip probing)"},
-    {"--csv", FlagKind::kString, "stream raw data series to ARG/<name>.csv"},
 };
 
 std::vector<util::Flag> base_flags_plus(
@@ -118,6 +115,10 @@ const study::AddressMap& BenchContext::map_of(int chip_index) {
   }
   return *slot;
 }
+
+const std::vector<util::Flag> kCsvFlags = {
+    {"--csv", FlagKind::kString, "stream raw data series to ARG/<name>.csv"},
+};
 
 std::unique_ptr<util::CsvWriter> BenchContext::csv(
     const std::string& name, std::vector<std::string> columns) const {
@@ -251,47 +252,15 @@ runner::RunnerConfig campaign_config(const util::Cli& cli,
   return config;
 }
 
-const std::vector<util::Flag> kExportIndexFlags = {
-    {"--export-index", FlagKind::kString,
-     "after a successful run, export --results into a .hbmidx index"},
-};
+std::string per_chip_path(const std::string& path, int chip_index) {
+  if (path.empty()) return path;
+  const auto dot = path.rfind('.');
+  const std::string tag = ".chip" + std::to_string(chip_index);
+  if (dot == std::string::npos || dot == 0) return path + tag;
+  return path.substr(0, dot) + tag + path.substr(dot);
+}
 
 namespace {
-
-/// `--export-index F`: derive a .hbmidx query index (docs/SERVING.md)
-/// from the campaign's committed results CSV. Rung-1 (HC_first) data
-/// comes straight from the fig07-style columns; the index identity is
-/// the harness's (--seed, --chip) pair.
-void export_index_from_results(const util::Cli& cli,
-                               const std::string& results_path) {
-  const auto index_path = cli.get_string("--export-index", "");
-  if (index_path.empty()) return;
-  if (results_path.empty()) {
-    std::cerr << "--export-index needs --results FILE\n";
-    std::exit(2);
-  }
-  serve::ExportSpec spec;
-  spec.platform_seed = static_cast<std::uint64_t>(cli.get_int(
-      "--seed", static_cast<std::int64_t>(spec.platform_seed)));
-  spec.chip_index = static_cast<std::uint32_t>(cli.get_int("--chip", 1));
-  // Campaign CSVs carry HC_first only; one rung keeps records compact
-  // (deeper hc_nth queries fall back to live simulation and are
-  // recorded in the server's overlay).
-  spec.hc_depth = 1;
-  try {
-    serve::IndexBuilder builder(serve::manifest_for(spec));
-    const auto report = serve::export_campaign_csv(*util::default_store(),
-                                                   results_path, builder);
-    builder.write(*util::default_store(), index_path);
-    std::cout << "export-index: " << index_path << " ("
-              << report.rows_ingested << " row(s) ingested, "
-              << report.rows_skipped << " skipped, "
-              << builder.population_count() << " population(s))\n";
-  } catch (const serve::IndexError& error) {
-    std::cerr << "error: --export-index failed: " << error.what() << "\n";
-    std::exit(2);
-  }
-}
 
 /// Runs a campaign with the graceful-stop handler installed (SIGTERM /
 /// SIGINT checkpoint-flush at the next commit boundary), turning storage
@@ -327,12 +296,6 @@ runner::CampaignReport run_supervised(
   config.shards = shards;
   config.hang_timeout_s = cli.get_double("--hang-timeout", 30.0);
   config.max_restarts = static_cast<int>(cli.get_int("--max-restarts", 5));
-  // Export from the post-merge hook: the canonical CSV exists and just
-  // passed the merge's completeness checks when this runs.
-  const auto results_path = campaign.config().results_path;
-  config.on_merged = [&cli, results_path](const runner::MergeReport&) {
-    export_index_from_results(cli, results_path);
-  };
   runner::Supervisor supervisor(campaign.chip(), campaign.config(), config);
   const auto report = supervisor.run(trials);
   print_supervisor_report(std::cout, report);
@@ -362,11 +325,7 @@ runner::CampaignReport run_campaign_or_die(
         return run_supervised(cli, campaign, trials, shards);
       });
     }
-    const auto report = run_campaign_or_die(campaign, trials);
-    if (!report.aborted) {
-      export_index_from_results(cli, campaign.config().results_path);
-    }
-    return report;
+    return run_campaign_or_die(campaign, trials);
   } catch (const std::invalid_argument& error) {
     std::cerr << "error: " << error.what() << "\n";
   }

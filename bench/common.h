@@ -28,21 +28,21 @@
 namespace hbmrd::bench {
 
 /// The shared flag groups, each declared in common.cpp next to the code
-/// that reads it: campaign_config (kCampaignFlags),
-/// run_campaign_or_die(ctx, ...) (kShardFlags, kExportIndexFlags) and
+/// that reads it: BenchContext::csv (kCsvFlags), campaign_config
+/// (kCampaignFlags), run_campaign_or_die(ctx, ...) (kShardFlags) and
 /// CampaignObservability (kObservabilityFlags). A harness passes
 /// BenchContext the groups it uses plus its own flags; the union is what
 /// it accepts and what its --help prints.
+extern const std::vector<util::Flag> kCsvFlags;
 extern const std::vector<util::Flag> kCampaignFlags;
 extern const std::vector<util::Flag> kShardFlags;
-extern const std::vector<util::Flag> kExportIndexFlags;
 extern const std::vector<util::Flag> kObservabilityFlags;
 
 class BenchContext {
  public:
   /// Parses argv against the base flags (--full, --rows, --chip,
-  /// --channels, --seed, --trust-map, --csv) plus `groups`; a flag outside
-  /// them exits 2, and --help prints the title and the table.
+  /// --channels, --seed, --trust-map) plus `groups`; a flag outside them
+  /// exits 2, and --help prints the title and the table.
   BenchContext(int argc, char** argv, const std::string& title,
                std::initializer_list<std::vector<util::Flag>> groups = {});
 
@@ -69,9 +69,9 @@ class BenchContext {
   void compare(const std::string& what, const std::string& paper,
                const std::string& measured);
 
-  /// Opens `<dir>/<name>.csv` when the user passed --csv <dir>; null
-  /// otherwise. Benches stream their raw data series through this so the
-  /// figures can be re-plotted externally.
+  /// Opens `<dir>/<name>.csv` when the user passed --csv <dir> (a
+  /// kCsvFlags harness); null otherwise. Benches stream their raw data
+  /// series through this so the figures can be re-plotted externally.
   [[nodiscard]] std::unique_ptr<util::CsvWriter> csv(
       const std::string& name, std::vector<std::string> columns) const;
 
@@ -130,6 +130,11 @@ class CampaignObservability {
 [[nodiscard]] runner::RunnerConfig campaign_config(
     const util::Cli& cli, std::vector<std::string> result_columns);
 
+/// Per-chip checkpoint path for a harness that runs one campaign per
+/// chip: "out.csv" -> "out.chip3.csv" (empty stays empty).
+[[nodiscard]] std::string per_chip_path(const std::string& path,
+                                        int chip_index);
+
 /// Runs the campaign, turning storage/config failures into actionable
 /// diagnostics: CheckpointMismatchError (stale --resume target) and
 /// StoreError (I/O failure; committed state intact) print their message
@@ -142,13 +147,12 @@ class CampaignObservability {
     const std::vector<runner::CampaignRunner::Trial>& trials);
 
 /// The context-aware variant used by the sharded campaign harnesses
-/// (fig06/fig07/fig14/arena_eval), which read kShardFlags and
-/// kExportIndexFlags: in addition to the above, `--shards N` (N > 1) runs
-/// the campaign under the process supervisor (runner/supervisor.h): each
-/// shard is a forked worker process whose output goes to `<shard>.log`,
-/// crashed/hung workers are restarted from their shard checkpoint, and
-/// the merged artifacts are byte-identical to the unsharded run.
-/// `--export-index` then exports the results into a query index.
+/// (fig06/fig07/fig14/arena_eval), which read kShardFlags: in addition to
+/// the above, `--shards N` (N > 1) runs the campaign under the process
+/// supervisor (runner/supervisor.h): each shard is a forked worker process
+/// whose output goes to `<shard>.log`, crashed/hung workers are restarted
+/// from their shard checkpoint, and the merged artifacts are
+/// byte-identical to the unsharded run.
 [[nodiscard]] runner::CampaignReport run_campaign_or_die(
     BenchContext& ctx, runner::CampaignRunner& campaign,
     const std::vector<runner::CampaignRunner::Trial>& trials);

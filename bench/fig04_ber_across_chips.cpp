@@ -7,7 +7,8 @@
 
 int main(int argc, char** argv) {
   using namespace hbmrd;
-  bench::BenchContext ctx(argc, argv, "Fig. 4: BER across HBM2 chips");
+  bench::BenchContext ctx(argc, argv, "Fig. 4: BER across HBM2 chips",
+                          {bench::kCsvFlags});
   const int n_rows = ctx.rows(32, 16384);
   const dram::BankAddress bank{0, 0, 0};
 

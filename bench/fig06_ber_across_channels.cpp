@@ -11,24 +11,10 @@
 #include "study/ber.h"
 #include "study/row_selection.h"
 
-namespace {
-
-/// Per-chip checkpoint path: "out.csv" -> "out.chip3.csv".
-std::string per_chip_path(const std::string& path, int chip_index) {
-  if (path.empty()) return path;
-  const auto dot = path.rfind('.');
-  const std::string tag = ".chip" + std::to_string(chip_index);
-  if (dot == std::string::npos || dot == 0) return path + tag;
-  return path.substr(0, dot) + tag + path.substr(dot);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace hbmrd;
   bench::BenchContext ctx(argc, argv, "Fig. 6: BER across channels",
                           {bench::kCampaignFlags, bench::kShardFlags,
-                           bench::kExportIndexFlags,
                            bench::kObservabilityFlags});
   const int n_rows = ctx.rows(24, 16384);
   const auto chips = ctx.cli().has("--chip") ? ctx.chips()
@@ -47,8 +33,10 @@ int main(int argc, char** argv) {
     ctx.banner(chip.profile().label + " (" + study::to_string(pattern) + ")");
 
     auto config = bench::campaign_config(ctx.cli(), {"channel", "row", "ber"});
-    config.results_path = per_chip_path(config.results_path, chip_index);
-    config.journal_path = per_chip_path(config.journal_path, chip_index);
+    config.results_path =
+        bench::per_chip_path(config.results_path, chip_index);
+    config.journal_path =
+        bench::per_chip_path(config.journal_path, chip_index);
     obs.attach(config);
     runner::CampaignRunner campaign(chip, config);
 

@@ -14,7 +14,6 @@ int main(int argc, char** argv) {
   using namespace hbmrd;
   bench::BenchContext ctx(argc, argv, "Fig. 7: HC_first across channels",
                           {bench::kCampaignFlags, bench::kShardFlags,
-                           bench::kExportIndexFlags,
                            bench::kObservabilityFlags});
   const int n_rows = ctx.rows(12, 3072);
   const int chip_index =

@@ -9,7 +9,8 @@
 int main(int argc, char** argv) {
   using namespace hbmrd;
   bench::BenchContext ctx(argc, argv, "Fig. 8: BER across a bank's rows",
-                          {{{"--stride", util::FlagKind::kInt,
+                          {bench::kCsvFlags,
+                           {{"--stride", util::FlagKind::kInt,
                              "row sampling stride (default 24; --full: 1)"}}});
   const int chip_index = static_cast<int>(ctx.cli().get_int("--chip", 0));
   auto& chip = ctx.platform().chip(chip_index);

@@ -10,7 +10,8 @@
 
 int main(int argc, char** argv) {
   using namespace hbmrd;
-  bench::BenchContext ctx(argc, argv, "Fig. 13: HC_first vs tAggON");
+  bench::BenchContext ctx(argc, argv, "Fig. 13: HC_first vs tAggON",
+                          {bench::kCsvFlags});
   const int chip_index = static_cast<int>(ctx.cli().get_int("--chip", 2));
   auto& chip = ctx.platform().chip(chip_index);
   const auto& map = ctx.map_of(chip_index);

@@ -17,7 +17,6 @@ int main(int argc, char** argv) {
       argc, argv, "Fig. 14: TRR-bypass attack BER",
       {bench::kCampaignFlags,
        bench::kShardFlags,
-       bench::kExportIndexFlags,
        bench::kObservabilityFlags,
        {{"--windows", util::FlagKind::kInt,
          "tREFI windows per victim (default 8205; --full: 16410)"}}});

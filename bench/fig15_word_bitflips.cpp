@@ -8,7 +8,8 @@
 
 int main(int argc, char** argv) {
   using namespace hbmrd;
-  bench::BenchContext ctx(argc, argv, "Fig. 15: word-level bitflips, Chip 4");
+  bench::BenchContext ctx(argc, argv, "Fig. 15: word-level bitflips, Chip 4",
+                          {bench::kCsvFlags});
   const int chip_index = static_cast<int>(ctx.cli().get_int("--chip", 4));
   auto& chip = ctx.platform().chip(chip_index);
   const auto& map = ctx.map_of(chip_index);

@@ -8,7 +8,8 @@
 
 int main(int argc, char** argv) {
   using namespace hbmrd;
-  bench::BenchContext ctx(argc, argv, "Supplementary: BER vs hammer count");
+  bench::BenchContext ctx(argc, argv, "Supplementary: BER vs hammer count",
+                          {bench::kCsvFlags});
   const int n_rows = ctx.rows(24, 512);
   const dram::BankAddress bank{0, 0, 0};
   const std::uint64_t counts[] = {32'768,  65'536,  131'072,

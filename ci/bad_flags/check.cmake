@@ -1,16 +1,17 @@
 # Rejected command lines (registered with ctest, label "smoke").
 #
 # An out-of-range --chip or --rows, an undeclared flag (including one a
-# harness does not implement, like fig10's --metrics-out), a value flag
-# with no value and a value of the wrong kind must each end the program
-# with exit code 2 and a one-line message naming the flag, not an
-# uncaught exception (exit 134), a silently ignored flag, or a failure
-# deep inside the sweep. The hbmrd_shell verbs read numbers as every
-# harness does (decimal integers), so a hex --seed is a value of the
-# wrong kind; a verb follows its message with its usage line.
+# harness does not implement, like fig10's --metrics-out or fig05's
+# --csv), a value flag with no value and a value of the wrong kind must
+# each end the program with exit code 2 and a one-line message naming the
+# flag, not an uncaught exception (exit 134), a silently ignored flag, or
+# a failure deep inside the sweep. The hbmrd_shell verbs read numbers as
+# every harness does (decimal integers), so a hex --seed is a value of
+# the wrong kind.
 #
-# Usage: cmake -DFIG04=<binary> -DFIG07=<binary> -DFIG10=<binary>
-#              -DSHELL=<binary> -DWORK_DIR=<dir> -P check.cmake
+# Usage: cmake -DFIG04=<binary> -DFIG05=<binary> -DFIG07=<binary>
+#              -DFIG10=<binary> -DFIG14=<binary> -DSHELL=<binary>
+#              -DWORK_DIR=<dir> -P check.cmake
 cmake_minimum_required(VERSION 3.19)
 
 file(REMOVE_RECURSE "${WORK_DIR}")
@@ -52,8 +53,13 @@ expect_rejected("error: unknown flag --metrics-out"
 if(EXISTS "${metrics}")
   message(FATAL_ERROR "fig10 wrote ${metrics} although it rejected the flag")
 endif()
+expect_rejected("error: unknown flag --csv"
+                "${FIG05}" --trust-map --csv "${WORK_DIR}")
+# Indexes are exported by `hbmrd_shell export --from-campaign`; a harness
+# refuses the old flag before it runs the campaign.
+expect_rejected("error: unknown flag --export-index"
+                "${FIG14}" --trust-map --export-index "${WORK_DIR}/x.idx")
 expect_rejected("error: unknown flag --bogus" "${SHELL}" --bogus)
-expect_rejected("error: --seed expects an integer, got '0x10'\nusage: \
-hbmrd_shell export|query|serve [flags]; <verb> --help lists the verb's flags"
+expect_rejected("error: --seed expects an integer, got '0x10'"
                 "${SHELL}" export --index "${WORK_DIR}/x.hbmidx" --measure
                 --rows 0..1 --seed 0x10)

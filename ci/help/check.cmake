@@ -3,8 +3,9 @@
 #
 # Each program prints the flag table it parses against and exits 0. A
 # harness lists only the flags it reads: fig10 runs no campaign, so it
-# has no --jobs or --metrics-out; fig14 lists its own --windows next to
-# the campaign (--jobs) and shard (--shards) groups.
+# has no --jobs or --metrics-out; fig05 streams no raw series, so it has
+# no --csv, which fig15 has; fig14 lists its own --windows next to the
+# campaign (--jobs) and shard (--shards) groups.
 #
 # Usage: cmake -DHARNESSES=<binary>,<binary>,... -DTOOLS=<binary>,...
 #              -P check.cmake
@@ -46,6 +47,8 @@ function(expect_unlisted name)
 endfunction()
 
 expect_unlisted(fig10_hcn_distribution --jobs --metrics-out)
+expect_unlisted(fig05_hcfirst_across_chips --csv)
+expect_listed(fig15_word_bitflips --csv)
 expect_listed(fig14_trr_bypass --windows --jobs --shards)
 list(LENGTH programs count)
 message(STATUS "--help exits 0 on ${count} programs")

@@ -204,7 +204,6 @@ MergeReport merge_shards(const MergeOptions& options) {
                           identity->serialize());
   }
   report.ok = true;
-  if (options.on_merged) options.on_merged(report);
   return report;
 }
 

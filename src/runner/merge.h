@@ -30,7 +30,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -38,8 +37,6 @@
 #include "runner/store.h"
 
 namespace hbmrd::runner {
-
-struct MergeReport;
 
 struct MergeOptions {
   /// Canonical results CSV to produce; the shard index and shard stores
@@ -49,12 +46,6 @@ struct MergeOptions {
   std::string journal_path;
   /// Storage backend; null = the shared PosixStore.
   std::shared_ptr<Store> store;
-  /// Post-merge hook, invoked once after the canonical artifacts were
-  /// written and verified (report.ok) — the seam downstream consumers use
-  /// to derive artifacts from the merged CSV without re-reading shards
-  /// (e.g. serve::export_campaign_index builds a .hbmidx query index; see
-  /// docs/SERVING.md). Exceptions propagate to the merge caller.
-  std::function<void(const MergeReport&)> on_merged;
 };
 
 struct MergeIssue {

@@ -583,7 +583,6 @@ void SupervisorRun::finish(SupervisorReport& report) {
   options.results_path = campaign_.results_path;
   options.journal_path = campaign_.journal_path;
   options.store = store_;
-  options.on_merged = config_.on_merged;
   const auto merged = merge_shards(options);
   if (!merged.ok) {
     report.campaign.aborted = true;

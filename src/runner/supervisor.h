@@ -35,7 +35,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -45,8 +44,6 @@
 #include "util/counters.h"
 
 namespace hbmrd::runner {
-
-struct MergeReport;
 
 struct SupervisorConfig {
   /// Shards to partition the campaign into (>= 1). Work stealing may grow
@@ -63,9 +60,6 @@ struct SupervisorConfig {
   /// Backoff between a crash and the shard's respawn (base/max delays;
   /// max_attempts is not consulted — quarantine is governed above).
   RetryPolicy restart_backoff{5, 0.2, 5.0};
-  /// Forwarded to MergeOptions::on_merged: runs once after the canonical
-  /// artifacts were merged and verified (the export-index hook).
-  std::function<void(const MergeReport&)> on_merged;
 };
 
 struct SupervisorReport {

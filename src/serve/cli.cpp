@@ -19,10 +19,6 @@ namespace hbmrd::serve {
 
 namespace {
 
-constexpr const char* kUsage =
-    "usage: hbmrd_shell export|query|serve [flags]; <verb> --help lists "
-    "the verb's flags\n";
-
 /// Each verb's flags.
 std::vector<util::Flag> flags_of(const std::string& verb) {
   constexpr auto kBool = util::FlagKind::kBool;
@@ -60,7 +56,7 @@ std::vector<util::Flag> flags_of(const std::string& verb) {
 }
 
 int usage_error(std::ostream& err, const std::string& what) {
-  err << "error: " << what << "\n" << kUsage;
+  err << "error: " << what << "\n";
   return 2;
 }
 
@@ -274,9 +270,12 @@ bool handles_verb(const std::string& verb) {
 
 int cli_main(const std::vector<std::string>& args, std::istream& in,
              std::ostream& out, std::ostream& err) {
-  if (args.empty()) return usage_error(err, "no verb");
+  constexpr const char* kVerbs = " (expected export, query or serve)";
+  if (args.empty()) return usage_error(err, std::string("no verb") + kVerbs);
   const auto& verb = args[0];
-  if (!handles_verb(verb)) return usage_error(err, "unknown verb " + verb);
+  if (!handles_verb(verb)) {
+    return usage_error(err, "unknown verb " + verb + kVerbs);
+  }
   try {
     const util::Cli cli(args, flags_of(verb));
     if (cli.has("--help")) {

@@ -8,11 +8,11 @@
 //
 // Exit codes follow the repo convention: 0 success, 1 runtime failure
 // (bad index, unreachable server, storage error), 2 usage error (unknown
-// flag, missing required flag, malformed value) with the usage text on
-// stderr. Each verb declares its flags as a util::Cli table; `--help`
-// prints the usage text and that table. `cli_main` is a pure function of
-// (args, streams) so the exit-code audit in tests/serve_cli_test.cpp
-// drives it in-process.
+// flag, missing required flag, malformed value) with the one line
+// `error: ...` on stderr. Each verb declares its flags as a util::Cli
+// table; `--help` prints the usage text and that table. `cli_main` is a
+// pure function of (args, streams) so the exit-code audit in
+// tests/serve_cli_test.cpp drives it in-process.
 #pragma once
 
 #include <iosfwd>

@@ -6,10 +6,10 @@
 //   * a finished campaign checkpoint CSV (fig07-style columns) — every
 //     CRC-valid `ok` row whose cells name (channel, pattern, row,
 //     hc_first) contributes rung 1 of its population, for free, as a
-//     byproduct of a campaign that already ran. The runner's
-//     MergeOptions::on_merged hook calls this right after a sharded
-//     campaign merges, so `bench --export-index` leaves a queryable index
-//     next to the results CSV;
+//     byproduct of a campaign that already ran
+//     (`hbmrd_shell export --from-campaign results.csv --hc-depth 1`; a
+//     sharded run's merged CSV is the unsharded run's bytes, so it
+//     exports to the same index);
 //
 //   * direct measurement through the canonical simulation helpers
 //     (serve/engine.h) — the same pure functions the engine falls back

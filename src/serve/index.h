@@ -196,8 +196,6 @@ class Index {
     return RecordView(bytes_.data() + offset, manifest_.hc_depth);
   }
 
-  [[nodiscard]] std::size_t file_bytes() const { return bytes_.size(); }
-
  private:
   Index() = default;
 

@@ -61,17 +61,4 @@ RowBerResult measure_row_ber(bender::ChipSession& chip, const AddressMap& map,
   return make_row_ber_result(victim, result.row(0), config);
 }
 
-std::vector<RowBerResult> measure_bank_ber(bender::ChipSession& chip,
-                                           const AddressMap& map,
-                                           const dram::BankAddress& bank,
-                                           const std::vector<int>& victim_rows,
-                                           const BerConfig& config) {
-  std::vector<RowBerResult> results;
-  results.reserve(victim_rows.size());
-  for (int row : victim_rows) {
-    results.push_back(measure_row_ber(chip, map, {bank, row}, config));
-  }
-  return results;
-}
-
 }  // namespace hbmrd::study

@@ -50,11 +50,4 @@ void append_ber_init(bender::ProgramBuilder& builder, const AddressMap& map,
                                                const dram::RowBits& read_back,
                                                const BerConfig& config);
 
-/// Measures BER over a set of victim rows of one bank; returns one result
-/// per row (order preserved).
-[[nodiscard]] std::vector<RowBerResult> measure_bank_ber(
-    bender::ChipSession& chip, const AddressMap& map,
-    const dram::BankAddress& bank, const std::vector<int>& victim_rows,
-    const BerConfig& config);
-
 }  // namespace hbmrd::study

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
+#include <string>
 
 namespace hbmrd::util {
 
@@ -134,12 +134,6 @@ std::vector<double> polyfit(std::span<const double> xs,
   return coeffs;
 }
 
-double polyval(std::span<const double> coeffs, double x) {
-  double acc = 0.0;
-  for (std::size_t i = coeffs.size(); i-- > 0;) acc = acc * x + coeffs[i];
-  return acc;
-}
-
 Summary summarize(std::span<const double> xs) {
   Summary s;
   s.n = xs.size();
@@ -151,14 +145,6 @@ Summary summarize(std::span<const double> xs) {
   s.max = max_of(xs);
   s.mean = mean(xs);
   return s;
-}
-
-std::string format_summary(const Summary& s, int precision) {
-  std::ostringstream out;
-  out.precision(precision);
-  out << s.min << " [" << s.q1 << " | " << s.median << " | " << s.q3 << "] "
-      << s.max << " (mean " << s.mean << ", n=" << s.n << ")";
-  return out.str();
 }
 
 std::vector<std::size_t> histogram(std::span<const double> xs, double lo,

@@ -5,7 +5,6 @@
 
 #include <cstddef>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace hbmrd::util {
@@ -35,9 +34,6 @@ namespace hbmrd::util {
                                           std::span<const double> ys,
                                           std::size_t degree);
 
-/// Evaluates a polynomial given its coefficient vector (lowest degree first).
-[[nodiscard]] double polyval(std::span<const double> coeffs, double x);
-
 /// Five-number summary plus mean, as used for the paper's box plots.
 struct Summary {
   double min = 0, q1 = 0, median = 0, q3 = 0, max = 0, mean = 0;
@@ -45,9 +41,6 @@ struct Summary {
 };
 
 [[nodiscard]] Summary summarize(std::span<const double> xs);
-
-/// Renders a Summary as a compact "min [q1 | med | q3] max (mean)" string.
-[[nodiscard]] std::string format_summary(const Summary& s, int precision = 4);
 
 /// Fixed-width histogram over [lo, hi) with `bins` buckets; values outside
 /// the range are clamped into the first/last bucket.

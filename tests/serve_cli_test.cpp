@@ -1,9 +1,9 @@
 // Exit-code audit + end-to-end drive of the serve verbs (docs/SERVING.md):
 // cli_main is a pure function of (args, streams), so the whole audit runs
 // in-process. Repo convention: 0 success, 1 runtime failure, 2 usage
-// error with the usage text on stderr. Also covers the frame protocol
-// (length-prefix round-trip, oversize refusal) and a full in-process
-// BatchServer lifecycle: serve -> query_over_socket -> drain.
+// error with the one line `error: ...` on stderr. Also covers the frame
+// protocol (length-prefix round-trip, oversize refusal) and a full
+// in-process BatchServer lifecycle: serve -> query_over_socket -> drain.
 #include "serve/cli.h"
 
 #include <gtest/gtest.h>
@@ -54,7 +54,7 @@ std::string write_small_index(const std::string& path) {
   return path;
 }
 
-TEST(ServeCli, UsageErrorsExitTwoWithUsageText) {
+TEST(ServeCli, UsageErrorsExitTwoWithOneLine) {
   const std::vector<std::vector<std::string>> bad = {
       {},                                            // no verb
       {"frobnicate"},                                // unknown verb
@@ -85,7 +85,8 @@ TEST(ServeCli, UsageErrorsExitTwoWithUsageText) {
     const auto result = run_cli(args);
     EXPECT_EQ(result.code, 2) << "args[0]="
                               << (args.empty() ? "<none>" : args[0]);
-    EXPECT_NE(result.err.find("usage:"), std::string::npos);
+    EXPECT_EQ(result.err.rfind("error: ", 0), 0u) << result.err;
+    EXPECT_EQ(result.err.find('\n'), result.err.size() - 1) << result.err;
     EXPECT_TRUE(result.out.empty());
   }
 }

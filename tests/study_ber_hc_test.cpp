@@ -87,17 +87,6 @@ TEST_F(StudyFixture, HcnSequenceIsMonotoneAndNormalized) {
               0.01 * static_cast<double>(*result.hc[3]));
 }
 
-TEST_F(StudyFixture, MeasureBankBerCoversRequestedRows) {
-  BerConfig config;
-  config.hammer_count = 32 * 1024;  // cheap sweep
-  const std::vector<int> rows = {100, 200, 300};
-  const auto results = measure_bank_ber(chip, map, bank, rows, config);
-  ASSERT_EQ(results.size(), rows.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(results[i].victim.row, rows[i]);
-  }
-}
-
 TEST_F(StudyFixture, PatternsChangeTheBitflipPicture) {
   // Obsv. 13: Rowstripe0 (victim all-0) and Rowstripe1 (victim all-1)
   // expose different cell populations; with a 58/42 true/anti cell split

@@ -78,7 +78,6 @@ TEST(Polyfit, RecoversExactPolynomial) {
   EXPECT_NEAR(coeffs[0], 3.0, 1e-9);
   EXPECT_NEAR(coeffs[1], -2.0, 1e-9);
   EXPECT_NEAR(coeffs[2], 0.5, 1e-9);
-  EXPECT_NEAR(polyval(coeffs, 2.0), 3.0 - 4.0 + 2.0, 1e-9);
 }
 
 TEST(Polyfit, RejectsUnderdeterminedSystems) {
@@ -96,7 +95,6 @@ TEST(Summary, FiveNumbersPlusMean) {
   EXPECT_DOUBLE_EQ(s.median, 4.5);
   EXPECT_DOUBLE_EQ(s.mean, 5.0);
   EXPECT_EQ(s.n, kSample.size());
-  EXPECT_FALSE(format_summary(s).empty());
 }
 
 TEST(Summary, EmptyIsZeroed) {
